@@ -15,9 +15,7 @@
 #include "obs/progress.hh"
 #include "obs/run_report.hh"
 #include "obs/timeseries.hh"
-#include "predict/twolevel.hh"
 #include "sim/batched_replay.hh"
-#include "sim/bpred_sim.hh"
 #include "store/artifact_cache.hh"
 #include "store/profile_artifact.hh"
 #include "util/logging.hh"
@@ -60,14 +58,13 @@ commonBenchFlags()
         {"shards", "trace segments per profiling pass (default 1)"},
         {"csv", "also write the table as CSV to this path"},
         {"threshold", "conflict-edge threshold (default 100)"},
-        {"json", "write a machine-readable run report (v3 schema)"},
+        {"json", "write a machine-readable run report (v4 schema)"},
         {"trace", "write a Chrome trace_event JSON of the spans"},
         {"progress", "heartbeat line on stderr every N seconds"},
         {"timeseries", "sample temporal signals into the report"},
         {"interval",
          "time-series window width in instructions (default 65536)"},
         {"interference", "attach the BHT interference probe"},
-        {"replay", "sweep replay engine: 'batched' or 'fanout'"},
         {"branch-telemetry",
          "per-branch telemetry section (implies --interference)"},
         {"top-branches", "rows per top-N branch table (default 8)"},
@@ -198,14 +195,6 @@ parseBenchOptions(int &argc, char **argv,
         bwsa_fatal("--interval must be >= 1 instruction");
     options.interference = cli.isBare("interference") ||
                            cli.getString("interference", "") == "true";
-    std::string replay = cli.getRequiredString("replay", "batched");
-    if (replay == "batched")
-        options.batched = true;
-    else if (replay == "fanout")
-        options.batched = false;
-    else
-        bwsa_fatal("--replay must be 'batched' or 'fanout', got '",
-                   replay, "'");
     options.branch_telemetry =
         cli.isBare("branch-telemetry") ||
         cli.getString("branch-telemetry", "") == "true";
@@ -229,10 +218,6 @@ parseBenchOptions(int &argc, char **argv,
         bwsa_fatal("--phase-hysteresis must be >= 0");
     if (options.phase_min_windows == 0)
         bwsa_fatal("--phase-min-windows must be >= 1");
-    // Per-phase attribution (boundary-crossing probe snapshots) lives
-    // in the batched engine only; fanout cells have nowhere to bin.
-    if (options.phases && !options.batched)
-        bwsa_fatal("--phases requires --replay=batched");
 
     // --store-dir implies --cache; --no-cache wins over both.
     options.store_dir = cli.getRequiredString("store-dir", "");
@@ -567,6 +552,35 @@ profileSource(AllocationPipeline &pipeline, const TraceSource &source,
     }
 }
 
+namespace
+{
+
+/**
+ * Publish a finished accumulator's windows as the "<scope>/working_set/
+ * size" (distinct PCs per window) and "<scope>/working_set/jaccard"
+ * (similarity against the previous window) time series.  The
+ * accumulator is the folded whole-trace signal, so the series are the
+ * same for any shard count.
+ */
+void
+publishWorkingSetSeries(const std::string &scope,
+                        const obs::PhaseAccumulator &accumulator)
+{
+    auto &registry = obs::TimeSeriesRegistry::global();
+    obs::TimeSeries *size = registry.series(scope + "/working_set/size");
+    obs::TimeSeries *churn =
+        registry.series(scope + "/working_set/jaccard");
+    if (!size || !churn)
+        return;
+    for (const obs::PhaseWindowStat &w : accumulator.windows()) {
+        size->record(w.start, static_cast<double>(w.distinct));
+        if (w.has_similarity)
+            churn->record(w.start, w.similarity);
+    }
+}
+
+} // namespace
+
 TextTable
 buildWorkingSetTable(const BenchOptions &options)
 {
@@ -597,11 +611,18 @@ buildWorkingSetTable(const BenchOptions &options)
             ShardConfig config;
             config.shards = options.shards;
             config.threads = options.threads;
-            if (options.timeseries)
+            obs::PhaseAccumulator working_set(options.interval);
+            if (options.timeseries) {
                 config.interleave.series_scope = run.display;
+                config.interleave.phase = &working_set;
+            }
             ConflictGraph graph;
             shard_stats[cell.index] =
                 profileTraceSharded(source, graph, config);
+            if (options.timeseries) {
+                working_set.finish();
+                publishWorkingSetSeries(run.display, working_set);
+            }
             ConflictGraph pruned = graph.pruned(options.threshold);
 
             WorkingSetResult sets = findWorkingSets(
@@ -653,20 +674,6 @@ struct CellPhases
 
 using PcSet = std::unordered_set<std::uint64_t>;
 
-/** Jaccard over two phase populations (1.0 for two empty sets). */
-double
-pcSetJaccard(const PcSet &a, const PcSet &b)
-{
-    const PcSet &needle = a.size() <= b.size() ? a : b;
-    const PcSet &hay = a.size() <= b.size() ? b : a;
-    std::uint64_t inter = 0;
-    for (std::uint64_t pc : needle)
-        inter += hay.count(pc) ? 1 : 0;
-    std::uint64_t uni = a.size() + b.size() - inter;
-    return uni ? static_cast<double>(inter) / static_cast<double>(uni)
-               : 1.0;
-}
-
 std::string
 pcHex(std::uint64_t pc)
 {
@@ -691,30 +698,49 @@ branchMissPercent(const PredictionStats &stats, std::uint64_t pc)
 }
 
 /**
+ * Append the interference reports of the baseline (lane 0) and
+ * allocated (@p alloc_lane) probes to the run report.  Returns false
+ * when either lane runs without a probe.
+ */
+bool
+reportInterference(const std::string &scope,
+                   const BatchedReplayer &replayer,
+                   std::size_t alloc_lane)
+{
+    const BhtInterferenceProbe *base = replayer.probe(0);
+    const BhtInterferenceProbe *alloc = replayer.probe(alloc_lane);
+    if (!base || !alloc)
+        return false;
+    auto &report = obs::RunReport::global();
+    if (report.active()) {
+        report.addInterference(
+            base->reportJson(scope, replayer.laneName(0)));
+        report.addInterference(
+            alloc->reportJson(scope, replayer.laneName(alloc_lane)));
+    }
+    return true;
+}
+
+/**
  * Assemble one cell's per-branch telemetry: the run report "branches"
  * scope entry (every branch, pc-ascending, with per-predictor
  * misprediction counts, probe victim/aggressor attribution and the
  * profiled predictability/lifetime fields) plus the cell's top-N
- * hot / hard / victim table rows.  Everything ranks on exact counts,
- * so the output is deterministic for any thread/shard count.
+ * hot / hard / victim table rows.  Lane 0 of @p replayer is the
+ * baseline; its probe and the one on @p alloc_lane supply the
+ * aliasing attribution.  Everything ranks on exact counts, so the
+ * output is deterministic for any thread/shard count.
  */
-/** One probed predictor as the telemetry assembly sees it. */
-struct ProbedPredictor
-{
-    const BhtInterferenceProbe *probe = nullptr;
-    std::string name;
-};
-
 void
 collectCellTelemetry(const std::string &scope,
                      const obs::BranchTelemetryMap &telemetry,
+                     const BatchedReplayer &replayer,
                      const std::vector<PredictionStats> &results,
-                     const ProbedPredictor &base_pag,
-                     const ProbedPredictor &alloc_pag,
                      std::size_t top_n, CellTelemetry &out,
                      std::size_t alloc_lane = 3,
                      std::size_t ideal_lane = 4)
 {
+    const std::size_t probed_lanes[] = {0, alloc_lane};
     // Universe: every branch the simulator saw plus every profiled
     // branch.  Profiling replays the same trace, so the profiled set
     // is a subset of the simulated one in practice; the union keeps
@@ -733,12 +759,12 @@ collectCellTelemetry(const std::string &scope,
     const std::uint64_t span =
         telemetry.lastTimestamp() - telemetry.firstTimestamp();
 
-    auto aliasingOf = [](const ProbedPredictor &pag,
-                         std::uint64_t pc) {
+    auto aliasingOf = [&](std::size_t lane, std::uint64_t pc) {
         BranchAliasing none;
-        if (!pag.probe)
+        const BhtInterferenceProbe *probe = replayer.probe(lane);
+        if (!probe)
             return none;
-        const auto &map = pag.probe->branchAliasing();
+        const auto &map = probe->branchAliasing();
         auto it = map.find(pc);
         return it == map.end() ? none : it->second;
     };
@@ -757,10 +783,10 @@ collectCellTelemetry(const std::string &scope,
     for (const PredictionStats &r : results)
         total_miss[r.predictor_name] = r.mispredicts.events();
     obs::JsonValue &total_dest = totals["destructive"];
-    for (const ProbedPredictor *pag : {&base_pag, &alloc_pag})
-        if (pag->probe)
-            total_dest[pag->name] =
-                pag->probe->counters().destructive;
+    for (std::size_t lane : probed_lanes)
+        if (const BhtInterferenceProbe *probe = replayer.probe(lane))
+            total_dest[replayer.laneName(lane)] =
+                probe->counters().destructive;
 
     obs::JsonValue &branches = entry["branches"];
     branches = obs::JsonValue::array();
@@ -776,11 +802,11 @@ collectCellTelemetry(const std::string &scope,
                                          : it->second.events();
         }
         obs::JsonValue aliasing;
-        for (const ProbedPredictor *pag : {&base_pag, &alloc_pag}) {
-            BranchAliasing a = aliasingOf(*pag, pc);
+        for (std::size_t lane : probed_lanes) {
+            BranchAliasing a = aliasingOf(lane, pc);
             if (a.victim == 0 && a.aggressor == 0)
                 continue;
-            obs::JsonValue &slot = aliasing[pag->name];
+            obs::JsonValue &slot = aliasing[replayer.laneName(lane)];
             slot["victim"] = a.victim;
             slot["aggressor"] = a.aggressor;
         }
@@ -870,11 +896,11 @@ collectCellTelemetry(const std::string &scope,
 
     // Victims: the branches the baseline's destructive aliasing hit
     // hardest, next to their fate under allocation.
-    if (base_pag.probe) {
-        for (const auto &[pc, a] : base_pag.probe->topVictims(top_n)) {
+    if (const BhtInterferenceProbe *base_probe = replayer.probe(0)) {
+        for (const auto &[pc, a] : base_probe->topVictims(top_n)) {
             if (a.victim == 0)
                 continue;
-            BranchAliasing alloc = aliasingOf(alloc_pag, pc);
+            BranchAliasing alloc = aliasingOf(alloc_lane, pc);
             out.victims.push_back(
                 {scope + " " + pcHex(pc), withCommas(a.victim),
                  withCommas(a.aggressor), withCommas(alloc.victim),
@@ -1006,7 +1032,7 @@ collectCellPhases(const std::string &scope,
         double sum = 0.0;
         for (std::size_t j = 0; j < n; ++j) {
             row[j] = i == j ? 1.0
-                            : pcSetJaccard(phasePcsOf(i),
+                            : obs::jaccard(phasePcsOf(i),
                                            phasePcsOf(j));
             sum += row[j];
         }
@@ -1149,108 +1175,64 @@ buildAllocationTables(const BenchOptions &options, bool classification)
             PipelineConfig config;
             config.allocation.edge_threshold = options.threshold;
             config.allocation.use_classification = classification;
-            if (options.timeseries)
-                config.interleave.series_scope = run.display;
             // Cell-local telemetry map, filled by the interleave pass
             // (sharded profiling folds its per-segment maps into it).
             obs::BranchTelemetryMap cell_map;
             if (options.branch_telemetry)
                 config.interleave.telemetry = &cell_map;
-            // Cell-local phase accumulator, fed by the interleave
-            // pass (sharded profiling folds per-segment accumulators
-            // into it bit-identically).
+            // Cell-local working-set accumulator, fed by the
+            // interleave pass (sharded profiling folds per-segment
+            // accumulators into it bit-identically).  It drives both
+            // phase detection and the working-set time series.
             obs::PhaseAccumulator phase_accum(options.interval);
-            if (options.phases)
+            if (options.timeseries)
+                config.interleave.series_scope = run.display;
+            if (options.timeseries || options.phases)
                 config.interleave.phase = &phase_accum;
             AllocationPipeline pipeline(config);
             profileSource(pipeline, source, options, run.display,
                           run.preset + ":" + run.input_label);
 
+            phase_accum.finish();
             obs::PhaseTimeline timeline;
-            if (options.phases) {
-                phase_accum.finish();
+            if (options.phases)
                 timeline = obs::detectPhases(
                     phase_accum, phaseDetectorConfig(options));
-            }
+            if (options.timeseries)
+                publishWorkingSetSeries(run.display, phase_accum);
 
+            // The probe rides the baseline and the like-sized
+            // allocated PAg (lanes 0 and 3): the pair whose
+            // destructive counts the allocation claim is about.
             const std::vector<PredictorSpec> specs{
                 paperBaselineSpec(), pipeline.predictorSpec(16),
                 pipeline.predictorSpec(128),
                 pipeline.predictorSpec(1024), interferenceFreeSpec()};
-            const std::string series_scope =
-                options.timeseries ? run.display : std::string();
-
-            // The probe rides the baseline and the like-sized
-            // allocated PAg (contenders 0 and 3): the pair whose
-            // destructive counts the allocation claim is about.
-            std::vector<PredictionStats> results;
-            ProbedPredictor base_pag, alloc_pag;
-
-            // Objects that must outlive the probe pointers below.
-            std::vector<PredictorPtr> fanout_predictors;
             BatchedReplayer replayer(options.branch_telemetry);
-
-            if (options.batched) {
-                for (std::size_t i = 0; i < specs.size(); ++i) {
-                    BatchedLaneOptions lane_options;
-                    lane_options.series_scope = series_scope;
-                    lane_options.probe =
-                        options.interference && (i == 0 || i == 3);
-                    replayer.addLane(specs[i], lane_options);
-                }
-                if (options.phases)
-                    replayer.setPhaseTimeline(&timeline);
-                replayer.replay(source);
-                results = replayer.allStats();
-                base_pag = {replayer.probe(0), replayer.laneName(0)};
-                alloc_pag = {replayer.probe(3), replayer.laneName(3)};
-            } else {
-                std::vector<Predictor *> contenders;
-                for (const PredictorSpec &spec : specs) {
-                    fanout_predictors.push_back(makePredictor(spec));
-                    contenders.push_back(
-                        fanout_predictors.back().get());
-                }
-                if (options.interference) {
-                    for (std::size_t i : {std::size_t(0),
-                                          std::size_t(3)})
-                        if (auto *pag = dynamic_cast<PAgPredictor *>(
-                                contenders[i]))
-                            pag->enableInterferenceProbe();
-                }
-                results = comparePredictors(source, contenders,
-                                            series_scope,
-                                            options.branch_telemetry);
-                auto probed = [&](std::size_t i) {
-                    ProbedPredictor p;
-                    p.name = contenders[i]->name();
-                    if (auto *pag = dynamic_cast<PAgPredictor *>(
-                            contenders[i]))
-                        p.probe = pag->interferenceProbe();
-                    return p;
-                };
-                base_pag = probed(0);
-                alloc_pag = probed(3);
+            for (std::size_t i = 0; i < specs.size(); ++i) {
+                BatchedLaneOptions lane_options;
+                if (options.timeseries)
+                    lane_options.series_scope = run.display;
+                lane_options.probe =
+                    options.interference && (i == 0 || i == 3);
+                replayer.addLane(specs[i], lane_options);
             }
+            if (options.phases)
+                replayer.setPhaseTimeline(&timeline);
+            replayer.replay(source);
+            const std::vector<PredictionStats> results =
+                replayer.allStats();
 
-            if (base_pag.probe && alloc_pag.probe) {
+            if (reportInterference(run.display, replayer, 3)) {
                 CellAliasing &slot = aliasing[cell.index];
                 slot.valid = true;
-                slot.base = base_pag.probe->counters();
-                slot.allocated = alloc_pag.probe->counters();
-                auto &report = obs::RunReport::global();
-                if (report.active()) {
-                    report.addInterference(base_pag.probe->reportJson(
-                        run.display, base_pag.name));
-                    report.addInterference(alloc_pag.probe->reportJson(
-                        run.display, alloc_pag.name));
-                }
+                slot.base = replayer.probe(0)->counters();
+                slot.allocated = replayer.probe(3)->counters();
             }
 
             if (options.branch_telemetry)
-                collectCellTelemetry(run.display, cell_map, results,
-                                     base_pag, alloc_pag,
-                                     options.top_branches,
+                collectCellTelemetry(run.display, cell_map, replayer,
+                                     results, options.top_branches,
                                      telemetry_rows[cell.index]);
 
             if (options.phases)
@@ -1438,8 +1420,11 @@ buildGraphAllocTables(const BenchOptions &options,
             // branch set for the "all" row to reconcile against the
             // lane totals.
             config.coverage = 1.0;
-            if (options.timeseries)
+            obs::PhaseAccumulator working_set(options.interval);
+            if (options.timeseries) {
                 config.interleave.series_scope = run.display;
+                config.interleave.phase = &working_set;
+            }
             // The bins are keyed on per-branch history entropy, so
             // this bench always profiles with the telemetry map wired
             // in.  Pass an empty cache identity: a cache hit would
@@ -1448,6 +1433,10 @@ buildGraphAllocTables(const BenchOptions &options,
             config.interleave.telemetry = &cell_map;
             AllocationPipeline pipeline(config);
             profileSource(pipeline, source, options, run.display, "");
+            if (options.timeseries) {
+                working_set.finish();
+                publishWorkingSetSeries(run.display, working_set);
+            }
 
             // Baseline modulo PAg, like-sized allocated PAg, and the
             // interference-free reference, probes on the first two:
@@ -1457,59 +1446,18 @@ buildGraphAllocTables(const BenchOptions &options,
                                    std::to_string(bht_entries)),
                 pipeline.predictorSpec(bht_entries),
                 interferenceFreeSpec()};
-            const std::string series_scope =
-                options.timeseries ? run.display : std::string();
-
-            std::vector<PredictionStats> results;
-            ProbedPredictor base_pag, alloc_pag;
-            std::vector<PredictorPtr> fanout_predictors;
             BatchedReplayer replayer(true);
-
-            if (options.batched) {
-                for (std::size_t i = 0; i < specs.size(); ++i) {
-                    BatchedLaneOptions lane_options;
-                    lane_options.series_scope = series_scope;
-                    lane_options.probe = i < 2;
-                    replayer.addLane(specs[i], lane_options);
-                }
-                replayer.replay(source);
-                results = replayer.allStats();
-                base_pag = {replayer.probe(0), replayer.laneName(0)};
-                alloc_pag = {replayer.probe(1), replayer.laneName(1)};
-            } else {
-                std::vector<Predictor *> contenders;
-                for (const PredictorSpec &spec : specs) {
-                    fanout_predictors.push_back(makePredictor(spec));
-                    contenders.push_back(
-                        fanout_predictors.back().get());
-                }
-                for (std::size_t i : {std::size_t(0), std::size_t(1)})
-                    if (auto *pag = dynamic_cast<PAgPredictor *>(
-                            contenders[i]))
-                        pag->enableInterferenceProbe();
-                results = comparePredictors(source, contenders,
-                                            series_scope, true);
-                auto probed = [&](std::size_t i) {
-                    ProbedPredictor p;
-                    p.name = contenders[i]->name();
-                    if (auto *pag = dynamic_cast<PAgPredictor *>(
-                            contenders[i]))
-                        p.probe = pag->interferenceProbe();
-                    return p;
-                };
-                base_pag = probed(0);
-                alloc_pag = probed(1);
+            for (std::size_t i = 0; i < specs.size(); ++i) {
+                BatchedLaneOptions lane_options;
+                if (options.timeseries)
+                    lane_options.series_scope = run.display;
+                lane_options.probe = i < 2;
+                replayer.addLane(specs[i], lane_options);
             }
-
-            if (base_pag.probe && alloc_pag.probe) {
-                auto &report = obs::RunReport::global();
-                if (report.active()) {
-                    report.addInterference(base_pag.probe->reportJson(
-                        run.display, base_pag.name));
-                    report.addInterference(alloc_pag.probe->reportJson(
-                        run.display, alloc_pag.name));
-                }
-            }
+            replayer.replay(source);
+            const std::vector<PredictionStats> results =
+                replayer.allStats();
+            reportInterference(run.display, replayer, 1);
 
             // Fold every profiled branch into its predictability bin;
             // the trailing "all" row is the merge of every bin, which
@@ -1517,11 +1465,12 @@ buildGraphAllocTables(const BenchOptions &options,
             obs::PredictabilityBinner binner;
             std::vector<obs::PredictabilityBinStats> bins(
                 binner.binCount());
-            auto victimsOf = [](const ProbedPredictor &pag,
-                                std::uint64_t pc) -> std::uint64_t {
-                if (!pag.probe)
+            auto victimsOf = [&](std::size_t lane,
+                                 std::uint64_t pc) -> std::uint64_t {
+                const BhtInterferenceProbe *probe = replayer.probe(lane);
+                if (!probe)
                     return 0;
-                const auto &map = pag.probe->branchAliasing();
+                const auto &map = probe->branchAliasing();
                 auto it = map.find(pc);
                 return it == map.end() ? 0 : it->second.victim;
             };
@@ -1538,8 +1487,8 @@ buildGraphAllocTables(const BenchOptions &options,
                 auto alloc_it = results[1].per_branch.find(pc);
                 if (alloc_it != results[1].per_branch.end())
                     bin.alloc_miss += alloc_it->second.events();
-                bin.base_victims += victimsOf(base_pag, pc);
-                bin.alloc_victims += victimsOf(alloc_pag, pc);
+                bin.base_victims += victimsOf(0, pc);
+                bin.alloc_victims += victimsOf(1, pc);
             }
 
             CellGraphAlloc &slot = cells[cell.index];
@@ -1554,9 +1503,8 @@ buildGraphAllocTables(const BenchOptions &options,
                 {run.display, bins.size(), "all", all});
 
             if (options.branch_telemetry)
-                collectCellTelemetry(run.display, cell_map, results,
-                                     base_pag, alloc_pag,
-                                     options.top_branches,
+                collectCellTelemetry(run.display, cell_map, replayer,
+                                     results, options.top_branches,
                                      slot.telemetry, 1, 2);
 
             std::cout << "." << std::flush; // progress

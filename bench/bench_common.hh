@@ -14,7 +14,7 @@
  *   --csv=<path>      also write the table as CSV
  *   --threshold=<n>   conflict-edge threshold (default 100)
  *   --json=<path>     write a machine-readable run report (schema
- *                     bwsa.run_report.v1) when the run finishes
+ *                     bwsa.run_report.v4) when the run finishes
  *   --trace=<path>    write a Chrome trace_event JSON of the phase
  *                     spans (open in chrome://tracing or Perfetto);
  *                     with --timeseries the series render as counter
@@ -26,18 +26,13 @@
  *   --timeseries      sample temporal signals (windowed misprediction
  *                     rate per predictor, working-set size and churn
  *                     per window, per-shard progress) into the run
- *                     report's "timeseries" section
+ *                     report's "timeseries" section.  The working-set
+ *                     series are published from the cell's phase
+ *                     accumulator after profiling, so they cover the
+ *                     whole trace under any --shards
  *   --interval=<n>    time-series window width in retired
  *                     instructions (default 65536); windows merge
  *                     pairwise when a series outgrows its budget
- *   --replay=<mode>   how sweep cells replay their predictor set:
- *                     "batched" (default) steps all configurations
- *                     through the packed BatchedReplayer in one trace
- *                     decode; "fanout" drives one PredictionSim per
- *                     predictor through comparePredictors(), the
- *                     reference implementation.  Both modes emit
- *                     byte-identical tables, interference sections
- *                     and per-branch telemetry
  *   --interference    attach the BHT interference probe to every PAg
  *                     under test: classifies each prediction under
  *                     entry sharing as agree/neutral/constructive/
@@ -56,7 +51,7 @@
  *                     signal) and attribute results per phase: the
  *                     report's "execution_phases" section, the
  *                     whole-trace vs per-phase table, and phase spans
- *                     in the Chrome trace.  Needs --replay=batched
+ *                     in the Chrome trace
  *   --phase-threshold=<x>   similarity below this opens a phase
  *                     boundary (default 0.4)
  *   --phase-hysteresis=<x>  re-arm margin above the threshold before
@@ -137,7 +132,6 @@ struct BenchOptions
     bool timeseries = false;   ///< --timeseries: temporal sampling
     std::uint64_t interval = 65536; ///< --interval: window width
     bool interference = false; ///< --interference: aliasing probe
-    bool batched = true;       ///< --replay=batched (vs fanout)
     bool branch_telemetry = false; ///< --branch-telemetry: per-branch
     std::size_t top_branches = 8;  ///< --top-branches: table rows
     bool phases = false;       ///< --phases: per-phase attribution
@@ -309,7 +303,9 @@ TextTable buildWorkingSetTable(const BenchOptions &options);
  * percentage eliminated) and each probe's full report -- counters plus
  * conflict top-N -- is appended to the run report's "interference"
  * section.  With `--timeseries` every predictor publishes its
- * windowed misprediction rate under the benchmark's scope.
+ * windowed misprediction rate under the benchmark's scope, next to
+ * the whole-trace working-set size and churn series read off the
+ * cell's phase accumulator.
  *
  * With `--branch-telemetry` every cell additionally collects one
  * per-branch telemetry scope (obs::BranchTelemetryMap wired into the

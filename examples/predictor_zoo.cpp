@@ -18,9 +18,8 @@
 #include <cstdio>
 
 #include "core/pipeline.hh"
-#include "predict/static_pred.hh"
 #include "report/table.hh"
-#include "sim/bpred_sim.hh"
+#include "sim/batched_replay.hh"
 #include "util/cli.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
@@ -60,34 +59,28 @@ main(int argc, char **argv)
         session.finish();
     }
 
-    std::unordered_map<BranchPc, bool> majorities;
+    PredictorSpec profile_static;
+    profile_static.kind = PredictorKind::ProfileStatic;
     for (const ConflictNode &node : pipeline.graph().nodes())
-        majorities[node.pc] = node.takenRate() >= 0.5;
+        profile_static.static_directions[node.pc] =
+            node.takenRate() >= 0.5;
 
-    std::vector<PredictorPtr> predictors;
-    predictors.push_back(
-        std::make_unique<AlwaysTakenPredictor>());
-    predictors.push_back(std::make_unique<ProfileStaticPredictor>(
-        std::move(majorities)));
+    std::vector<PredictorSpec> specs(1);
+    specs[0].kind = PredictorKind::AlwaysTaken;
+    specs.push_back(std::move(profile_static));
     for (PredictorKind kind :
          {PredictorKind::Bimodal, PredictorKind::GAg,
           PredictorKind::Gshare, PredictorKind::PAs,
           PredictorKind::PAgModulo, PredictorKind::Tournament}) {
-        PredictorSpec spec;
-        spec.kind = kind;
-        predictors.push_back(makePredictor(spec));
+        specs.emplace_back();
+        specs.back().kind = kind;
     }
-    predictors.push_back(makePredictor(pipeline.predictorSpec(1024)));
-    predictors.push_back(makePredictor(interferenceFreeSpec()));
+    specs.push_back(pipeline.predictorSpec(1024));
+    specs.push_back(interferenceFreeSpec());
     if (!extra.empty())
-        predictors.push_back(
-            makePredictor(parsePredictorSpec(extra)));
+        specs.push_back(parsePredictorSpec(extra));
 
-    std::vector<Predictor *> raw;
-    for (const PredictorPtr &p : predictors)
-        raw.push_back(p.get());
-    std::vector<PredictionStats> results =
-        comparePredictors(source, raw);
+    std::vector<PredictionStats> results = replayBatched(source, specs);
 
     TextTable table({"predictor", "mispredict %", "accuracy %"});
     for (const PredictionStats &r : results)

@@ -13,15 +13,15 @@ PhaseAccumulator::PhaseAccumulator(std::uint64_t interval)
 }
 
 double
-PhaseAccumulator::jaccard(const KeySet &current, const KeySet &prev)
+jaccard(const std::unordered_set<std::uint64_t> &a,
+        const std::unordered_set<std::uint64_t> &b)
 {
-    // Same arithmetic as WindowedSetSampler::closeWindow(), so the
-    // lossless phase signal and the (possibly downsampled) churn
-    // series agree bit-for-bit before the first pair-merge.
+    const auto &needle = a.size() <= b.size() ? a : b;
+    const auto &hay = a.size() <= b.size() ? b : a;
     std::size_t inter = 0;
-    for (std::uint64_t key : current)
-        inter += (prev.count(key) != 0);
-    std::size_t uni = current.size() + prev.size() - inter;
+    for (std::uint64_t key : needle)
+        inter += (hay.count(key) != 0);
+    std::size_t uni = a.size() + b.size() - inter;
     return uni ? static_cast<double>(inter) /
                      static_cast<double>(uni)
                : 1.0;

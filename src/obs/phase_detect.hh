@@ -12,10 +12,12 @@
  *   * PhaseAccumulator consumes the (pc, timestamp) stream and folds
  *     it into fixed-width instruction windows, each carrying the
  *     distinct-PC count and the Jaccard similarity against the
- *     previous window's population -- the exact per-window signal
- *     WindowedSetSampler publishes into the time-series registry, but
- *     kept lossless (no pair-merge downsampling) so phase boundaries
- *     are bit-stable however long the trace runs.
+ *     previous window's population.  It is the one producer of the
+ *     per-window working-set signal: the benches' --timeseries
+ *     "<scope>/working_set/{size,jaccard}" series are a view of its
+ *     windows(), published after the (possibly sharded) fold.  The
+ *     windows themselves stay lossless (no pair-merge downsampling),
+ *     so phase boundaries are bit-stable however long the trace runs.
  *
  *   * PhaseDetector segments the window sequence into phases with a
  *     churn threshold, re-arm hysteresis and a minimum-phase-length
@@ -44,6 +46,14 @@
 
 namespace bwsa::obs
 {
+
+/**
+ * Jaccard similarity |a & b| / |a | b| of two PC populations (1.0 for
+ * two empty sets).  The intersection and union are exact integer
+ * counts, so the result is independent of set iteration order.
+ */
+double jaccard(const std::unordered_set<std::uint64_t> &a,
+               const std::unordered_set<std::uint64_t> &b);
 
 /** One closed working-set window of the phase signal. */
 struct PhaseWindowStat
@@ -116,7 +126,6 @@ class PhaseAccumulator
 
     void closeOpenWindow();
     void pushStat(const PhaseWindowStat &stat, const KeySet &keys);
-    static double jaccard(const KeySet &current, const KeySet &prev);
 
     std::uint64_t _interval;
     bool _finished = false;

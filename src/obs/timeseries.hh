@@ -34,7 +34,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/json.hh"
@@ -187,51 +186,6 @@ class TimeSeriesRegistry
     std::size_t _default_max_points = 512;
     std::vector<std::unique_ptr<TimeSeries>> _series;
     std::unordered_map<std::string, std::size_t> _index;
-};
-
-/**
- * Streaming distinct-key window sampler: the time-varying working-set
- * signal of the paper, generalized from the cluster_analysis shift
- * detector to instruction-count windows.  Feed it every (key,
- * timestamp) pair of a stream; at each window boundary it publishes
- * the window's distinct-key count into @p size_series and the Jaccard
- * similarity against the previous window's key set into
- * @p churn_series (1.0 = identical populations, 0.0 = full turnover).
- * Windows with no samples publish nothing.
- */
-class WindowedSetSampler
-{
-  public:
-    /**
-     * @param size_series  distinct keys per window (may be nullptr)
-     * @param churn_series Jaccard similarity vs previous window (may
-     *                     be nullptr)
-     * @param interval     window width in timestamp units (>= 1)
-     */
-    WindowedSetSampler(TimeSeries *size_series,
-                       TimeSeries *churn_series,
-                       std::uint64_t interval);
-
-    /** Feed one stream element; timestamps must not decrease. */
-    void sample(std::uint64_t key, std::uint64_t timestamp);
-
-    /** Flush the final open window (idempotent). */
-    void finish();
-
-    /** Windows closed so far (excluding the open one). */
-    std::uint64_t windowsClosed() const { return _windows_closed; }
-
-  private:
-    void closeWindow();
-
-    TimeSeries *_size_series;
-    TimeSeries *_churn_series;
-    std::uint64_t _interval;
-    std::uint64_t _window_start = 0;
-    bool _any = false;
-    std::uint64_t _windows_closed = 0;
-    std::unordered_set<std::uint64_t> _current;
-    std::unordered_set<std::uint64_t> _previous;
 };
 
 } // namespace bwsa::obs

@@ -42,6 +42,8 @@ predictorKindName(PredictorKind kind)
         return "agree";
       case PredictorKind::StaticFilteredPAg:
         return "static-filtered-PAg";
+      case PredictorKind::ProfileStatic:
+        return "profile-static";
     }
     bwsa_panic("unknown PredictorKind ", static_cast<int>(kind));
 }
@@ -55,6 +57,10 @@ makePredictor(const PredictorSpec &spec)
 
       case PredictorKind::AlwaysNotTaken:
         return std::make_unique<AlwaysNotTakenPredictor>();
+
+      case PredictorKind::ProfileStatic:
+        return std::make_unique<ProfileStaticPredictor>(
+            spec.static_directions);
 
       case PredictorKind::Bimodal:
         return std::make_unique<BimodalPredictor>(

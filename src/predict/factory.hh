@@ -27,8 +27,10 @@ enum class PredictorKind
     PAs,          ///< per-address history, per-set PHTs
     Tournament,   ///< gshare vs bimodal with a chooser
     Agree,        ///< agree predictor (Sprangle et al., ref [18])
-    StaticFilteredPAg ///< profile-static biased branches + PAg for
-                      ///< the mixed remainder (Section 5.2 ISA option)
+    StaticFilteredPAg, ///< profile-static biased branches + PAg for
+                       ///< the mixed remainder (Section 5.2 ISA option)
+    ProfileStatic ///< profile majority direction per branch
+                  ///< (static_directions); unprofiled ones taken
 };
 
 /** Name of a predictor kind for reports. */
@@ -59,7 +61,7 @@ struct PredictorSpec
 
     /**
      * Statically predicted branches and their directions
-     * (StaticFilteredPAg only).
+     * (StaticFilteredPAg, ProfileStatic).
      */
     std::unordered_map<BranchPc, bool> static_directions;
 
@@ -90,9 +92,10 @@ PredictorPtr makePredictor(const PredictorSpec &spec);
  * "pas:bht=512,sets=8".  Unset keys keep PredictorSpec's defaults.
  *
  * Kinds that need a profile artifact (PAgAllocated's assignment map,
- * StaticFilteredPAg's direction map) cannot be described by a string
- * and are deliberately not part of the grammar; build their specs
- * programmatically (allocatedSpec(), AllocationPipeline).
+ * StaticFilteredPAg's and ProfileStatic's direction maps) cannot be
+ * described by a string and are deliberately not part of the grammar;
+ * build their specs programmatically (allocatedSpec(),
+ * AllocationPipeline).
  *
  * Malformed input -- unknown kind, unknown key, missing '=', value
  * that does not parse or is out of range -- is fatal with a message

@@ -26,11 +26,9 @@
 #define BWSA_PROFILE_INTERLEAVE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "obs/timeseries.hh"
 #include "profile/conflict_graph.hh"
 #include "trace/trace.hh"
 #include "util/flat_counter.hh"
@@ -54,12 +52,10 @@ struct InterleaveConfig
     std::size_t max_window = 4096;
 
     /**
-     * Time-series name prefix for the temporal working-set signal.
-     * When nonempty and the global TimeSeriesRegistry is enabled, the
-     * tracker publishes "<scope>/working_set/size" (distinct branch
-     * PCs per instruction window) and "<scope>/working_set/jaccard"
-     * (population similarity against the previous window).  Scopes
-     * must be unique per concurrent tracker (single-writer contract).
+     * Time-series name prefix of the sharded engine's per-shard
+     * progress series ("<scope>/shard<i>/progress", see shard.hh).
+     * The tracker itself publishes no series: the temporal
+     * working-set signal comes from the phase accumulator below.
      */
     std::string series_scope;
 
@@ -154,8 +150,6 @@ class InterleaveTracker : public TraceSink
      * flush time.  Open addressing here is the profiler's hot path.
      */
     std::vector<FlatCounterMap> _pair_counts;
-    /** Temporal working-set sampler; null unless a scope was set. */
-    std::unique_ptr<obs::WindowedSetSampler> _set_sampler;
     NodeId _head = invalid_node;
     NodeId _tail = invalid_node;
     std::size_t _window_size = 0;

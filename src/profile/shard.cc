@@ -163,16 +163,15 @@ profileTraceSharded(const TraceSource &source, ConflictGraph &graph,
             span.addWork(segments[i].recordCount());
             Clock::time_point start = Clock::now();
 
-            // Scope this shard's series under its index: each shard
-            // writes only its own series (single-writer contract).
+            // Scope this shard's progress series under its index:
+            // each shard writes only its own series (single-writer
+            // contract).
             InterleaveConfig shard_config = config.interleave;
             obs::TimeSeries *progress = nullptr;
-            if (!shard_config.series_scope.empty()) {
-                shard_config.series_scope += "/shard" +
-                                             std::to_string(i);
+            if (!shard_config.series_scope.empty())
                 progress = obs::TimeSeriesRegistry::global().series(
-                    shard_config.series_scope + "/progress");
-            }
+                    shard_config.series_scope + "/shard" +
+                    std::to_string(i) + "/progress");
             if (telemetry) {
                 shard_maps[i] =
                     std::make_unique<obs::BranchTelemetryMap>(

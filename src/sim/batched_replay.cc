@@ -256,7 +256,8 @@ BatchedReplayer::addLane(const PredictorSpec &spec,
 
       case PredictorKind::Tournament:
       case PredictorKind::StaticFilteredPAg:
-        // Composite predictors keep their object form.
+      case PredictorKind::ProfileStatic:
+        // Composite and map-driven predictors keep their object form.
         break;
     }
 
@@ -568,14 +569,11 @@ BatchedReplayer::laneIsFlat(std::size_t lane) const
 std::vector<PredictionStats>
 replayBatched(const TraceSource &source,
               const std::vector<PredictorSpec> &specs,
-              const std::string &series_scope, bool per_branch)
+              bool per_branch)
 {
     BatchedReplayer replayer(per_branch);
-    for (const PredictorSpec &spec : specs) {
-        BatchedLaneOptions options;
-        options.series_scope = series_scope;
-        replayer.addLane(spec, options);
-    }
+    for (const PredictorSpec &spec : specs)
+        replayer.addLane(spec);
     replayer.replay(source);
     return replayer.allStats();
 }

@@ -1,13 +1,14 @@
 /**
  * @file
- * Single-pass batched predictor replay (the Figure 3/4 hot path).
+ * Single-pass batched predictor replay: the one replay engine of the
+ * benches, examples and tools.
  *
- * comparePredictors() already feeds N predictors from one trace
- * decode, but every prediction still goes through two virtual calls
- * (predict()/update()) per predictor per record, and each predictor
- * object scatters its tables across SatCounter/HistoryRegister
- * vectors of small structs.  The batched replayer flattens both
- * costs: each predictor configuration becomes a *lane* whose BHT and
+ * The reference fan-out, comparePredictors(), feeds N predictors from
+ * one trace decode, but every prediction goes through two virtual
+ * calls (predict()/update()) per predictor per record, and each
+ * predictor object scatters its tables across
+ * SatCounter/HistoryRegister vectors of small structs.  The batched
+ * replayer flattens both costs: each predictor configuration becomes a *lane* whose BHT and
  * PHT live in packed flat arrays owned by the replayer (histories as
  * `uint16_t` patterns, saturating counters as raw `uint8_t` values),
  * and the record loop steps every lane through a kind switch -- no
@@ -21,13 +22,12 @@
  * histories wider than 16 bits) transparently fall back to a generic
  * lane that drives the real Predictor object, so batched replay is
  * *always* available and always produces results byte-identical to
- * comparePredictors() -- the reference implementation, which stays.
+ * comparePredictors(), which stays as the test oracle only.
  *
- * Instrumentation parity: per-lane per-branch ratio maps, windowed
- * miss-rate time series and the BHT interference probe (for PAg
- * lanes) behave exactly as they do under PredictionSim, so the
- * Figure 3/4 interference and telemetry sections do not depend on
- * which engine replayed the trace.
+ * Instrumentation: per-lane per-branch ratio maps and the BHT
+ * interference probe (for PAg lanes) match PredictionSim and
+ * PAgPredictor::enableInterferenceProbe() exactly; lanes can also
+ * publish a windowed miss-rate time series.
  */
 
 #ifndef BWSA_SIM_BATCHED_REPLAY_HH
@@ -77,8 +77,9 @@ struct BatchedLaneOptions
     /**
      * Time-series scope: when nonempty and the global registry is
      * enabled, the lane publishes its windowed misprediction rate as
-     * "<scope>/<predictor name>/miss_rate", exactly like
-     * comparePredictors().
+     * "<scope>/<predictor name>/miss_rate".  Scopes must be unique
+     * per concurrent replayer (sweep cells use their benchmark name)
+     * to honor the registry's single-writer contract.
      */
     std::string series_scope;
 };
@@ -185,15 +186,13 @@ class BatchedReplayer : public TraceSink
 };
 
 /**
- * Batched equivalent of comparePredictors(): build one lane per spec,
- * replay @p source once, return per-lane statistics in input order.
- * Byte-identical to running comparePredictors() over
- * makePredictor(spec) instances.
+ * Build one lane per spec, replay @p source once, return per-lane
+ * statistics in input order.  Byte-identical to running the
+ * comparePredictors() oracle over makePredictor(spec) instances.
  */
 std::vector<PredictionStats>
 replayBatched(const TraceSource &source,
               const std::vector<PredictorSpec> &specs,
-              const std::string &series_scope = "",
               bool per_branch = false);
 
 } // namespace bwsa

@@ -6,10 +6,8 @@
 namespace bwsa
 {
 
-PredictionSim::PredictionSim(Predictor &predictor, bool per_branch,
-                             obs::TimeSeries *miss_series)
-    : _predictor(predictor), _per_branch(per_branch),
-      _miss_series(miss_series)
+PredictionSim::PredictionSim(Predictor &predictor, bool per_branch)
+    : _predictor(predictor), _per_branch(per_branch)
 {
     _stats.predictor_name = predictor.name();
 }
@@ -22,8 +20,6 @@ PredictionSim::onBranch(const BranchRecord &record)
     _stats.mispredicts.record(miss);
     if (_per_branch)
         _stats.per_branch[record.pc].record(miss);
-    if (_miss_series)
-        _miss_series->record(record.timestamp, miss ? 1.0 : 0.0);
     _predictor.update(record.pc, record.taken);
 }
 
@@ -99,7 +95,7 @@ simulatePredictor(const TraceSource &source, Predictor &predictor,
 std::vector<PredictionStats>
 comparePredictors(const TraceSource &source,
                   const std::vector<Predictor *> &predictors,
-                  const std::string &series_scope, bool per_branch)
+                  bool per_branch)
 {
     obs::PhaseTracer::Span span("sim.compare");
     span.addWork(predictors.size());
@@ -109,11 +105,7 @@ comparePredictors(const TraceSource &source,
     sims.reserve(predictors.size());
     FanoutSink fanout;
     for (Predictor *p : predictors) {
-        obs::TimeSeries *miss_series = nullptr;
-        if (!series_scope.empty())
-            miss_series = obs::TimeSeriesRegistry::global().series(
-                series_scope + "/" + p->name() + "/miss_rate");
-        sims.emplace_back(*p, per_branch, miss_series);
+        sims.emplace_back(*p, per_branch);
         // Safe: sims is reserved, so elements never relocate.
         fanout.addSink(sims.back());
     }

@@ -5,8 +5,8 @@
  * Drives a dynamic branch stream through one or more predictors,
  * collecting misprediction statistics overall and, optionally, per
  * static branch.  Several predictors can consume a single trace replay
- * simultaneously, which keeps the Figure 3/4 sweeps at one execution
- * per benchmark instead of one per predictor.
+ * simultaneously (comparePredictors()); that virtual-dispatch fan-out
+ * is the reference the packed batched engine is tested against.
  */
 
 #ifndef BWSA_SIM_BPRED_SIM_HH
@@ -16,7 +16,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/timeseries.hh"
 #include "predict/predictor.hh"
 #include "trace/trace.hh"
 #include "util/stats.hh"
@@ -55,14 +54,9 @@ class PredictionSim : public TraceSink
     /**
      * @param predictor   predictor under test (not owned)
      * @param per_branch  also collect per-static-branch ratios
-     * @param miss_series optional time series receiving one 0/1
-     *                    sample per branch at its retirement
-     *                    timestamp; the window mean is the windowed
-     *                    misprediction rate (not owned, may be null)
      */
     explicit PredictionSim(Predictor &predictor,
-                           bool per_branch = false,
-                           obs::TimeSeries *miss_series = nullptr);
+                           bool per_branch = false);
 
     void onBranch(const BranchRecord &record) override;
 
@@ -79,7 +73,6 @@ class PredictionSim : public TraceSink
   private:
     Predictor &_predictor;
     bool _per_branch;
-    obs::TimeSeries *_miss_series;
     PredictionStats _stats;
 
     /** Totals already flushed to the metrics registry. */
@@ -93,26 +86,20 @@ PredictionStats simulatePredictor(const TraceSource &source,
                                   bool per_branch = false);
 
 /**
- * Simulate many predictors over a single replay of the trace.
+ * Simulate many predictors over a single replay of the trace: one
+ * PredictionSim per predictor behind a FanoutSink.  This is the
+ * reference oracle the batched engine (sim/batched_replay.hh) is
+ * tested against; product code replays through replayBatched().
  *
- * When @p series_scope is nonempty and the global TimeSeriesRegistry
- * is enabled, each predictor also publishes its windowed misprediction
- * rate as the series "<scope>/<predictor name>/miss_rate".  Scopes
- * must be unique per concurrent caller (sweep cells use their
- * benchmark name) to honor the registry's single-writer contract.
- *
- * @param source       the trace
- * @param predictors   predictors under test (not owned)
- * @param series_scope time-series name prefix; "" records nothing
- * @param per_branch   also collect per-static-branch ratios for
- *                     every predictor (the run report's per-branch
- *                     misprediction attribution)
+ * @param source     the trace
+ * @param predictors predictors under test (not owned)
+ * @param per_branch also collect per-static-branch ratios for every
+ *                   predictor
  * @return one PredictionStats per predictor, in input order
  */
 std::vector<PredictionStats>
 comparePredictors(const TraceSource &source,
                   const std::vector<Predictor *> &predictors,
-                  const std::string &series_scope = "",
                   bool per_branch = false);
 
 } // namespace bwsa

@@ -71,7 +71,7 @@ makeAssignment(std::uint32_t entries)
     return assignment;
 }
 
-/** Static directions for a StaticFilteredPAg spec. */
+/** Static directions for StaticFilteredPAg / ProfileStatic specs. */
 std::unordered_map<BranchPc, bool>
 makeDirections()
 {
@@ -114,6 +114,9 @@ zooSpecs()
     filtered.bht_entries = 128;
     filtered.static_directions = makeDirections();
     specs.push_back(filtered);
+    PredictorSpec profile_static = specOf(PredictorKind::ProfileStatic);
+    profile_static.static_directions = makeDirections();
+    specs.push_back(profile_static);
     return specs;
 }
 
@@ -129,7 +132,7 @@ referenceReplay(const TraceSource &source,
         owned.push_back(makePredictor(spec));
         raw.push_back(owned.back().get());
     }
-    return comparePredictors(source, raw, "", per_branch);
+    return comparePredictors(source, raw, per_branch);
 }
 
 void
@@ -180,7 +183,7 @@ TEST(BatchedReplay, PerBranchMapsMatchReference)
     std::vector<PredictionStats> reference =
         referenceReplay(trace, specs, true);
     std::vector<PredictionStats> batched =
-        replayBatched(trace, specs, "", true);
+        replayBatched(trace, specs, true);
 
     ASSERT_EQ(batched.size(), reference.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {

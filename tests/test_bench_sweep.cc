@@ -3,7 +3,8 @@
  * End-to-end checks for the bench harness: parallel-sweep determinism
  * (Figure 3/4 and Table 2 tables byte-identical across thread and
  * shard counts), the --quiet/--progress CLI contract, and the
- * --timeseries/--interference observability paths.
+ * --timeseries/--interference observability paths (working-set series
+ * identical across shard counts).
  */
 
 #include <gtest/gtest.h>
@@ -101,6 +102,7 @@ TEST(BenchSweep, InterferenceAndTimeseriesPopulateReport)
     BenchOptions options = smallOptions(2);
     options.benchmarks = {"compress", "li"};
     options.timeseries = true;
+    options.interval = 4096;
     options.interference = true;
     AllocationTables tables = buildAllocationTables(options, false);
 
@@ -136,6 +138,39 @@ TEST(BenchSweep, InterferenceAndTimeseriesPopulateReport)
     const obs::JsonValue &entry = doc.find("interference")->at(0);
     EXPECT_NE(entry.find("destructive"), nullptr);
     EXPECT_NE(entry.find("top_entries"), nullptr);
+
+    // The working-set series are a view of the cell's folded phase
+    // accumulator, so a sharded run publishes the same whole-trace
+    // series point for point, and no per-shard working-set series.
+    const std::vector<std::string> working_set_names = {
+        "compress/working_set/size", "compress/working_set/jaccard",
+        "li/working_set/size", "li/working_set/jaccard"};
+    std::vector<std::string> serial_series;
+    for (const std::string &name : working_set_names) {
+        const obs::TimeSeries *serial = registry.find(name);
+        ASSERT_NE(serial, nullptr) << name;
+        serial_series.push_back(serial->toJson().dumpString());
+    }
+
+    registry.clear();
+    options.shards = 3;
+    buildAllocationTables(options, false);
+    for (std::size_t i = 0; i < working_set_names.size(); ++i) {
+        const obs::TimeSeries *sharded =
+            registry.find(working_set_names[i]);
+        ASSERT_NE(sharded, nullptr) << working_set_names[i];
+        EXPECT_GT(sharded->points().size(), 1u);
+        EXPECT_EQ(sharded->toJson().dumpString(), serial_series[i])
+            << working_set_names[i];
+    }
+    obs::JsonValue sharded_series = registry.toJson();
+    for (std::size_t i = 0; i < sharded_series.size(); ++i) {
+        const std::string &name =
+            sharded_series.at(i).find("name")->asString();
+        EXPECT_FALSE(name.find("/shard") != std::string::npos &&
+                     name.find("/working_set/") != std::string::npos)
+            << name;
+    }
 
     registry.setEnabled(false);
     registry.clear();

@@ -5,7 +5,7 @@
  * three populated predictability bins, strictly larger payoff in the
  * easy bin than in the hardest populated bin, per-bin counters that
  * reconcile with the "all" row -- plus determinism of the rendered
- * tables across replay modes, thread counts and shard counts.
+ * tables across thread counts and shard counts.
  */
 
 #include <gtest/gtest.h>
@@ -114,19 +114,6 @@ TEST(GraphAllocBench, BinsReconcileWithTheAllRow)
     // Full-coverage profiling: every simulated execution is binned.
     EXPECT_GT(all->stats.executed, 0u);
     EXPECT_GT(all->stats.branches, 0u);
-}
-
-TEST(GraphAllocBench, BatchedAndFanoutTablesAreIdentical)
-{
-    BenchOptions batched = graphOptions();
-    batched.batched = true;
-    BenchOptions fanout = graphOptions();
-    fanout.batched = false;
-
-    GraphAllocTables a = buildGraphAllocTables(batched, kBht);
-    GraphAllocTables b = buildGraphAllocTables(fanout, kBht);
-    EXPECT_EQ(a.payoff.render(), b.payoff.render());
-    EXPECT_EQ(a.summary.render(), b.summary.render());
 }
 
 TEST(GraphAllocBench, TablesIdenticalAcrossThreadsAndShards)

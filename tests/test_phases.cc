@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <unordered_set>
 #include <vector>
 
 #include "obs/phase_detect.hh"
@@ -170,12 +171,16 @@ TEST(PhaseAccumulator, WindowsAreTimestampAligned)
     accumulator.sample(0xC, 101);
     // Window [200,300): {B} -- 250 aligns down to 200.
     accumulator.sample(0xB, 250);
+    // Window [300,400): {D}, a partial tail window that only finish()
+    // closes; until then only the three closed windows are visible.
+    accumulator.sample(0xD, 300);
+    EXPECT_EQ(accumulator.windows().size(), 3u);
     accumulator.finish();
 
     const std::vector<PhaseWindowStat> &windows =
         accumulator.windows();
-    ASSERT_EQ(windows.size(), 3u);
-    EXPECT_EQ(accumulator.totalSamples(), 6u);
+    ASSERT_EQ(windows.size(), 4u);
+    EXPECT_EQ(accumulator.totalSamples(), 7u);
 
     EXPECT_EQ(windows[0].start, 0u);
     EXPECT_EQ(windows[0].distinct, 2u);
@@ -192,6 +197,25 @@ TEST(PhaseAccumulator, WindowsAreTimestampAligned)
     EXPECT_EQ(windows[2].distinct, 1u);
     // {B} vs {B,C}: 1/2.
     EXPECT_DOUBLE_EQ(windows[2].similarity, 0.5);
+
+    EXPECT_EQ(windows[3].start, 300u);
+    EXPECT_EQ(windows[3].distinct, 1u);
+    // {D} vs {B}: full turnover.
+    EXPECT_TRUE(windows[3].has_similarity);
+    EXPECT_DOUBLE_EQ(windows[3].similarity, 0.0);
+}
+
+TEST(PhaseAccumulator, JaccardCountsSharedPopulation)
+{
+    const std::unordered_set<std::uint64_t> ab{0xA, 0xB};
+    const std::unordered_set<std::uint64_t> bcd{0xB, 0xC, 0xD};
+    // |{B}| / |{A,B,C,D}|, whichever side is larger.
+    EXPECT_DOUBLE_EQ(jaccard(ab, bcd), 0.25);
+    EXPECT_DOUBLE_EQ(jaccard(bcd, ab), 0.25);
+    EXPECT_DOUBLE_EQ(jaccard(ab, ab), 1.0);
+    EXPECT_DOUBLE_EQ(jaccard(ab, {0xE}), 0.0);
+    // Two empty populations are identical.
+    EXPECT_DOUBLE_EQ(jaccard({}, {}), 1.0);
 }
 
 TEST(PhaseAccumulator, GapsBetweenWindowsEmitNothing)
@@ -228,6 +252,7 @@ TEST(PhaseAccumulator, SingleSampleTraceIsOneWindow)
     PhaseAccumulator accumulator(100);
     accumulator.sample(0xA, 42);
     accumulator.finish();
+    accumulator.finish(); // idempotent: no second window
     ASSERT_EQ(accumulator.windows().size(), 1u);
     EXPECT_EQ(accumulator.windows()[0].start, 0u);
     EXPECT_EQ(accumulator.windows()[0].distinct, 1u);

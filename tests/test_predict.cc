@@ -320,7 +320,8 @@ TEST(Factory, BuildsEveryKind)
           PredictorKind::Bimodal, PredictorKind::GAg,
           PredictorKind::Gshare, PredictorKind::PAgModulo,
           PredictorKind::PAgAllocated, PredictorKind::PAgIdeal,
-          PredictorKind::PAs, PredictorKind::Tournament}) {
+          PredictorKind::PAs, PredictorKind::Tournament,
+          PredictorKind::ProfileStatic}) {
         PredictorSpec spec;
         spec.kind = kind;
         PredictorPtr p = makePredictor(spec);

@@ -2,8 +2,7 @@
  * @file
  * Tests for the bounded time-series layer: window accumulation,
  * budget-driven downsampling, out-of-order samples, the registry's
- * enable/disable contract, JSON/Chrome-trace export, and the
- * windowed working-set sampler.
+ * enable/disable contract and JSON/Chrome-trace export.
  */
 
 #include <gtest/gtest.h>
@@ -206,93 +205,4 @@ TEST(TimeSeriesRegistry, ChromeCounterEventsOnePerWindow)
     ASSERT_NE(first.find("args"), nullptr);
     EXPECT_DOUBLE_EQ(first.find("args")->find("mean")->asDouble(),
                      1.0);
-}
-
-// ------------------------------------------------- WindowedSetSampler
-
-TEST(WindowedSetSampler, PublishesDistinctCountPerWindow)
-{
-    TimeSeries size("size", 100, 64);
-    WindowedSetSampler sampler(&size, nullptr, 100);
-
-    sampler.sample(0xA, 0);
-    sampler.sample(0xB, 10);
-    sampler.sample(0xA, 20); // duplicate key, same window
-    sampler.sample(0xC, 150);
-    sampler.finish();
-
-    EXPECT_EQ(sampler.windowsClosed(), 2u);
-    ASSERT_EQ(size.points().size(), 2u);
-    EXPECT_DOUBLE_EQ(size.points()[0].mean(), 2.0);
-    EXPECT_DOUBLE_EQ(size.points()[1].mean(), 1.0);
-}
-
-TEST(WindowedSetSampler, JaccardChurnAgainstPreviousWindow)
-{
-    TimeSeries churn("jaccard", 100, 64);
-    WindowedSetSampler sampler(nullptr, &churn, 100);
-
-    // Window 0: {A, B}.  Window 1: {B, C} -> Jaccard 1/3.
-    // Window 2: {B, C} -> Jaccard 1.  Window 3: {D} -> Jaccard 0.
-    sampler.sample(0xA, 0);
-    sampler.sample(0xB, 1);
-    sampler.sample(0xB, 100);
-    sampler.sample(0xC, 101);
-    sampler.sample(0xB, 200);
-    sampler.sample(0xC, 201);
-    sampler.sample(0xD, 300);
-    sampler.finish();
-
-    // No churn point for the first window (nothing to compare).
-    ASSERT_EQ(churn.points().size(), 3u);
-    EXPECT_DOUBLE_EQ(churn.points()[0].mean(), 1.0 / 3.0);
-    EXPECT_DOUBLE_EQ(churn.points()[1].mean(), 1.0);
-    EXPECT_DOUBLE_EQ(churn.points()[2].mean(), 0.0);
-}
-
-TEST(WindowedSetSampler, FinishIsIdempotentAndSkipsEmptyStreams)
-{
-    TimeSeries size("size", 100, 64);
-    {
-        WindowedSetSampler sampler(&size, nullptr, 100);
-        sampler.finish(); // no samples: publishes nothing
-        EXPECT_EQ(sampler.windowsClosed(), 0u);
-    }
-    EXPECT_TRUE(size.points().empty());
-
-    WindowedSetSampler sampler(&size, nullptr, 100);
-    sampler.sample(0xA, 0);
-    sampler.finish();
-    sampler.finish(); // second flush is a no-op
-    EXPECT_EQ(sampler.windowsClosed(), 1u);
-    EXPECT_EQ(size.totalWeight(), 1u);
-}
-
-TEST(WindowedSetSampler, FinishFlushesFinalPartialWindow)
-{
-    TimeSeries size("size", 100, 64);
-    TimeSeries churn("jaccard", 100, 64);
-    WindowedSetSampler sampler(&size, &churn, 100);
-
-    // Window 0 closes naturally: {A, B}.  The tail window [100, 200)
-    // only ever sees samples up to ts=130 -- a partial window that
-    // nothing but finish() can close.
-    sampler.sample(0xA, 0);
-    sampler.sample(0xB, 99);
-    sampler.sample(0xA, 100);
-    sampler.sample(0xC, 130);
-
-    // Before the flush only the naturally closed window published.
-    EXPECT_EQ(sampler.windowsClosed(), 1u);
-    ASSERT_EQ(size.points().size(), 1u);
-    EXPECT_TRUE(churn.points().empty());
-
-    sampler.finish();
-    EXPECT_EQ(sampler.windowsClosed(), 2u);
-    ASSERT_EQ(size.points().size(), 2u);
-    EXPECT_EQ(size.points()[1].start, 100u);
-    EXPECT_DOUBLE_EQ(size.points()[1].mean(), 2.0); // {A, C}
-    // The partial window still gets its churn point: {A,C} vs {A,B}.
-    ASSERT_EQ(churn.points().size(), 1u);
-    EXPECT_DOUBLE_EQ(churn.points()[0].mean(), 1.0 / 3.0);
 }
