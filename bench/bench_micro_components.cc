@@ -21,7 +21,6 @@
 #include "store/artifact_cache.hh"
 #include "store/block_trace.hh"
 #include "store/profile_artifact.hh"
-#include "trace/trace_io.hh"
 #include "predict/factory.hh"
 #include "predict/twolevel.hh"
 #include "profile/interleave.hh"
@@ -349,8 +348,8 @@ timedMillis(Fn &&fn)
 }
 
 /**
- * Persistence-layer throughput: v1 stream vs. v2 block container
- * write/read rates over the same trace, the cold-profile vs.
+ * Persistence-layer throughput: v2 block container write/read rates
+ * (auto and forced-stream reads), the cold-profile vs.
  * cached-artifact cost, and the end-to-end effect of the artifact
  * cache on a table3-style required-size sweep (profile once, every
  * further table-size evaluation hits the cache).
@@ -373,23 +372,12 @@ emitStoreThroughput(const bench::BenchOptions &options)
     fs::path base = fs::temp_directory_path() / "bwsa_bench_store";
     fs::remove_all(base);
     fs::create_directories(base);
-    std::string v1_path = (base / "trace_v1.trace").string();
     std::string v2_path = (base / "trace_v2.trace").string();
 
     TextTable io({"operation", "records", "ms", "Mrec/s"});
-    row(io, "v1 write",
-        timedMillis([&] { writeTraceFile(v1_path, trace); }));
     row(io, "v2 write", timedMillis([&] {
             store::writeBlockTraceFile(v2_path, trace);
         }));
-    {
-        TraceFileReader reader(v1_path);
-        row(io, "v1 read", timedMillis([&] {
-                TraceStatsCollector sink;
-                reader.replay(sink);
-                benchmark::DoNotOptimize(sink.dynamicBranches());
-            }));
-    }
     {
         store::BlockTraceReader reader(v2_path);
         row(io,
@@ -410,9 +398,8 @@ emitStoreThroughput(const bench::BenchOptions &options)
                 benchmark::DoNotOptimize(sink.dynamicBranches());
             }));
     }
-    bench::emitTable("trace store throughput (v1 stream vs v2 "
-                     "block container)",
-                     io, options);
+    bench::emitTable("trace store throughput (v2 block container)", io,
+                     options);
 
     // Cold profile vs. cached artifact: the second table3-style run's
     // per-trace cost collapses to a cache load + graph import.

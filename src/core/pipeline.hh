@@ -198,7 +198,7 @@ class ProfileSession
      * identical to a serial addInterleave() of the same source.
      * Cannot be combined with streamed interleave input in one
      * session, and @p source must tolerate concurrent replayRange()
-     * calls (MemoryTrace and TraceFileReader both do).
+     * calls (MemoryTrace and store::BlockTraceReader both do).
      *
      * @return per-shard timings and stitch cost for run reports
      */

@@ -17,7 +17,6 @@
 #include "obs/metrics.hh"
 #include "obs/phase_tracer.hh"
 #include "store/crc32.hh"
-#include "trace/trace_io.hh"
 #include "trace/varint.hh"
 #include "util/logging.hh"
 
@@ -61,11 +60,12 @@ mapFile(const std::string &path, std::size_t size)
 
 BlockTraceWriter::BlockTraceWriter(const std::string &path,
                                    std::uint64_t block_records)
-    : _out(path, std::ios::binary), _path(path),
-      _block_records(block_records)
+    : _path(path), _block_records(block_records)
 {
+    // Validate before opening: opening truncates an existing file.
     if (_block_records == 0)
         bwsa_fatal("block trace writer needs block_records >= 1");
+    _out.open(path, std::ios::binary);
     if (!_out)
         bwsa_fatal("cannot open trace file for writing: ", path);
     _out.write(trace_magic.data(), trace_magic.size());
@@ -447,32 +447,10 @@ BlockTraceReader::verifyBlocks() const
 // ---------------------------------------------------------------------
 // Free functions
 
-std::uint32_t
-traceFileVersion(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        bwsa_fatal("cannot open trace file: ", path);
-    std::array<char, 8> header;
-    in.read(header.data(), header.size());
-    if (!in || std::memcmp(header.data(), trace_magic.data(), 4) != 0)
-        bwsa_fatal("not a BWSA trace file: ", path);
-    std::uint32_t version = 0;
-    ByteCursor cur(header.data() + 4, 4);
-    cur.getU32(version);
-    return version;
-}
-
 std::unique_ptr<TraceSource>
 openTraceReader(const std::string &path)
 {
-    std::uint32_t version = traceFileVersion(path);
-    if (version == trace_format_version)
-        return std::make_unique<TraceFileReader>(path);
-    if (version == block_trace_version)
-        return std::make_unique<BlockTraceReader>(path);
-    bwsa_fatal("unsupported trace format version ", version, " in ",
-               path);
+    return std::make_unique<BlockTraceReader>(path);
 }
 
 std::uint64_t

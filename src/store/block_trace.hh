@@ -1,16 +1,15 @@
 /**
  * @file
- * Version 2 seekable trace container.
+ * The on-disk trace format: a seekable block container.
  *
- * The v1 trace format (trace/trace_io.hh) is one continuous delta
- * stream: reaching record N requires varint-decoding every record
- * before it, so sharded profiling of a file trace pays O(N) decode
- * per shard just to skip its prefix.  The v2 container keeps the same
- * zig-zag/varint record coding but chops the stream into fixed-size
- * blocks whose delta bases reset at each block start, making every
- * block independently decodable.  A footer index locates any block in
- * O(1), and each block carries a CRC-32 so corruption is detected at
- * read time instead of silently skewing analyses.
+ * Records are zig-zag/varint delta coded (trace/varint.hh) in
+ * fixed-size blocks whose delta bases reset at each block start, so
+ * every block decodes independently and reaching record N never means
+ * decoding the records before its block.  A footer index locates any
+ * block in O(1), and each block carries a CRC-32 so corruption is
+ * detected at read time instead of silently skewing analyses.  The
+ * header carries version 2; the reader rejects any other version,
+ * including version 1 (an unblocked delta stream).
  *
  * Layout (all integers little-endian):
  *
@@ -252,16 +251,9 @@ class BlockTraceReader : public TraceSource
 };
 
 /**
- * On-disk format version of @p path: 1 for the v1 stream format, 2
- * for the block container; fatal() when the file is not a BWSA trace.
- */
-std::uint32_t traceFileVersion(const std::string &path);
-
-/**
- * Open a trace file of either format as a replayable TraceSource:
- * v2 files get a seekable BlockTraceReader, v1 files transparently
- * fall back to the skip-decoding TraceFileReader.  This is the entry
- * point tools and benches should use for "a trace file on disk".
+ * Open a trace file as a replayable TraceSource (a BlockTraceReader);
+ * fatal() when the file is not a v2 block container.  This is the
+ * entry point tools and benches should use for "a trace file on disk".
  */
 std::unique_ptr<TraceSource> openTraceReader(const std::string &path);
 

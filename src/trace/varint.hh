@@ -1,13 +1,10 @@
 /**
  * @file
- * Shared primitives of the on-disk trace codings: zig-zag signed
+ * Shared primitives of the on-disk trace coding: zig-zag signed
  * mapping, LEB128-style varints over in-memory buffers, and fixed
- * little-endian integer fields.
- *
- * The streaming v1 reader/writer (trace_io) keeps its own
- * ifstream-based varint loop; the v2 block container (store/
- * block_trace) encodes and decodes whole blocks through memory
- * buffers, which is what these helpers serve.
+ * little-endian integer fields.  The block container (store/
+ * block_trace) and the service's wire frames encode and decode whole
+ * blocks through memory buffers, which is what these helpers serve.
  */
 
 #ifndef BWSA_TRACE_VARINT_HH

@@ -16,7 +16,7 @@
 #include "obs/phase_tracer.hh"
 #include "predict/factory.hh"
 #include "sim/bpred_sim.hh"
-#include "trace/trace_io.hh"
+#include "store/block_trace.hh"
 #include "workload/presets.hh"
 
 using namespace bwsa;
@@ -144,16 +144,18 @@ TEST(Integration, TraceFileRoundTripPreservesAnalysis)
 {
     // Writing the trace to disk and re-reading it must produce the
     // identical conflict graph -- the trace file is a faithful
-    // substitute for live execution.
+    // substitute for live execution.  Small blocks make the file span
+    // many blocks, so the interleave window crosses block boundaries.
     WorkloadTraceSource source = testWorkload().source();
     std::string path = (std::filesystem::temp_directory_path() /
                         "bwsa_integration.trace")
                            .string();
-    writeTraceFile(path, source);
-    TraceFileReader reader(path);
+    store::writeBlockTraceFile(path, source, 1024);
+    std::unique_ptr<TraceSource> reader = store::openTraceReader(path);
+    ASSERT_GT(reader->recordCount(), 8 * 1024u);
 
     ConflictGraph live = profileTrace(source);
-    ConflictGraph from_file = profileTrace(reader);
+    ConflictGraph from_file = profileTrace(*reader);
 
     EXPECT_EQ(from_file.nodeCount(), live.nodeCount());
     EXPECT_EQ(from_file.edgeCount(), live.edgeCount());

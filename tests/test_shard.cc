@@ -23,7 +23,6 @@
 #include "profile/shard.hh"
 #include "store/block_trace.hh"
 #include "trace/frequency_filter.hh"
-#include "trace/trace_io.hh"
 #include "trace/trace_stats.hh"
 #include "util/random.hh"
 #include "workload/presets.hh"
@@ -640,34 +639,8 @@ TEST(ShardedFileTrace, V2ShardedProfileSeeksAndMatchesSerial)
     // Shard pass: N + at most one block prefix per shard.  Stitch
     // pass: one early-stopping boundary scan per boundary.  Even with
     // a generous stitch allowance the total stays far below the
-    // v1 skip-decode cost of N * (shards + 1) / 2 (4.5x N here).
+    // N * (shards + 1) / 2 (4.5x N here) a reader that decodes each
+    // shard's whole prefix would pay.
     EXPECT_LE(reader.recordsDecoded(), 3 * std::uint64_t(records));
-    std::filesystem::remove(path);
-}
-
-TEST(ShardedFileTrace, V1ShardsPayTheSkipDecodeTax)
-{
-    // Regression pin for the v1 structural cost this PR works around:
-    // shard k must decode its whole prefix, so K shards decode at
-    // least N * (K + 1) / 2 records in total.  (The stitch pass only
-    // adds to that.)  If this ever *drops*, the v1 reader grew
-    // seeking and the fallback docs/benches are stale.
-    constexpr std::size_t records = 6000;
-    constexpr unsigned shards = 6;
-
-    MemoryTrace trace = makeRandomTrace(83, records, 600);
-    std::string path = shardTempPath("v1_tax");
-    writeTraceFile(path, trace);
-    TraceFileReader reader(path);
-
-    InterleaveConfig serial_config;
-    serial_config.max_window = 16;
-    ConflictGraph serial = serialReference(trace, serial_config);
-    ConflictGraph sharded =
-        profileTraceShardedGraph(reader, shardConfig(shards, 16));
-    EXPECT_TRUE(graphsIdentical(serial, sharded));
-
-    EXPECT_GE(reader.recordsDecoded(),
-              std::uint64_t(records) * (shards + 1) / 2);
     std::filesystem::remove(path);
 }

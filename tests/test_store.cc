@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 
 #include "core/pipeline.hh"
@@ -29,7 +30,6 @@
 #include "store/profile_artifact.hh"
 #include "test_helpers.hh"
 #include "trace/frequency_filter.hh"
-#include "trace/trace_io.hh"
 #include "trace/trace_stats.hh"
 #include "util/random.hh"
 
@@ -206,7 +206,6 @@ TEST(BlockTrace, EmptyTraceRoundTrips)
 {
     MemoryTrace empty;
     std::string path = writeV2(empty, "empty", 64);
-    EXPECT_EQ(traceFileVersion(path), 2u);
     BlockTraceReader reader(path);
     EXPECT_EQ(reader.recordCount(), 0u);
     EXPECT_EQ(reader.blockCount(), 0u);
@@ -331,32 +330,6 @@ TEST(BlockTrace, DigestIdentifiesContent)
     std::filesystem::remove(c);
 }
 
-TEST(BlockTrace, OpenTraceReaderDispatchesByVersion)
-{
-    MemoryTrace trace = makeRandomTrace(23, 300, 30);
-
-    std::string v1 = tempPath("dispatch_v1.trace");
-    std::filesystem::remove(v1);
-    writeTraceFile(v1, trace);
-    EXPECT_EQ(traceFileVersion(v1), 1u);
-
-    std::string v2 = writeV2(trace, "dispatch_v2", 100);
-    EXPECT_EQ(traceFileVersion(v2), 2u);
-
-    for (const std::string &path : {v1, v2}) {
-        std::unique_ptr<TraceSource> reader = openTraceReader(path);
-        ASSERT_NE(reader, nullptr);
-        EXPECT_EQ(reader->recordCount(), trace.recordCount());
-        RecordingSink sink;
-        reader->replay(sink);
-        ASSERT_EQ(sink.records.size(), trace.size());
-        for (std::size_t i = 0; i < trace.size(); ++i)
-            ASSERT_TRUE(sameRecord(sink.records[i], trace[i]));
-    }
-    std::filesystem::remove(v1);
-    std::filesystem::remove(v2);
-}
-
 TEST(BlockTrace, WriterRejectsNonAscendingTimestamps)
 {
     EXPECT_EXIT(
@@ -373,6 +346,27 @@ TEST(BlockTrace, WriterRejectsNonAscendingTimestamps)
             writer.onBranch(b);
         },
         ::testing::ExitedWithCode(1), "strictly ascend");
+}
+
+TEST(BlockTrace, WriterRejectsZeroBlockRecordsBeforeTruncating)
+{
+    // The size check must run before the file is opened: opening
+    // truncates, and a rejected writer must leave an existing file
+    // exactly as it was.
+    MemoryTrace trace = makeRandomTrace(29, 200, 20);
+    std::string path = writeV2(trace, "zero_block", 50);
+    auto bytes = [&] {
+        std::ifstream in(path, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    const std::string before = bytes();
+    ASSERT_FALSE(before.empty());
+
+    EXPECT_EXIT({ BlockTraceWriter writer(path, 0); },
+                ::testing::ExitedWithCode(1), "block_records >= 1");
+
+    EXPECT_EQ(bytes(), before);
+    std::filesystem::remove(path);
 }
 
 // ----------------------------------------------------------- read modes
@@ -579,8 +573,25 @@ TEST(BlockTraceCorruption, NotATraceIsFatal)
         std::ofstream out(path, std::ios::binary);
         out << "this is not a trace file, it only plays one on tv";
     }
-    EXPECT_EXIT({ traceFileVersion(path); },
+    EXPECT_EXIT({ openTraceReader(path); },
                 ::testing::ExitedWithCode(1), "not a BWSA trace");
+    std::filesystem::remove(path);
+}
+
+TEST(BlockTraceCorruption, V1HeaderIsFatal)
+{
+    // Version 1 (the unblocked delta stream) is no longer readable;
+    // its header must be rejected by name, not misread as blocks.
+    std::string path = tempPath("v1header.trace");
+    {
+        std::ofstream out(path, std::ios::binary);
+        out.write("BWST", 4);
+        const char version_one[4] = {1, 0, 0, 0};
+        out.write(version_one, 4);
+        out << std::string(64, '\0'); // clear the minimum-size check
+    }
+    EXPECT_EXIT({ openTraceReader(path); },
+                ::testing::ExitedWithCode(1), "not a v2 block trace");
     std::filesystem::remove(path);
 }
 

@@ -11,9 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "store/block_trace.hh"
 #include "trace/frequency_filter.hh"
 #include "trace/trace.hh"
-#include "trace/trace_io.hh"
 #include "trace/trace_stats.hh"
 #include "util/random.hh"
 
@@ -62,6 +62,26 @@ tempPath(const std::string &stem)
     return (std::filesystem::temp_directory_path() /
             ("bwsa_test_" + stem + ".trace"))
         .string();
+}
+
+/**
+ * Write @p trace to @p path in 64-record blocks, so even the small
+ * test traces span many blocks and every replay crosses block
+ * boundaries.
+ */
+std::uint64_t
+writeBlocked(const std::string &path, const MemoryTrace &trace)
+{
+    return store::writeBlockTraceFile(path, trace, 64);
+}
+
+/** Read a whole trace file back into memory. */
+MemoryTrace
+readBack(const std::string &path)
+{
+    MemoryTrace trace;
+    store::openTraceReader(path)->replay(trace);
+    return trace;
 }
 
 /** Sink that counts deliveries. */
@@ -197,13 +217,12 @@ TEST(TruncatingSink, FileReaderHonorsEarlyStop)
 {
     MemoryTrace trace = makeRandomTrace(7, 500);
     std::string path = tempPath("early_stop");
-    writeTraceFile(path, trace);
+    writeBlocked(path, trace);
 
     CountingSink inner;
     TruncatingSink trunc(inner, trace[49].timestamp);
     ForwardingCounter delivered(trunc);
-    TraceFileReader reader(path);
-    reader.replay(delivered);
+    store::openTraceReader(path)->replay(delivered);
 
     EXPECT_TRUE(trunc.saturated());
     EXPECT_EQ(inner.branches, 50);
@@ -231,15 +250,20 @@ TEST(FanoutSink, DoneOnlyWhenEverySinkIsDone)
 }
 
 // ---------------------------------------------------------------- file IO
+//
+// The trace-file entry points (store::writeBlockTraceFile +
+// store::openTraceReader) as the generic TraceSource the analyses see;
+// the block container's own layout, seeking and corruption handling
+// are covered in test_store.
 
 TEST(TraceIo, RoundTripSmall)
 {
     std::string path = tempPath("small");
     MemoryTrace trace = makeCyclicTrace(100, 7);
-    std::uint64_t written = writeTraceFile(path, trace);
+    std::uint64_t written = writeBlocked(path, trace);
     EXPECT_EQ(written, 100u);
 
-    MemoryTrace read = readTraceFile(path);
+    MemoryTrace read = readBack(path);
     ASSERT_EQ(read.size(), trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i)
         EXPECT_EQ(read[i], trace[i]) << "record " << i;
@@ -255,12 +279,12 @@ TEST_P(TraceIoRandom, RoundTripRandomTraces)
     std::string path =
         tempPath("rand" + std::to_string(GetParam()));
     MemoryTrace trace = makeRandomTrace(GetParam(), 5000);
-    writeTraceFile(path, trace);
+    writeBlocked(path, trace);
 
-    TraceFileReader reader(path);
-    EXPECT_EQ(reader.recordCount(), 5000u);
+    auto reader = store::openTraceReader(path);
+    EXPECT_EQ(reader->recordCount(), 5000u);
     MemoryTrace read;
-    reader.replay(read);
+    reader->replay(read);
     ASSERT_EQ(read.size(), trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i)
         ASSERT_EQ(read[i], trace[i]) << "record " << i;
@@ -270,55 +294,19 @@ TEST_P(TraceIoRandom, RoundTripRandomTraces)
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceIoRandom,
                          ::testing::Values(1u, 2u, 3u, 42u, 999u));
 
-TEST(TraceIo, EmptyTraceRoundTrips)
-{
-    std::string path = tempPath("empty");
-    MemoryTrace empty;
-    EXPECT_EQ(writeTraceFile(path, empty), 0u);
-    MemoryTrace read = readTraceFile(path);
-    EXPECT_TRUE(read.empty());
-    std::filesystem::remove(path);
-}
-
 TEST(TraceIo, ReaderReplaysTwiceIdentically)
 {
     std::string path = tempPath("twice");
     MemoryTrace trace = makeRandomTrace(7, 1000);
-    writeTraceFile(path, trace);
+    writeBlocked(path, trace);
 
-    TraceFileReader reader(path);
+    auto reader = store::openTraceReader(path);
     MemoryTrace first, second;
-    reader.replay(first);
-    reader.replay(second);
+    reader->replay(first);
+    reader->replay(second);
     ASSERT_EQ(first.size(), second.size());
     for (std::size_t i = 0; i < first.size(); ++i)
         ASSERT_EQ(first[i], second[i]);
-    std::filesystem::remove(path);
-}
-
-TEST(TraceIoDeath, RejectsGarbageFile)
-{
-    std::string path = tempPath("garbage");
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    std::fputs("this is not a trace file at all", f);
-    std::fclose(f);
-    EXPECT_EXIT({ TraceFileReader reader(path); },
-                ::testing::ExitedWithCode(1), "not a BWSA trace");
-    std::filesystem::remove(path);
-}
-
-TEST(TraceIoDeath, RejectsNonAscendingTimestamps)
-{
-    std::string path = tempPath("descend");
-    auto write_descending = [&] {
-        TraceFileWriter writer(path);
-        BranchRecord a{0x400000, 100, true};
-        BranchRecord b{0x400008, 50, false};
-        writer.onBranch(a);
-        writer.onBranch(b);
-    };
-    EXPECT_EXIT(write_descending(), ::testing::ExitedWithCode(1),
-                "strictly ascend");
     std::filesystem::remove(path);
 }
 
@@ -611,19 +599,19 @@ TEST(TraceIo, FileReaderRangeReplayMatchesMemory)
 {
     MemoryTrace trace = makeRandomTrace(41, 500);
     std::string path = tempPath("range_replay");
-    writeTraceFile(path, trace);
-    TraceFileReader reader(path);
-    EXPECT_EQ(reader.recordCount(), trace.size());
+    writeBlocked(path, trace);
+    auto reader = store::openTraceReader(path);
+    EXPECT_EQ(reader->recordCount(), trace.size());
 
-    expectSameRecords(rangeOf(reader, 0, 500), trace);
-    expectSameRecords(rangeOf(reader, 123, 321),
+    expectSameRecords(rangeOf(*reader, 0, 500), trace);
+    expectSameRecords(rangeOf(*reader, 123, 321),
                       rangeOf(trace, 123, 321));
-    EXPECT_EQ(rangeOf(reader, 499, 10'000).size(), 1u);
-    EXPECT_EQ(rangeOf(reader, 600, 700).size(), 0u);
+    EXPECT_EQ(rangeOf(*reader, 499, 10'000).size(), 1u);
+    EXPECT_EQ(rangeOf(*reader, 600, 700).size(), 0u);
 
     // Segment replays concatenate back to the whole file.
     MemoryTrace joined;
-    for (const TraceSegment &segment : reader.segments(7))
+    for (const TraceSegment &segment : reader->segments(7))
         segment.replay(joined);
     expectSameRecords(joined, trace);
     std::filesystem::remove(path);
