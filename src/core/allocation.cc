@@ -1,6 +1,8 @@
 #include "core/allocation.hh"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <vector>
 
 #include "obs/metrics.hh"
@@ -10,70 +12,100 @@
 namespace bwsa
 {
 
-namespace
-{
-
-/** Weighted adjacency restricted to edges the allocator must honour. */
-struct FilteredGraph
-{
-    /** adjacency[v] = sorted (neighbour, weight) pairs. */
-    std::vector<std::vector<std::pair<NodeId, std::uint64_t>>> adj;
-
-    /** Classification of every node (all Mixed when disabled). */
-    std::vector<BranchClass> classes;
-};
-
-/**
- * Prune edges below the threshold and, with classification on, drop
- * edges between branches of the same biased class (their shared
- * history is identical, so the conflict is harmless).
- */
 FilteredGraph
 buildFiltered(const ConflictGraph &graph,
               const AllocationConfig &config)
 {
+    std::size_t n = graph.nodeCount();
     FilteredGraph fg;
-    fg.adj.resize(graph.nodeCount());
-
     if (config.use_classification) {
         BranchClassifier classifier(config.bias_cutoff);
         fg.classes = classifier.classifyGraph(graph);
     } else {
-        fg.classes.assign(graph.nodeCount(), BranchClass::Mixed);
+        fg.classes.assign(n, BranchClass::Mixed);
     }
 
+    // Prune edges below the threshold and, with classification on,
+    // drop edges between branches of the same biased class (their
+    // shared history is identical, so the conflict is harmless).
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> kept;
+    std::vector<std::size_t> offsets(n + 1, 0);
     for (const auto &[key, count] : graph.edges()) {
         if (count < config.edge_threshold)
             continue;
         auto [a, b] = ConflictGraph::unpackEdge(key);
-        if (config.use_classification) {
-            BranchClass ca = fg.classes[a];
-            BranchClass cb = fg.classes[b];
-            if (ca == cb && ca != BranchClass::Mixed)
-                continue; // same biased class: harmless conflict
-        }
-        fg.adj[a].emplace_back(b, count);
-        fg.adj[b].emplace_back(a, count);
+        BranchClass ca = fg.classes[a];
+        if (ca == fg.classes[b] && ca != BranchClass::Mixed)
+            continue; // same biased class: harmless conflict
+        kept.emplace_back(key, count);
+        ++offsets[a + 1];
+        ++offsets[b + 1];
     }
-    for (auto &list : fg.adj)
-        std::sort(list.begin(), list.end());
+    for (std::size_t v = 0; v < n; ++v)
+        offsets[v + 1] += offsets[v];
+
+    // Bucket each edge under both endpoints in edge-map order, then
+    // transpose: visiting neighbours u in ascending order and
+    // appending u to each of its own neighbours' lists leaves every
+    // list sorted without a comparison sort.
+    std::vector<std::pair<NodeId, std::uint64_t>> unsorted(offsets[n]);
+    std::vector<std::size_t> fill(offsets.begin(), offsets.end() - 1);
+    for (const auto &[key, count] : kept) {
+        auto [a, b] = ConflictGraph::unpackEdge(key);
+        unsorted[fill[a]++] = {b, count};
+        unsorted[fill[b]++] = {a, count};
+    }
+    kept = {};
+    fg.targets.resize(offsets[n]);
+    fg.weights.resize(offsets[n]);
+    std::copy(offsets.begin(), offsets.end() - 1, fill.begin());
+    for (NodeId u = 0; u < n; ++u) {
+        for (std::size_t k = offsets[u]; k < offsets[u + 1]; ++k) {
+            auto [v, w] = unsorted[k];
+            fg.targets[fill[v]] = u;
+            fg.weights[fill[v]++] = w;
+        }
+    }
+    fg.offsets = std::move(offsets);
+
+    fg.degree.assign(n, 0);
+    fg.incident.assign(n, 0);
+    for (NodeId v = 0; v < n; ++v) {
+        if (fg.classes[v] != BranchClass::Mixed)
+            continue;
+        for (std::size_t k = fg.offsets[v]; k < fg.offsets[v + 1]; ++k) {
+            if (fg.classes[fg.targets[k]] == BranchClass::Mixed) {
+                ++fg.degree[v];
+                fg.incident[v] += fg.weights[k];
+            }
+        }
+    }
     return fg;
 }
-
-} // namespace
 
 AllocationResult
 allocateBranches(const ConflictGraph &graph, std::uint64_t table_size,
                  const AllocationConfig &config)
 {
+    return allocateBranches(graph, buildFiltered(graph, config),
+                            table_size, config);
+}
+
+AllocationResult
+allocateBranches(const ConflictGraph &graph, const FilteredGraph &fg,
+                 std::uint64_t table_size,
+                 const AllocationConfig &config)
+{
     obs::PhaseTracer::Span span("alloc.color");
     span.addWork(graph.nodeCount());
 
+    std::size_t n = graph.nodeCount();
+    if (fg.nodeCount() != n)
+        bwsa_panic("allocateBranches: filtered view has ",
+                   fg.nodeCount(), " nodes, graph ", n);
+
     AllocationResult result;
     result.table_size = table_size;
-
-    FilteredGraph fg = buildFiltered(graph, config);
-    std::size_t n = graph.nodeCount();
 
     std::uint32_t reserved = config.use_classification ? 2u : 0u;
     if (table_size <= reserved)
@@ -91,18 +123,8 @@ allocateBranches(const ConflictGraph &graph, std::uint64_t table_size,
     // --- Simplify: peel nodes of degree < colors (min degree first);
     // when none qualifies, optimistically push the node with the
     // least incident interleave weight as a share candidate.
-    std::vector<std::size_t> degree(n, 0);
-    std::vector<std::uint64_t> weight(n, 0);
-    for (NodeId v = 0; v < n; ++v) {
-        if (!colorable[v])
-            continue;
-        for (const auto &[u, w] : fg.adj[v]) {
-            if (colorable[u]) {
-                ++degree[v];
-                weight[v] += w;
-            }
-        }
-    }
+    std::vector<std::size_t> degree = fg.degree;
+    const std::vector<std::uint64_t> &weight = fg.incident;
 
     std::vector<NodeId> stack;
     stack.reserve(n);
@@ -125,15 +147,64 @@ allocateBranches(const ConflictGraph &graph, std::uint64_t table_size,
         if (colorable[v])
             buckets[bucket_of(v)].push_back(v);
 
+    // Share candidates, built on first need: the lowest (score, id)
+    // live node, exactly what a scan over all nodes would pick.
+    // FewestConflicts scores by incident weight, which simplify never
+    // changes, so a cursor walks a presorted order.  LowestDegree
+    // scores by the live degree, so a lazy min-heap holds one entry
+    // per degree change and drops stale ones at the top.
+    bool share_ready = false;
+    std::vector<NodeId> by_weight;
+    std::size_t cursor = 0;
+    using DegreeEntry = std::pair<std::size_t, NodeId>;
+    std::priority_queue<DegreeEntry, std::vector<DegreeEntry>,
+                        std::greater<>>
+        by_degree;
+    const bool fewest = config.share_policy ==
+                        SharePolicy::FewestConflicts;
+
     auto remove_node = [&](NodeId v) {
         removed[v] = true;
         stack.push_back(v);
         --remaining;
-        for (const auto &[u, w] : fg.adj[v]) {
+        for (std::size_t k = fg.offsets[v]; k < fg.offsets[v + 1]; ++k) {
+            NodeId u = fg.targets[k];
             if (colorable[u] && !removed[u]) {
                 --degree[u];
                 buckets[bucket_of(u)].push_back(u);
+                if (share_ready && !fewest)
+                    by_degree.emplace(degree[u], u);
             }
+        }
+    };
+
+    auto share_candidate = [&]() {
+        if (!share_ready) {
+            share_ready = true;
+            for (NodeId v = 0; v < n; ++v) {
+                if (!colorable[v] || removed[v])
+                    continue;
+                if (fewest)
+                    by_weight.push_back(v);
+                else
+                    by_degree.emplace(degree[v], v);
+            }
+            if (fewest)
+                std::stable_sort(by_weight.begin(), by_weight.end(),
+                                 [&](NodeId a, NodeId b) {
+                                     return weight[a] < weight[b];
+                                 });
+        }
+        if (fewest) {
+            while (removed[by_weight[cursor]])
+                ++cursor;
+            return by_weight[cursor];
+        }
+        while (true) {
+            auto [d, v] = by_degree.top();
+            by_degree.pop();
+            if (!removed[v] && degree[v] == d)
+                return v;
         }
     };
 
@@ -154,25 +225,11 @@ allocateBranches(const ConflictGraph &graph, std::uint64_t table_size,
                 break;
         }
 
-        if (pick == invalid_node) {
-            // No trivially colorable node: optimistically push a
-            // share candidate -- by fewest conflicts (the paper's
-            // rule) or by lowest degree (the configurable ablation).
-            std::uint64_t best_score = 0;
-            for (NodeId v = 0; v < n; ++v) {
-                if (!colorable[v] || removed[v])
-                    continue;
-                std::uint64_t score =
-                    config.share_policy ==
-                            SharePolicy::FewestConflicts
-                        ? weight[v]
-                        : degree[v];
-                if (pick == invalid_node || score < best_score) {
-                    pick = v;
-                    best_score = score;
-                }
-            }
-        }
+        // No trivially colorable node: optimistically push a share
+        // candidate -- by fewest conflicts (the paper's rule) or by
+        // lowest degree (the configurable ablation).
+        if (pick == invalid_node)
+            pick = share_candidate();
         remove_node(pick);
     }
 
@@ -189,11 +246,12 @@ allocateBranches(const ConflictGraph &graph, std::uint64_t table_size,
         stack.pop_back();
 
         touched.clear();
-        for (const auto &[u, w] : fg.adj[v]) {
+        for (std::size_t k = fg.offsets[v]; k < fg.offsets[v + 1]; ++k) {
+            NodeId u = fg.targets[k];
             if (color[u] != uncolored && colorable[u]) {
                 if (clash[color[u]] == 0)
                     touched.push_back(color[u]);
-                clash[color[u]] += w;
+                clash[color[u]] += fg.weights[k];
             }
         }
 
@@ -285,6 +343,16 @@ requiredTableSize(const ConflictGraph &graph,
                   std::uint64_t baseline_entries,
                   std::uint64_t max_entries)
 {
+    return requiredTableSize(graph, buildFiltered(graph, config), config,
+                             baseline_entries, max_entries);
+}
+
+RequiredSizeResult
+requiredTableSize(const ConflictGraph &graph, const FilteredGraph &fg,
+                  const AllocationConfig &config,
+                  std::uint64_t baseline_entries,
+                  std::uint64_t max_entries)
+{
     BWSA_SPAN("alloc.required_size");
     obs::MetricsRegistry::global()
         .counter("alloc.size_searches")
@@ -300,7 +368,7 @@ requiredTableSize(const ConflictGraph &graph,
                    " below minimum ", lo);
 
     auto good = [&](std::uint64_t size) {
-        return allocateBranches(graph, size, config)
+        return allocateBranches(graph, fg, size, config)
                    .residual_conflict <= result.baseline_conflict;
     };
 
@@ -323,7 +391,7 @@ requiredTableSize(const ConflictGraph &graph,
 
     result.required_entries = hi;
     result.achieved = true;
-    result.allocation = allocateBranches(graph, hi, config);
+    result.allocation = allocateBranches(graph, fg, hi, config);
     return result;
 }
 

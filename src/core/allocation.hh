@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "core/classification.hh"
 #include "profile/conflict_graph.hh"
@@ -85,6 +86,42 @@ struct AllocationResult
 };
 
 /**
+ * The allocator's view of a conflict graph: the edges it must honour
+ * (at or above the threshold and, with classification on, not
+ * between two branches of the same biased class) as a sorted
+ * adjacency, plus every node's class and its colorable degree and
+ * incident weight.  It depends only on the graph and the config's
+ * threshold and classification fields, not on the table size, so
+ * callers coloring one graph at several sizes build it once.
+ */
+struct FilteredGraph
+{
+    /**
+     * Node v's neighbours, ascending, are
+     * targets[offsets[v], offsets[v + 1]); weights[k] is the edge
+     * weight to targets[k].
+     */
+    std::vector<std::size_t> offsets;
+    std::vector<NodeId> targets;
+    std::vector<std::uint64_t> weights;
+
+    /** Classification of every node (all Mixed when disabled). */
+    std::vector<BranchClass> classes;
+
+    /** Colorable (Mixed) neighbours of each Mixed node; 0 otherwise. */
+    std::vector<std::size_t> degree;
+
+    /** Edge weight to those neighbours, summed. */
+    std::vector<std::uint64_t> incident;
+
+    std::size_t nodeCount() const { return classes.size(); }
+};
+
+/** Build the allocator's view of @p graph under @p config. */
+FilteredGraph buildFiltered(const ConflictGraph &graph,
+                            const AllocationConfig &config);
+
+/**
  * Color the conflict graph into @p table_size entries.
  *
  * @param graph      raw (unpruned) conflict graph with node counts
@@ -93,6 +130,15 @@ struct AllocationResult
  * @param config     thresholds and classification switches
  */
 AllocationResult allocateBranches(const ConflictGraph &graph,
+                                  std::uint64_t table_size,
+                                  const AllocationConfig &config);
+
+/**
+ * As above, with the filtered view prebuilt by
+ * buildFiltered(@p graph, @p config).
+ */
+AllocationResult allocateBranches(const ConflictGraph &graph,
+                                  const FilteredGraph &filtered,
                                   std::uint64_t table_size,
                                   const AllocationConfig &config);
 
@@ -135,6 +181,16 @@ RequiredSizeResult requiredTableSize(const ConflictGraph &graph,
                                      std::uint64_t baseline_entries =
                                          1024,
                                      std::uint64_t max_entries = 4096);
+
+/**
+ * As above, with the filtered view prebuilt by
+ * buildFiltered(@p graph, @p config).
+ */
+RequiredSizeResult requiredTableSize(const ConflictGraph &graph,
+                                     const FilteredGraph &filtered,
+                                     const AllocationConfig &config,
+                                     std::uint64_t baseline_entries,
+                                     std::uint64_t max_entries);
 
 } // namespace bwsa
 

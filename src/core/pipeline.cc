@@ -48,6 +48,24 @@ AllocationPipeline::importProfile(const TraceStatsCollector &stats,
     else
         _graph.mergeFrom(graph);
     ++_profiles;
+    graphChanged();
+}
+
+std::shared_ptr<const FilteredGraph>
+AllocationPipeline::filtered() const
+{
+    std::lock_guard<std::mutex> lock(_filtered_mutex);
+    if (!_filtered)
+        _filtered = std::make_shared<const FilteredGraph>(
+            buildFiltered(_graph, _config.allocation));
+    return _filtered;
+}
+
+void
+AllocationPipeline::graphChanged()
+{
+    std::lock_guard<std::mutex> lock(_filtered_mutex);
+    _filtered.reset();
 }
 
 AllocationResult
@@ -55,7 +73,8 @@ AllocationPipeline::allocate(std::uint64_t table_size) const
 {
     if (_profiles == 0)
         bwsa_fatal("AllocationPipeline::allocate before any profile");
-    return allocateBranches(_graph, table_size, _config.allocation);
+    return allocateBranches(_graph, *filtered(), table_size,
+                            _config.allocation);
 }
 
 RequiredSizeResult
@@ -65,7 +84,7 @@ AllocationPipeline::requiredSize(std::uint64_t baseline_entries,
     if (_profiles == 0)
         bwsa_fatal(
             "AllocationPipeline::requiredSize before any profile");
-    return requiredTableSize(_graph, _config.allocation,
+    return requiredTableSize(_graph, *filtered(), _config.allocation,
                              baseline_entries, max_entries);
 }
 
@@ -200,6 +219,10 @@ ProfileSession::finish()
     if (_finished)
         bwsa_fatal("ProfileSession: finish() called twice");
     _finished = true;
+    // Streamed interleave input may not have ended with onEnd(); the
+    // tracker holds everything until it flushes (a no-op otherwise).
+    if (_tracker)
+        _tracker->onEnd();
 
     obs::MetricsRegistry::global().counter("pipeline.profiles").inc();
     if (_pipeline._profiles == 0)
@@ -207,6 +230,7 @@ ProfileSession::finish()
     else
         _pipeline._graph.mergeFrom(_run_graph);
     ++_pipeline._profiles;
+    _pipeline.graphChanged();
 }
 
 } // namespace bwsa

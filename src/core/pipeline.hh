@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <utility>
 
 #include "core/allocation.hh"
@@ -103,10 +104,16 @@ class AllocationPipeline
                        const FrequencySelection &selection,
                        const ConflictGraph &graph);
 
-    /** Allocate the cumulative graph into @p table_size entries. */
+    /**
+     * Allocate the cumulative graph into @p table_size entries.  The
+     * allocator's filtered view of the graph is built on first use
+     * and cached until the graph changes (finish()/importProfile()),
+     * so colouring one profile at several sizes filters it once.
+     * Safe to call concurrently with other const members.
+     */
     AllocationResult allocate(std::uint64_t table_size) const;
 
-    /** Run the Table 3/4 required-size search. */
+    /** Run the Table 3/4 required-size search (cached view too). */
     RequiredSizeResult
     requiredSize(std::uint64_t baseline_entries = 1024,
                  std::uint64_t max_entries = 4096) const;
@@ -131,8 +138,16 @@ class AllocationPipeline
   private:
     friend class ProfileSession;
 
+    /** The cached filtered view of _graph, built on first use. */
+    std::shared_ptr<const FilteredGraph> filtered() const;
+
+    /** Drop the cached view; call whenever _graph changes. */
+    void graphChanged();
+
     PipelineConfig _config;
     ConflictGraph _graph;
+    mutable std::mutex _filtered_mutex;
+    mutable std::shared_ptr<const FilteredGraph> _filtered;
     TraceStatsCollector _stats;
     FrequencySelection _selection;
     std::size_t _profiles = 0;

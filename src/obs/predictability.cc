@@ -49,8 +49,12 @@ PredictabilityBinner::label(std::size_t bin) const
     if (bin == _edges.size())
         return "H>=" + fixedString(_edges.back(), 2);
     const double lo = bin == 0 ? 0.0 : _edges[bin - 1];
-    return "[" + fixedString(lo, 2) + "," +
-           fixedString(_edges[bin], 2) + ")";
+    std::string out = "[";
+    out += fixedString(lo, 2);
+    out += ',';
+    out += fixedString(_edges[bin], 2);
+    out += ')';
+    return out;
 }
 
 double

@@ -32,17 +32,6 @@ ConflictGraph::findNode(BranchPc pc) const
 }
 
 void
-ConflictGraph::recordExecution(NodeId id, bool taken)
-{
-    if (id >= _nodes.size())
-        bwsa_panic("recordExecution: node ", id, " out of range");
-    ++_nodes[id].executed;
-    if (taken)
-        ++_nodes[id].taken;
-    ++_total_executions;
-}
-
-void
 ConflictGraph::addInterleave(NodeId a, NodeId b, std::uint64_t count)
 {
     if (a == b)

@@ -60,18 +60,15 @@ class ConflictGraph
     /** Node id for @p pc, or invalid_node when absent. */
     NodeId findNode(BranchPc pc) const;
 
-    /** Record one dynamic execution of a node. */
-    void recordExecution(NodeId id, bool taken);
-
     /** Add @p count interleavings between two distinct nodes. */
     void addInterleave(NodeId a, NodeId b, std::uint64_t count = 1);
 
     /**
-     * Bulk-add a node with its accumulated execution counts, as
-     * recordExecution() would have over a whole run.  Calling this
-     * for distinct PCs in sequence assigns sequential ids, which is
-     * what the persistence layer relies on to round-trip a graph
-     * with identical node ids.
+     * Add @p executed executions (@p taken of them taken) to the node
+     * of @p pc, creating it on first sight.  Calling this for
+     * distinct PCs in sequence assigns sequential ids, which is what
+     * the interleave tracker's flush and the persistence layer rely
+     * on to produce first-occurrence / round-tripped node ids.
      */
     NodeId restoreNode(BranchPc pc, std::uint64_t executed,
                        std::uint64_t taken);

@@ -8,18 +8,33 @@
  * execution has interleaved with A, and each such pair's conflict
  * counter is incremented.
  *
- * Implementation: branches are kept in an intrusive doubly-linked list
- * ordered by last execution.  On a dynamic instance of A, the nodes
+ * Implementation: branches are kept in an array ordered by last
+ * execution (the *window*).  On a dynamic instance of A, the entries
  * after A's old position are exactly the distinct branches executed
- * since A last ran -- walking that suffix costs O(k) where k is the
- * number of counters incremented, which is optimal for exact counting.
+ * since A last ran.  One sequential pass over that suffix increments
+ * their counters and shifts them down by one, and A moves to the end.
+ * That costs O(k) where k is the number of counters incremented,
+ * which is optimal for exact counting, and touches memory in order.
  *
- * A bounded window (max_window) caps the list length: a branch that
+ * A bounded window (max_window) caps the window length: a branch that
  * has not run within the last max_window distinct branches is treated
  * as a fresh occurrence.  Interleavings that long-range are orders of
  * magnitude below the paper's conflict threshold (they accrue at most
  * once per program phase), so the cap changes nothing after pruning
  * while bounding both time and memory on adversarial traces.
+ *
+ * The tracker owns all of its counters and touches the conflict graph
+ * only in onEnd().  Branches get tracker-local *slots* in
+ * first-occurrence order (an open-addressed pc -> slot table), so a
+ * flush into an empty graph assigns node ids equal to the slots.
+ * Each slot keeps its executed/taken counts and one directional
+ * counter row.  A row starts as a FlatCounterMap and turns into a
+ * DenseCounterRow (u32 cells indexed by slot) once its distinct
+ * neighbours times 4 reach the live slot count: at that density the
+ * 4 B per slot cost no more than the hash row's >= 17 B per entry,
+ * and an indexed add replaces a hash probe on the hot path.  A dense
+ * row that must widen while below that density turns sparse again
+ * (util/flat_counter.hh, DESIGN.md Section 7).
  */
 
 #ifndef BWSA_PROFILE_INTERLEAVE_HH
@@ -98,14 +113,21 @@ class InterleaveTracker : public TraceSink
     void onBranch(const BranchRecord &record) override;
 
     /**
-     * Flush the internal counter buffers into the conflict graph.
-     * Called automatically at end of stream; pairwise counts are not
-     * visible in the graph before this runs.
+     * Flush the counts gathered since the last flush into the
+     * conflict graph: nodes (restoreNode, in slot order) first, then
+     * edges.  Called automatically at end of stream; nothing of the
+     * stream is visible in the graph before this runs.  May repeat
+     * (each call adds only the new counts; the window persists), and
+     * is a no-op when no record arrived since the last flush.
      */
     void onEnd() override;
 
     /** Branches currently inside the tracking window. */
-    std::size_t windowSize() const { return _window_size; }
+    std::size_t
+    windowSize() const
+    {
+        return _window.size() - _window_begin;
+    }
 
     /**
      * PCs of the branches currently inside the tracking window, in
@@ -126,33 +148,58 @@ class InterleaveTracker : public TraceSink
     std::uint64_t pairIncrements() const { return _pair_increments; }
 
   private:
-    struct ListNode
+    using Slot = std::uint32_t;
+    static constexpr Slot npos = ~Slot(0);
+
+    /** Executions since the last flush. */
+    struct SlotCounts
     {
-        NodeId prev = invalid_node;
-        NodeId next = invalid_node;
-        bool in_list = false;
-        bool seen = false;
+        std::uint64_t executed = 0;
+        std::uint64_t taken = 0;
     };
 
-    void ensureNode(NodeId id);
-    void unlink(NodeId id);
-    void appendTail(NodeId id);
+    /**
+     * Directional counter row of one slot: row[a] counts
+     * interleavings recorded while a was the re-executing branch.
+     * Both directions of a pair merge into one undirected edge at
+     * flush time.  The row is sparse while dense.empty().
+     */
+    struct CounterRow
+    {
+        FlatCounterMap sparse;
+        DenseCounterRow dense;
+    };
+
+    /** pc -> slot table entry; slot == npos marks an empty entry. */
+    struct TableEntry
+    {
+        BranchPc pc = 0;
+        Slot slot = npos;
+    };
+
+    Slot slotFor(BranchPc pc);
+    void growTable();
     void evictHead();
 
     ConflictGraph &_graph;
     InterleaveConfig _config;
-    std::vector<ListNode> _list;
+    std::vector<TableEntry> _table;
+
+    /** Per slot: pc, flush deltas, counter row, window position. */
+    std::vector<BranchPc> _pcs;
+    std::vector<SlotCounts> _counts;
+    std::vector<CounterRow> _rows;
+    std::vector<Slot> _pos; ///< index into _window; npos outside it
 
     /**
-     * Directional per-node counter buffers: _pair_counts[a] counts
-     * interleavings recorded while a was the re-executing branch.
-     * Both directions of a pair merge into one undirected edge at
-     * flush time.  Open addressing here is the profiler's hot path.
+     * Slots by last execution, least recent first; the live window
+     * is [_window_begin, size()).  Evictions advance _window_begin
+     * and a compaction reclaims the dead prefix once it outgrows the
+     * live part.
      */
-    std::vector<FlatCounterMap> _pair_counts;
-    NodeId _head = invalid_node;
-    NodeId _tail = invalid_node;
-    std::size_t _window_size = 0;
+    std::vector<Slot> _window;
+    std::size_t _window_begin = 0;
+    std::uint64_t _unflushed_records = 0;
     std::uint64_t _evicted_reentries = 0;
     std::uint64_t _pair_increments = 0;
 

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "core/classification.hh"
 #include "core/pipeline.hh"
 #include "core/working_set.hh"
+#include "util/random.hh"
 #include "workload/builder.hh"
 #include "workload/executor.hh"
 #include "workload/generator.hh"
@@ -40,7 +43,7 @@ graphOf(std::size_t nodes,
     for (std::size_t i = 0; i < nodes; ++i) {
         NodeId id = g.addOrGetNode(0x1000 + 8 * i);
         for (std::uint64_t e = 0; e < exec_base * (i + 1); ++e)
-            g.recordExecution(id, true);
+            testhelpers::recordExecution(g, id, true);
     }
     for (auto [a, b, w] : edges)
         g.addInterleave(a, b, w);
@@ -210,11 +213,11 @@ TEST(WorkingSets, StatsComputeStaticAndDynamicAverages)
     NodeId c = g.addOrGetNode(0x20);
     NodeId d = g.addOrGetNode(0x28);
     for (int i = 0; i < 100; ++i) {
-        g.recordExecution(a, true);
-        g.recordExecution(b, true);
-        g.recordExecution(c, true);
+        testhelpers::recordExecution(g, a, true);
+        testhelpers::recordExecution(g, b, true);
+        testhelpers::recordExecution(g, c, true);
     }
-    g.recordExecution(d, false);
+    testhelpers::recordExecution(g, d, false);
     g.addInterleave(a, b, 5);
     g.addInterleave(b, c, 5);
     g.addInterleave(a, c, 5);
@@ -256,9 +259,9 @@ TEST(Classification, GraphClassificationAndCounts)
     NodeId b = g.addOrGetNode(0x18); // never taken
     NodeId c = g.addOrGetNode(0x20); // 50/50
     for (int i = 0; i < 200; ++i) {
-        g.recordExecution(a, true);
-        g.recordExecution(b, false);
-        g.recordExecution(c, i % 2 == 0);
+        testhelpers::recordExecution(g, a, true);
+        testhelpers::recordExecution(g, b, false);
+        testhelpers::recordExecution(g, c, i % 2 == 0);
     }
     BranchClassifier classifier(0.99);
     std::vector<BranchClass> classes = classifier.classifyGraph(g);
@@ -327,11 +330,11 @@ TEST(Allocation, ClassificationReservesTwoEntries)
     NodeId m1 = g.addOrGetNode(0x28);
     NodeId m2 = g.addOrGetNode(0x30);
     for (int i = 0; i < 1000; ++i) {
-        g.recordExecution(t1, true);
-        g.recordExecution(t2, true);
-        g.recordExecution(n1, false);
-        g.recordExecution(m1, i % 2 == 0);
-        g.recordExecution(m2, i % 3 == 0);
+        testhelpers::recordExecution(g, t1, true);
+        testhelpers::recordExecution(g, t2, true);
+        testhelpers::recordExecution(g, n1, false);
+        testhelpers::recordExecution(g, m1, i % 2 == 0);
+        testhelpers::recordExecution(g, m2, i % 3 == 0);
     }
     // Everything conflicts with everything, heavily.
     for (NodeId a = 0; a < 5; ++a)
@@ -495,4 +498,274 @@ TEST(PipelineDeath, AllocateBeforeProfileIsFatal)
     AllocationPipeline pipeline;
     EXPECT_EXIT(pipeline.allocate(64), ::testing::ExitedWithCode(1),
                 "before any profile");
+}
+
+// ------------------------------------ coloring against the O(n) scan
+
+namespace
+{
+
+/**
+ * Reference allocator: the coloring as it was before share
+ * candidates came from a cursor/heap, re-filtering the graph per call
+ * and picking each share candidate with an O(n) scan (lowest score,
+ * lowest id on ties).  Test-only oracle of allocateBranches().
+ */
+AllocationResult
+scanAllocate(const ConflictGraph &graph, std::uint64_t table_size,
+             const AllocationConfig &config)
+{
+    std::size_t n = graph.nodeCount();
+    std::vector<BranchClass> classes(n, BranchClass::Mixed);
+    if (config.use_classification)
+        classes = BranchClassifier(config.bias_cutoff)
+                      .classifyGraph(graph);
+    std::vector<std::vector<std::pair<NodeId, std::uint64_t>>> adj(n);
+    for (const auto &[key, count] : graph.edges()) {
+        if (count < config.edge_threshold)
+            continue;
+        auto [a, b] = ConflictGraph::unpackEdge(key);
+        if (classes[a] == classes[b] && classes[a] != BranchClass::Mixed)
+            continue;
+        adj[a].emplace_back(b, count);
+        adj[b].emplace_back(a, count);
+    }
+    for (auto &list : adj)
+        std::sort(list.begin(), list.end());
+
+    AllocationResult result;
+    result.table_size = table_size;
+    std::uint32_t reserved = config.use_classification ? 2u : 0u;
+    result.reserved_entries = reserved;
+    std::uint64_t colors = table_size - reserved;
+    std::vector<bool> colorable(n);
+    for (NodeId v = 0; v < n; ++v)
+        colorable[v] = classes[v] == BranchClass::Mixed;
+
+    std::vector<std::size_t> degree(n, 0);
+    std::vector<std::uint64_t> weight(n, 0);
+    for (NodeId v = 0; v < n; ++v)
+        for (const auto &[u, w] : adj[v])
+            if (colorable[v] && colorable[u]) {
+                ++degree[v];
+                weight[v] += w;
+            }
+
+    std::vector<NodeId> stack;
+    std::vector<bool> removed(n, false);
+    std::size_t remaining = std::count(colorable.begin(),
+                                       colorable.end(), true);
+    std::vector<std::vector<NodeId>> buckets;
+    auto bucket_of = [&](NodeId v) {
+        if (degree[v] >= buckets.size())
+            buckets.resize(degree[v] + 1);
+        return degree[v];
+    };
+    for (NodeId v = 0; v < n; ++v)
+        if (colorable[v])
+            buckets[bucket_of(v)].push_back(v);
+
+    while (remaining > 0) {
+        NodeId pick = invalid_node;
+        for (std::size_t d = 0; d < buckets.size() && d < colors &&
+                                pick == invalid_node;
+             ++d) {
+            while (!buckets[d].empty()) {
+                NodeId v = buckets[d].back();
+                buckets[d].pop_back();
+                if (!removed[v] && degree[v] == d) {
+                    pick = v;
+                    break;
+                }
+            }
+        }
+        if (pick == invalid_node) {
+            std::uint64_t best = 0;
+            for (NodeId v = 0; v < n; ++v) {
+                if (!colorable[v] || removed[v])
+                    continue;
+                std::uint64_t score =
+                    config.share_policy == SharePolicy::FewestConflicts
+                        ? weight[v]
+                        : degree[v];
+                if (pick == invalid_node || score < best) {
+                    pick = v;
+                    best = score;
+                }
+            }
+        }
+        removed[pick] = true;
+        stack.push_back(pick);
+        --remaining;
+        for (const auto &[u, w] : adj[pick])
+            if (colorable[u] && !removed[u]) {
+                --degree[u];
+                buckets[bucket_of(u)].push_back(u);
+            }
+    }
+
+    constexpr std::uint32_t uncolored = ~std::uint32_t(0);
+    std::vector<std::uint32_t> color(n, uncolored);
+    while (!stack.empty()) {
+        NodeId v = stack.back();
+        stack.pop_back();
+        std::vector<std::uint64_t> clash(colors, 0);
+        std::size_t used = 0;
+        for (const auto &[u, w] : adj[v])
+            if (color[u] != uncolored && colorable[u]) {
+                used += clash[color[u]] == 0;
+                clash[color[u]] += w;
+            }
+        std::uint32_t chosen = 0;
+        if (used < colors) {
+            std::uint64_t preferred =
+                (graph.node(v).pc >> config.insn_shift) % colors;
+            chosen = static_cast<std::uint32_t>(preferred);
+            if (clash[preferred] != 0)
+                chosen = static_cast<std::uint32_t>(
+                    std::find(clash.begin(), clash.end(), 0u) -
+                    clash.begin());
+        } else {
+            chosen = static_cast<std::uint32_t>(
+                std::min_element(clash.begin(), clash.end()) -
+                clash.begin());
+            result.residual_conflict += clash[chosen];
+            ++result.shared_nodes;
+        }
+        color[v] = chosen;
+    }
+    for (NodeId v = 0; v < n; ++v) {
+        std::uint32_t entry = reserved + color[v];
+        if (classes[v] == BranchClass::BiasedTaken)
+            entry = 0;
+        else if (classes[v] == BranchClass::BiasedNotTaken)
+            entry = 1;
+        result.assignment.emplace(graph.node(v).pc, entry);
+    }
+    return result;
+}
+
+/** Random graph: weights straddle the threshold, taken rates mixed. */
+ConflictGraph
+coloringGraph(std::uint64_t seed, std::size_t nodes, double density)
+{
+    Pcg32 rng(seed);
+    ConflictGraph g;
+    for (std::size_t i = 0; i < nodes; ++i) {
+        std::uint64_t executed = 100 + rng.nextBounded(900);
+        std::uint32_t kind = rng.nextBounded(3); // biased T/NT, mixed
+        std::uint64_t taken = kind == 0   ? executed
+                              : kind == 1 ? 0
+                                          : rng.nextBounded(executed);
+        // Distinct pcs whose PC-preferred colors scatter.
+        g.restoreNode(0x2000 + 8 * (i * 37 % 1021), executed, taken);
+    }
+    for (NodeId a = 0; a < nodes; ++a)
+        for (NodeId b = a + 1; b < nodes; ++b)
+            if (rng.nextBool(density))
+                g.addInterleave(a, b, 20 + rng.nextBounded(400));
+    return g;
+}
+
+void
+expectSameAllocation(const AllocationResult &got,
+                     const AllocationResult &want)
+{
+    EXPECT_EQ(got.assignment, want.assignment);
+    EXPECT_EQ(got.residual_conflict, want.residual_conflict);
+    EXPECT_EQ(got.shared_nodes, want.shared_nodes);
+    EXPECT_EQ(got.reserved_entries, want.reserved_entries);
+}
+
+} // namespace
+
+class ColoringOracle : public ::testing::TestWithParam<
+                           std::tuple<std::uint64_t, SharePolicy, bool>>
+{
+};
+
+TEST_P(ColoringOracle, MatchesScanAtTightSizes)
+{
+    auto [seed, policy, classify] = GetParam();
+    ConflictGraph g = coloringGraph(seed, 150, 0.3);
+    AllocationConfig config;
+    config.share_policy = policy;
+    config.use_classification = classify;
+    FilteredGraph filtered = buildFiltered(g, config);
+    for (std::uint64_t size : {3ull, 4ull, 7ull, 16ull, 40ull, 200ull}) {
+        SCOPED_TRACE("table size " + std::to_string(size));
+        AllocationResult want = scanAllocate(g, size, config);
+        expectSameAllocation(allocateBranches(g, size, config), want);
+        expectSameAllocation(allocateBranches(g, filtered, size, config),
+                             want);
+    }
+}
+
+TEST_P(ColoringOracle, RequiredSizeMatchesScanSearch)
+{
+    auto [seed, policy, classify] = GetParam();
+    ConflictGraph g = coloringGraph(seed + 50, 120, 0.25);
+    AllocationConfig config;
+    config.share_policy = policy;
+    config.use_classification = classify;
+    RequiredSizeResult got = requiredTableSize(g, config, 64, 256);
+
+    // The same search over the scan allocator.
+    std::uint64_t baseline = moduloConflict(g, 64, config);
+    std::uint64_t lo = classify ? 3 : 1;
+    auto good = [&](std::uint64_t size) {
+        return scanAllocate(g, size, config).residual_conflict <=
+               baseline;
+    };
+    ASSERT_TRUE(good(256));
+    std::uint64_t hi = 256, low = lo;
+    while (low < hi) {
+        std::uint64_t mid = low + (hi - low) / 2;
+        if (good(mid))
+            hi = mid;
+        else
+            low = mid + 1;
+    }
+    while (hi > lo && good(hi - 1))
+        --hi;
+
+    ASSERT_TRUE(got.achieved);
+    EXPECT_EQ(got.baseline_conflict, baseline);
+    EXPECT_EQ(got.required_entries, hi);
+    expectSameAllocation(got.allocation, scanAllocate(g, hi, config));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsPoliciesClasses, ColoringOracle,
+    ::testing::Combine(::testing::Values(5u, 6u, 7u),
+                       ::testing::Values(SharePolicy::FewestConflicts,
+                                         SharePolicy::LowestDegree),
+                       ::testing::Bool()));
+
+TEST(Pipeline, AllocateAfterImportMatchesFreshPipeline)
+{
+    // The pipeline caches the allocator's filtered view; importing a
+    // second profile changes the graph, so the next allocate() must
+    // see the merged graph exactly as a fresh pipeline does.
+    ConflictGraph first = coloringGraph(11, 80, 0.3);
+    ConflictGraph second = coloringGraph(12, 120, 0.3);
+    TraceStatsCollector stats;
+    FrequencySelection selection;
+
+    AllocationPipeline reused;
+    reused.importProfile(stats, selection, first);
+    AllocationResult before = reused.allocate(8);
+    reused.importProfile(stats, selection, second);
+
+    AllocationPipeline fresh;
+    fresh.importProfile(stats, selection, first);
+    fresh.importProfile(stats, selection, second);
+    for (std::uint64_t size : {8ull, 32ull}) {
+        SCOPED_TRACE("table size " + std::to_string(size));
+        expectSameAllocation(reused.allocate(size), fresh.allocate(size));
+    }
+    EXPECT_NE(before.assignment.size(),
+              fresh.allocate(8).assignment.size());
+    EXPECT_EQ(reused.requiredSize(64, 256).required_entries,
+              fresh.requiredSize(64, 256).required_entries);
 }

@@ -195,7 +195,7 @@ TEST(SharePolicy, BothPoliciesProduceValidAssignments)
     for (int i = 0; i < 40; ++i) {
         NodeId id = g.addOrGetNode(0x1000 + 8 * i);
         for (int e = 0; e < 10 * (i + 1); ++e)
-            g.recordExecution(id, true);
+            testhelpers::recordExecution(g, id, true);
     }
     for (NodeId a = 0; a < 40; ++a)
         for (NodeId b = a + 1; b < 40; ++b)

@@ -86,10 +86,12 @@ TEST(GraphAllocBench, EasyBinPaysOffMoreThanHardBin)
     // Allocation eliminates nearly all destructive aliasing in every
     // populated bin -- the payoff difference is the miss *floor*, not
     // a failure to assign entries.
-    for (const GraphAllocBinRow *row : populated)
-        if (row->stats.base_victims > 0)
+    for (const GraphAllocBinRow *row : populated) {
+        if (row->stats.base_victims > 0) {
             EXPECT_GT(row->stats.victimsEliminatedPercent(), 50.0)
                 << row->label;
+        }
+    }
 }
 
 TEST(GraphAllocBench, BinsReconcileWithTheAllRow)

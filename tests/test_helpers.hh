@@ -28,6 +28,13 @@ profileRun(AllocationPipeline &pipeline, const TraceSource &source)
     session.finish();
 }
 
+/** Add one dynamic execution of node @p id to @p graph. */
+inline void
+recordExecution(ConflictGraph &graph, NodeId id, bool taken)
+{
+    graph.restoreNode(graph.node(id).pc, 1, taken ? 1 : 0);
+}
+
 } // namespace bwsa::testhelpers
 
 #endif // BWSA_TESTS_TEST_HELPERS_HH

@@ -7,8 +7,13 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <tuple>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
+
+#include "test_helpers.hh"
 
 #include "profile/conflict_graph.hh"
 #include "profile/interleave.hh"
@@ -227,16 +232,16 @@ TEST(ConflictGraph, MergeAccumulatesAcrossInputs)
     ConflictGraph g1;
     {
         NodeId a = g1.addOrGetNode(A), b = g1.addOrGetNode(B);
-        g1.recordExecution(a, true);
-        g1.recordExecution(b, false);
+        testhelpers::recordExecution(g1, a, true);
+        testhelpers::recordExecution(g1, b, false);
         g1.addInterleave(a, b, 10);
     }
     ConflictGraph g2;
     {
         NodeId c = g2.addOrGetNode(C), a = g2.addOrGetNode(A);
         NodeId b = g2.addOrGetNode(B);
-        g2.recordExecution(a, false);
-        g2.recordExecution(c, true);
+        testhelpers::recordExecution(g2, a, false);
+        testhelpers::recordExecution(g2, c, true);
         g2.addInterleave(a, b, 5);
         g2.addInterleave(a, c, 200);
     }
@@ -325,3 +330,151 @@ TEST(Interleave, TrackerAccumulatesAcrossReplays)
     // (+1: the window persists across replays, so the second replay's
     // first A sees the B left over from the first replay.)
 }
+
+// ------------------------------------------- brute-force §4.1 oracle
+
+namespace
+{
+
+/** What the §4.1 definition says a profile of a trace contains. */
+struct OracleProfile
+{
+    std::vector<BranchPc> pcs; ///< node ids in first-occurrence order
+    std::vector<std::uint64_t> executed;
+    std::vector<std::uint64_t> taken;
+    std::unordered_map<std::uint64_t, std::uint64_t> edges;
+};
+
+/**
+ * Brute force, straight from the definition: on every re-execution
+ * of A, each distinct branch executed since A's previous instance
+ * interleaved with A once.  With a window, A counts as re-executed
+ * only while it is among the max_window most recently executed
+ * distinct branches, i.e. when fewer than max_window distinct
+ * branches ran since its previous instance.
+ */
+OracleProfile
+bruteForceProfile(const std::vector<BranchRecord> &records,
+                  std::size_t max_window)
+{
+    OracleProfile out;
+    std::unordered_map<BranchPc, NodeId> ids;
+    std::unordered_map<BranchPc, std::size_t> last;
+    for (std::size_t t = 0; t < records.size(); ++t) {
+        const BranchRecord &r = records[t];
+        auto [it, fresh] = ids.emplace(r.pc, out.pcs.size());
+        if (fresh) {
+            out.pcs.push_back(r.pc);
+            out.executed.push_back(0);
+            out.taken.push_back(0);
+        }
+        NodeId a = it->second;
+        ++out.executed[a];
+        out.taken[a] += r.taken ? 1 : 0;
+        auto prev = last.find(r.pc);
+        if (prev != last.end()) {
+            std::set<NodeId> since;
+            for (std::size_t i = prev->second + 1; i < t; ++i)
+                since.insert(ids.at(records[i].pc));
+            if (max_window == 0 || since.size() < max_window)
+                for (NodeId b : since)
+                    ++out.edges[(std::uint64_t(std::min(a, b)) << 32) |
+                                std::max(a, b)];
+        }
+        last[r.pc] = t;
+    }
+    return out;
+}
+
+void
+expectMatchesOracle(const ConflictGraph &g, const OracleProfile &want)
+{
+    ASSERT_EQ(g.nodeCount(), want.pcs.size());
+    for (NodeId v = 0; v < g.nodeCount(); ++v) {
+        EXPECT_EQ(g.node(v).pc, want.pcs[v]) << "node " << v;
+        EXPECT_EQ(g.node(v).executed, want.executed[v]) << "node " << v;
+        EXPECT_EQ(g.node(v).taken, want.taken[v]) << "node " << v;
+    }
+    EXPECT_EQ(g.edges(), want.edges);
+}
+
+/**
+ * Seeded records over a population that keeps growing (so counter
+ * rows turn dense early and must widen as slots arrive), mixing a
+ * small hot loop -- whose rows stay sparse -- with uniform draws.
+ */
+std::vector<BranchRecord>
+oracleTrace(std::uint64_t seed, std::size_t records,
+            std::uint32_t population)
+{
+    Pcg32 rng(seed);
+    std::vector<BranchRecord> out;
+    std::uint64_t ts = 0;
+    for (std::size_t i = 0; i < records; ++i) {
+        std::uint32_t live = std::min<std::uint32_t>(
+            population, 8 + static_cast<std::uint32_t>(i / 16));
+        std::uint32_t index = rng.nextBool(0.5)
+                                  ? rng.nextBounded(3)
+                                  : rng.nextBounded(live);
+        ts += 1 + rng.nextBounded(4);
+        out.push_back({0x40000 + 8ull * index, ts, rng.nextBool(0.6)});
+    }
+    return out;
+}
+
+MemoryTrace
+memoryTraceOf(const std::vector<BranchRecord> &records)
+{
+    MemoryTrace trace;
+    for (const BranchRecord &r : records)
+        trace.onBranch(r);
+    return trace;
+}
+
+} // namespace
+
+class TrackerOracle
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, std::size_t>>
+{
+};
+
+TEST_P(TrackerOracle, MatchesBruteForceDefinition)
+{
+    auto [seed, window] = GetParam();
+    std::vector<BranchRecord> records = oracleTrace(seed, 6000, 300);
+    InterleaveConfig config;
+    config.max_window = window;
+    expectMatchesOracle(profileTrace(memoryTraceOf(records), config),
+                        bruteForceProfile(records, window));
+}
+
+TEST_P(TrackerOracle, FlushBetweenReplaysMatchesConcatenation)
+{
+    // onEnd() after the first replay flushes into the graph; the
+    // window and slots persist, so after the second replay the graph
+    // is the profile of both traces back to back.
+    auto [seed, window] = GetParam();
+    std::vector<BranchRecord> first = oracleTrace(seed + 100, 3000, 200);
+    std::vector<BranchRecord> second = oracleTrace(seed + 200, 3000, 300);
+    std::uint64_t shift = first.back().timestamp;
+    for (BranchRecord &r : second)
+        r.timestamp += shift;
+
+    InterleaveConfig config;
+    config.max_window = window;
+    ConflictGraph g;
+    InterleaveTracker tracker(g, config);
+    memoryTraceOf(first).replay(tracker);
+    expectMatchesOracle(g, bruteForceProfile(first, window));
+
+    memoryTraceOf(second).replay(tracker);
+    std::vector<BranchRecord> both = first;
+    both.insert(both.end(), second.begin(), second.end());
+    expectMatchesOracle(g, bruteForceProfile(both, window));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndWindows, TrackerOracle,
+    ::testing::Combine(::testing::Values(1u, 2u, 3u),
+                       ::testing::Values(std::size_t(0),
+                                         std::size_t(24))));

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_helpers.hh"
+
 #include "core/allocation.hh"
 #include "core/working_set.hh"
 #include "predict/factory.hh"
@@ -51,7 +53,7 @@ randomGraph(std::uint64_t seed, std::size_t nodes, double density)
         NodeId id = g.addOrGetNode(0x1000 + 8 * i);
         std::uint32_t execs = 1 + rng.nextBounded(1000);
         for (std::uint32_t e = 0; e < execs; ++e)
-            g.recordExecution(id, rng.nextBool(0.6));
+            testhelpers::recordExecution(g, id, rng.nextBool(0.6));
     }
     for (NodeId a = 0; a < nodes; ++a)
         for (NodeId b = a + 1; b < nodes; ++b)

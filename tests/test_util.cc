@@ -6,6 +6,7 @@
  * command-line parsing.
  */
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <unordered_map>
@@ -592,6 +593,74 @@ TEST(FlatCounterMap, HotKeyAtLoadBoundaryDoesNotGrow)
     EXPECT_EQ(m.size(), 12u);
     for (std::uint32_t i = 0; i < 11; ++i)
         EXPECT_EQ(m.count(i), i == 5 ? 1001u : 1u);
+}
+
+// ------------------------------------------------------- DenseCounterRow
+
+TEST(DenseCounterRow, SpillKeepsExactCountsAcrossTheGuard)
+{
+    // A spill bound of 3 drives the wrap guard every few passes; the
+    // u64 totals must match a plain reference across every spill,
+    // also while the key range grows between passes.
+    DenseCounterRow row(3);
+    std::vector<std::uint64_t> ref;
+    Pcg32 rng(71);
+    for (int pass = 0; pass < 200; ++pass) {
+        std::size_t keys = 8 + pass / 4;
+        ref.resize(keys, 0);
+        std::uint32_t *cells = row.beginPass(keys);
+        for (std::uint32_t key = 0; key < keys; ++key) {
+            if (rng.nextBool(0.7)) {
+                ++cells[key];
+                ++ref[key];
+            }
+        }
+        for (std::uint32_t key = 0; key < keys; ++key)
+            ASSERT_EQ(row.count(key), ref[key])
+                << "pass " << pass << " key " << key;
+    }
+    std::size_t visited = 0;
+    row.forEach([&](std::uint32_t key, std::uint64_t count) {
+        EXPECT_EQ(count, ref[key]);
+        ++visited;
+    });
+    EXPECT_EQ(visited, static_cast<std::size_t>(std::count_if(
+                           ref.begin(), ref.end(),
+                           [](std::uint64_t c) { return c != 0; })));
+}
+
+TEST(DenseCounterRow, AdoptedCountsPastTheBoundGoWide)
+{
+    FlatCounterMap sparse;
+    sparse.increment(1, 2);
+    sparse.increment(4, 10); // beyond the bound of 5: spilled on adopt
+    DenseCounterRow row(5);
+    row.adopt(sparse, 6);
+    EXPECT_EQ(row.count(1), 2u);
+    EXPECT_EQ(row.count(4), 10u);
+    for (int pass = 0; pass < 7; ++pass)
+        ++row.beginPass(9)[4];
+    EXPECT_EQ(row.count(1), 2u);
+    EXPECT_EQ(row.count(4), 17u);
+    EXPECT_EQ(row.count(8), 0u);
+}
+
+TEST(DenseCounterRow, DefaultBoundSpillsAtTheU32Limit)
+{
+    // The production bound: a cell already at 2^32 - 1 (adopted from
+    // a sparse row) must spill before the next pass adds to it.
+    FlatCounterMap sparse;
+    sparse.increment(0, DenseCounterRow::max_cell);
+    sparse.increment(2, 1);
+    DenseCounterRow row;
+    row.adopt(sparse, 3);
+    EXPECT_EQ(row.count(0), 0xffffffffull);
+    std::uint32_t *cells = row.beginPass(3);
+    ++cells[0];
+    ++cells[2];
+    EXPECT_EQ(row.count(0), 0x100000000ull);
+    EXPECT_EQ(row.count(2), 2u);
+    EXPECT_EQ(row.count(1), 0u);
 }
 
 // ------------------------------------------------------------------- cli

@@ -350,10 +350,9 @@ runDiff(const CliOptions &options, const std::string &path_a,
         TextTable table({"branch", "miss a", "miss b", "delta",
                          "executed a", "executed b"});
         for (const Mover &m : movers) {
-            std::string delta =
-                (m.delta >= 0 ? "+" : "-") +
-                withCommas(static_cast<std::uint64_t>(
-                    std::abs(m.delta)));
+            std::string delta = m.delta >= 0 ? "+" : "-";
+            delta += withCommas(
+                static_cast<std::uint64_t>(std::abs(m.delta)));
             table.addRow({pcHex(m.pc), withCommas(m.miss_a),
                           withCommas(m.miss_b), delta,
                           withCommas(m.exec_a),
