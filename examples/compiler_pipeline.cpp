@@ -15,11 +15,12 @@
  *
  * Usage:
  *   ./compiler_pipeline [--preset=ss] [--entries=128] [--scale=0.5]
- *                       [--classify] [--graph-out=prof.bwsg]
+ *                       [--classify] [--graph-out=prof.bwsp]
  *                       [--shards=4]
  */
 
 #include <cstdio>
+#include <fstream>
 
 #include "core/pipeline.hh"
 #include "report/table.hh"
@@ -100,8 +101,16 @@ main(int argc, char **argv)
                 "edges\n",
                 graph.nodeCount(), graph.edgeCount());
     if (!graph_out.empty()) {
-        graph.save(graph_out);
-        std::printf("conflict graph saved to %s\n", graph_out.c_str());
+        // The canonical profile artifact (store/profile_artifact.hh):
+        // the last input's statistics and selection, plus the
+        // cumulative unpruned graph.
+        std::ofstream out(graph_out, std::ios::binary);
+        out << store::serializeProfileArtifact(
+            {pipeline.lastStats(), pipeline.lastSelection(), graph});
+        if (!out)
+            bwsa_fatal("cannot write profile artifact: ", graph_out);
+        std::printf("profile artifact saved to %s\n",
+                    graph_out.c_str());
     }
 
     // --- 2+3. Allocate into the requested table.

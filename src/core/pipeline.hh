@@ -21,7 +21,6 @@
 #define BWSA_CORE_PIPELINE_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -254,9 +253,12 @@ struct StreamingSessionConfig
     PipelineConfig pipeline;
 
     /**
-     * Approximate resident-state bound, in bytes; when the conflict
-     * graph outgrows it the epoch is spilled into @p spill_cache and
-     * in-memory accumulation restarts cold.  0 = unbounded.
+     * Approximate resident-state bound, in bytes; an append that
+     * leaves the session above it spills the epoch graph into
+     * @p spill_cache, and accumulation continues into an empty graph
+     * (the tracker stays warm).  The statistics and the tracker
+     * window are never spilled, so the bound holds only while they
+     * fit under it.  0 = unbounded.
      */
     std::uint64_t max_resident_bytes = 0;
 
@@ -264,7 +266,8 @@ struct StreamingSessionConfig
      * Shared artifact cache receiving spilled epochs (required when
      * max_resident_bytes > 0; not owned).  The cache's LRU cap must
      * comfortably exceed a session's total spilled state -- an
-     * evicted epoch is unrecoverable and snapshot() is fatal.
+     * evicted epoch is unrecoverable, and snapshot() and finish()
+     * then throw std::runtime_error (the session stays open).
      */
     store::ArtifactCache *spill_cache = nullptr;
 
@@ -312,19 +315,20 @@ struct StreamingPhaseEvent
  * and through allocate() an allocation map -- at any point without
  * ending the session.
  *
- * Exactness: each block is profiled by a cold InterleaveTracker, its
- * graph merged in arrival order, and the increments lost at the block
- * boundary recovered by the shard engine's boundary-stitch algebra
- * (profile/stitch.hh) -- the blocks play the role of shards, with the
- * boundary window composed forward instead of precomputed.  The
- * merged graph after any appendBlock() is byte-identical to a batch
- * ProfileSession over the records seen so far, for any block
- * partitioning (asserted by tests/test_serve.cc).
+ * Exactness: the session feeds every record to one warm
+ * InterleaveTracker -- the serial tracker -- and flushes it into the
+ * epoch graph after each block (InterleaveTracker::onEnd() may
+ * repeat; the window persists).  The graph after any appendBlock() is
+ * therefore byte-identical to a batch ProfileSession over the records
+ * seen so far, for any block partitioning (asserted by
+ * tests/test_serve.cc).
  *
- * Bounded memory: with max_resident_bytes set, epochs spill into the
- * artifact cache and snapshot() folds them back in epoch order;
- * boundary state and cross-epoch stitch deltas stay resident, so
- * exactness is unaffected by spilling.
+ * Bounded memory: with max_resident_bytes set, an append that leaves
+ * the session over its bound spills the epoch graph into the
+ * artifact cache, and snapshot() folds the epochs back in arrival
+ * order.  Only the statistics and the tracker window stay resident
+ * across a spill; the next flush restores every tracker slot into the
+ * fresh graph in slot order, so the fold keeps serial node ids.
  *
  * Misuse (input after finish(), non-ascending timestamps) is fatal;
  * validating untrusted input is the service layer's job
@@ -359,7 +363,9 @@ class StreamingProfileSession
      * The profile over everything appended so far, identical to what
      * a batch ProfileSession (same config) would produce from the
      * same records.  Does not end the session; spilled epochs are
-     * folded back without disturbing resident state.
+     * folded back without disturbing resident state.  Throws
+     * std::runtime_error when a spilled epoch was evicted from the
+     * cache.
      */
     store::ProfileArtifact snapshot();
 
@@ -368,7 +374,8 @@ class StreamingProfileSession
 
     /**
      * Final snapshot; closes the session and drops its spilled
-     * epochs from the cache.  Further input is fatal.
+     * epochs from the cache.  Further input is fatal.  Throws like
+     * snapshot(), leaving the session open.
      */
     store::ProfileArtifact finish();
 
@@ -414,10 +421,9 @@ class StreamingProfileSession
 
     StreamingSessionConfig _config;
     TraceStatsCollector _stats;
-    ConflictGraph _graph;            ///< current epoch's graph
-    std::vector<BranchPc> _boundary; ///< window state at next block
-    /** Stitch increments deferred to snapshot time, keyed by pc pair. */
-    std::map<std::pair<BranchPc, BranchPc>, std::uint64_t> _pending;
+    ConflictGraph _graph; ///< current epoch's graph
+    /** The session's one tracker, flushing into _graph per block. */
+    InterleaveTracker _tracker;
     std::uint64_t _records = 0;
     std::uint64_t _blocks = 0;
     std::uint64_t _last_timestamp = 0;

@@ -1,11 +1,11 @@
-#include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/pipeline.hh"
 #include "obs/metrics.hh"
 #include "obs/phase_tracer.hh"
-#include "profile/stitch.hh"
 #include "util/logging.hh"
 
 namespace bwsa
@@ -13,7 +13,8 @@ namespace bwsa
 
 StreamingProfileSession::StreamingProfileSession(
     StreamingSessionConfig config)
-    : _config(std::move(config))
+    : _config(std::move(config)),
+      _tracker(_graph, _config.pipeline.interleave)
 {
     const PipelineConfig &pipeline = _config.pipeline;
     if (pipeline.coverage != 1.0 || pipeline.max_static != 0)
@@ -77,20 +78,9 @@ StreamingProfileSession::appendBlock(const BranchRecord *records,
         return;
 
     BWSA_SPAN("stream.append");
-    const std::size_t max_window =
-        _config.pipeline.interleave.max_window;
-
-    // Cold-profile the block, exactly like one shard of the sharded
-    // engine; the stitch sink replays the same records seeded with
-    // the boundary window to recover the increments whose anchor
-    // lies before the block start.
-    ConflictGraph block_graph;
-    InterleaveTracker tracker(block_graph,
-                              _config.pipeline.interleave);
-    std::unique_ptr<StitchSink> stitch;
-    if (!_boundary.empty())
-        stitch = std::make_unique<StitchSink>(_boundary, max_window);
-
+    // One warm tracker serves the whole session, so the stream is
+    // profiled exactly as a serial pass; flushing every block keeps
+    // the graph (and so residentBytes()) current.
     std::uint64_t last_ts = _last_timestamp;
     for (std::size_t i = 0; i < count; ++i) {
         const BranchRecord &record = records[i];
@@ -99,33 +89,15 @@ StreamingProfileSession::appendBlock(const BranchRecord *records,
                        "strictly ascend across the session");
         last_ts = record.timestamp;
         _stats.onBranch(record);
-        tracker.onBranch(record);
-        if (stitch && !stitch->done())
-            stitch->onBranch(record);
+        _tracker.onBranch(record);
         if (_phase_accum)
             _phase_accum->sample(record.pc, record.timestamp);
     }
-    tracker.onEnd();
+    _tracker.onEnd();
     drainPhaseWindows();
     _last_timestamp = last_ts;
     _records += count;
     ++_blocks;
-
-    // Boundary state first (composeBoundary consults the block graph
-    // before it is merged away), then the in-order merge, then the
-    // stitch deltas -- deferred to snapshot time so a spilled epoch
-    // can hold one endpoint of a pair.
-    std::vector<BranchPc> window = tracker.windowPcs();
-    std::vector<BranchPc> next_boundary =
-        composeBoundary(_boundary, block_graph, window, max_window);
-    if (_graph.nodeCount() == 0)
-        _graph = std::move(block_graph);
-    else
-        _graph.mergeFrom(block_graph);
-    if (stitch)
-        for (const auto &[a, b, n] : stitch->pcDeltas())
-            _pending[std::minmax(a, b)] += n;
-    _boundary = std::move(next_boundary);
 
     auto &registry = obs::MetricsRegistry::global();
     registry.counter("stream.blocks").inc();
@@ -146,8 +118,7 @@ StreamingProfileSession::residentBytes() const
     bytes += _graph.nodeCount() * (sizeof(ConflictNode) + 48);
     bytes += _graph.edgeCount() * 48;
     bytes += _stats.table().size() * 64;
-    bytes += _boundary.size() * sizeof(BranchPc);
-    bytes += _pending.size() * 64;
+    bytes += _tracker.windowSize() * sizeof(BranchPc);
     return bytes;
 }
 
@@ -155,9 +126,10 @@ void
 StreamingProfileSession::spillEpoch()
 {
     BWSA_SPAN("stream.spill");
-    // Only the graph spills; statistics stay resident (bounded by
-    // the static branch population) and the boundary window survives
-    // so the next block still stitches against it.
+    // Only the graph spills; statistics and the tracker window stay
+    // resident (both bounded by the static branch population).  The
+    // next flush restores every tracker slot into the fresh graph in
+    // slot order, so the epochs still fold in first-occurrence order.
     store::ProfileArtifact epoch;
     epoch.graph = std::move(_graph);
     store::storeProfileArtifact(*_config.spill_cache,
@@ -170,39 +142,27 @@ StreamingProfileSession::spillEpoch()
 ConflictGraph
 StreamingProfileSession::mergedGraph()
 {
+    if (_epochs == 0)
+        return _graph;
+    // Epoch order is arrival order, so node ids land in global
+    // first-occurrence order -- identical to a serial pass.
     ConflictGraph merged;
-    if (_epochs == 0) {
-        merged = _graph;
-    } else {
-        // Epoch order is arrival order, so node ids land in global
-        // first-occurrence order -- identical to a serial pass.
-        for (std::uint64_t e = 0; e < _epochs; ++e) {
-            std::optional<store::ProfileArtifact> epoch =
-                store::loadProfileArtifact(*_config.spill_cache,
-                                           spillKey(e));
-            if (!epoch)
-                bwsa_fatal("streaming session '", _config.spill_scope,
-                           "': spilled epoch ", e,
-                           " was evicted from the artifact cache; "
-                           "raise the cache cap or the resident "
-                           "bound");
-            if (e == 0)
-                merged = std::move(epoch->graph);
-            else
-                merged.mergeFrom(epoch->graph);
-        }
-        merged.mergeFrom(_graph);
+    for (std::uint64_t e = 0; e < _epochs; ++e) {
+        std::optional<store::ProfileArtifact> epoch =
+            store::loadProfileArtifact(*_config.spill_cache,
+                                       spillKey(e));
+        if (!epoch)
+            throw std::runtime_error(
+                "streaming session '" + _config.spill_scope +
+                "': spilled epoch " + std::to_string(e) +
+                " was evicted from the artifact cache; raise the "
+                "cache cap or the resident bound");
+        if (e == 0)
+            merged = std::move(epoch->graph);
+        else
+            merged.mergeFrom(epoch->graph);
     }
-    // Cross-block stitch increments: every endpoint executed in some
-    // epoch, so both nodes exist in the fold.
-    for (const auto &[pair, n] : _pending) {
-        NodeId a = merged.findNode(pair.first);
-        NodeId b = merged.findNode(pair.second);
-        if (a == invalid_node || b == invalid_node)
-            bwsa_panic("streaming stitch delta names a pc absent "
-                       "from the merged graph");
-        merged.addInterleave(a, b, n);
-    }
+    merged.mergeFrom(_graph);
     return merged;
 }
 
@@ -276,6 +236,9 @@ StreamingProfileSession::finish()
 {
     if (_finished)
         bwsa_panic("StreamingProfileSession: finish() called twice");
+    // Snapshot first: if an evicted epoch makes it throw, the session
+    // is left untouched.
+    store::ProfileArtifact artifact = snapshot();
     if (_phase_accum) {
         // Flush the tail partial window so the trace's final phase is
         // visible in the timeline and its boundary (if any) is
@@ -283,14 +246,11 @@ StreamingProfileSession::finish()
         _phase_accum->finish();
         drainPhaseWindows();
     }
-    store::ProfileArtifact artifact = snapshot();
     _finished = true;
     if (_config.spill_cache)
         for (std::uint64_t e = 0; e < _epochs; ++e)
             _config.spill_cache->invalidate(spillKey(e));
     _graph = ConflictGraph();
-    _boundary.clear();
-    _pending.clear();
     return artifact;
 }
 

@@ -1,7 +1,6 @@
 #include "profile/conflict_graph.hh"
 
 #include <algorithm>
-#include <fstream>
 
 #include "obs/metrics.hh"
 #include "obs/phase_tracer.hh"
@@ -122,71 +121,6 @@ ConflictGraph::adjacency() const
     for (auto &list : adj)
         std::sort(list.begin(), list.end());
     return adj;
-}
-
-void
-ConflictGraph::save(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out)
-        bwsa_fatal("cannot open conflict graph file for writing: ",
-                   path);
-    out << "BWSG v1\n";
-    out << "nodes " << _nodes.size() << "\n";
-    for (const ConflictNode &n : _nodes)
-        out << n.pc << ' ' << n.executed << ' ' << n.taken << '\n';
-    out << "edges " << _edges.size() << "\n";
-    for (const auto &[key, count] : _edges) {
-        auto [a, b] = unpackEdge(key);
-        out << a << ' ' << b << ' ' << count << '\n';
-    }
-    if (!out)
-        bwsa_fatal("error writing conflict graph file: ", path);
-}
-
-ConflictGraph
-ConflictGraph::load(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        bwsa_fatal("cannot open conflict graph file: ", path);
-
-    std::string magic, version;
-    in >> magic >> version;
-    if (magic != "BWSG" || version != "v1")
-        bwsa_fatal("not a BWSG v1 conflict graph file: ", path);
-
-    ConflictGraph graph;
-    std::string tag;
-    std::size_t count = 0;
-
-    in >> tag >> count;
-    if (tag != "nodes" || !in)
-        bwsa_fatal("malformed node header in ", path);
-    for (std::size_t i = 0; i < count; ++i) {
-        BranchPc pc;
-        std::uint64_t executed, taken;
-        in >> pc >> executed >> taken;
-        if (!in)
-            bwsa_fatal("truncated node table in ", path);
-        NodeId id = graph.addOrGetNode(pc);
-        graph._nodes[id].executed = executed;
-        graph._nodes[id].taken = taken;
-        graph._total_executions += executed;
-    }
-
-    in >> tag >> count;
-    if (tag != "edges" || !in)
-        bwsa_fatal("malformed edge header in ", path);
-    for (std::size_t i = 0; i < count; ++i) {
-        NodeId a, b;
-        std::uint64_t c;
-        in >> a >> b >> c;
-        if (!in)
-            bwsa_fatal("truncated edge table in ", path);
-        graph.addInterleave(a, b, c);
-    }
-    return graph;
 }
 
 } // namespace bwsa

@@ -14,7 +14,6 @@
 #define BWSA_PROFILE_CONFLICT_GRAPH_HH
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -125,12 +124,6 @@ class ConflictGraph
 
     /** Total dynamic executions over all nodes. */
     std::uint64_t totalExecutions() const { return _total_executions; }
-
-    /** Save to a versioned text file; fatal() on I/O errors. */
-    void save(const std::string &path) const;
-
-    /** Load from a file written by save(). */
-    static ConflictGraph load(const std::string &path);
 
   private:
     static std::uint64_t

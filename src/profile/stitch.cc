@@ -58,18 +58,6 @@ StitchSink::applyTo(ConflictGraph &graph) const
     }
 }
 
-std::vector<std::tuple<BranchPc, BranchPc, std::uint64_t>>
-StitchSink::pcDeltas() const
-{
-    std::vector<std::tuple<BranchPc, BranchPc, std::uint64_t>> out;
-    out.reserve(_deltas.size());
-    for (const auto &[key, count] : _deltas)
-        out.emplace_back(
-            _slots[static_cast<std::uint32_t>(key >> 32)].pc,
-            _slots[static_cast<std::uint32_t>(key)].pc, count);
-    return out;
-}
-
 std::uint32_t
 StitchSink::slotFor(BranchPc pc)
 {

@@ -1,8 +1,8 @@
 /**
  * @file
- * Boundary-stitch algebra of segmented interleave profiling, shared
- * by the sharded engine (profile/shard.cc) and the incremental
- * streaming session (core/pipeline.hh).
+ * Boundary-stitch algebra of segmented interleave profiling, used by
+ * the sharded engine (profile/shard.cc).  The streaming session needs
+ * none of it: a session is sequential, so it keeps one warm tracker.
  *
  * A trace cut into contiguous segments and profiled with one cold
  * InterleaveTracker per segment misses exactly the pair increments
@@ -20,16 +20,13 @@
  *
  * Folding the per-segment graphs in segment order and applying every
  * boundary's stitch deltas reproduces the serial graph byte-for-byte
- * for any segmentation (proven by the test_shard exactness suite and
- * reused verbatim by the streaming session, whose "segments" are the
- * appended blocks).
+ * for any segmentation (proven by the test_shard exactness suite).
  */
 
 #ifndef BWSA_PROFILE_STITCH_HH
 #define BWSA_PROFILE_STITCH_HH
 
 #include <cstdint>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -78,14 +75,6 @@ class StitchSink : public TraceSink
      * records the stitch replayed before applying).
      */
     void applyTo(ConflictGraph &graph) const;
-
-    /**
-     * The buffered increments as (pc, pc, count) rows, for callers
-     * whose merged graph does not yet hold every stitched pc (the
-     * streaming session's spill epochs defer these to snapshot time).
-     */
-    std::vector<std::tuple<BranchPc, BranchPc, std::uint64_t>>
-    pcDeltas() const;
 
     std::uint64_t recordsScanned() const { return _records; }
 

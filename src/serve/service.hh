@@ -20,7 +20,9 @@
  * The service *validates* everything the streaming session would
  * panic on -- CRC, decodability, timestamp monotonicity, session
  * liveness -- and answers with typed error statuses, so no client
- * bytes can take the daemon down.
+ * bytes can take the daemon down.  What a session throws (a spilled
+ * epoch the cache evicted) is answered Internal for that request
+ * alone.
  *
  * Latency accounting: every Append observes serve.ingest.ns and every
  * Snapshot/Finish observes serve.snapshot.ns (quarter-decade buckets,

@@ -2,11 +2,9 @@
  * @file
  * Tests for the profiling layer: the time-stamp interleave analysis
  * of Section 4.1 against hand-worked examples, window eviction, and
- * the conflict graph's pruning / merging / serialization.
+ * the conflict graph's pruning and merging.
  */
 
-#include <filesystem>
-#include <fstream>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -270,48 +268,6 @@ TEST(ConflictGraph, AdjacencyMatchesEdges)
             EXPECT_LT(adj[v][i - 1].first, adj[v][i].first);
     }
     EXPECT_EQ(total, 2 * g.edgeCount());
-}
-
-TEST(ConflictGraph, SaveLoadRoundTrip)
-{
-    ConflictGraph g = profileSeq({A, B, C, A, B, C, A, D, B});
-    std::string path = (std::filesystem::temp_directory_path() /
-                        "bwsa_test_graph.bwsg")
-                           .string();
-    g.save(path);
-    ConflictGraph loaded = ConflictGraph::load(path);
-
-    EXPECT_EQ(loaded.nodeCount(), g.nodeCount());
-    EXPECT_EQ(loaded.edgeCount(), g.edgeCount());
-    EXPECT_EQ(loaded.totalExecutions(), g.totalExecutions());
-    for (NodeId v = 0; v < g.nodeCount(); ++v) {
-        const ConflictNode &orig = g.node(v);
-        NodeId lv = loaded.findNode(orig.pc);
-        ASSERT_NE(lv, invalid_node);
-        EXPECT_EQ(loaded.node(lv).executed, orig.executed);
-        EXPECT_EQ(loaded.node(lv).taken, orig.taken);
-    }
-    for (const auto &[key, count] : g.edges()) {
-        auto [a, b] = ConflictGraph::unpackEdge(key);
-        NodeId la = loaded.findNode(g.node(a).pc);
-        NodeId lb = loaded.findNode(g.node(b).pc);
-        EXPECT_EQ(loaded.interleaveCount(la, lb), count);
-    }
-    std::filesystem::remove(path);
-}
-
-TEST(ConflictGraphDeath, LoadRejectsBadMagic)
-{
-    std::string path = (std::filesystem::temp_directory_path() /
-                        "bwsa_test_badmagic.bwsg")
-                           .string();
-    {
-        std::ofstream out(path);
-        out << "WRONG v9\n";
-    }
-    EXPECT_EXIT(ConflictGraph::load(path),
-                ::testing::ExitedWithCode(1), "not a BWSG");
-    std::filesystem::remove(path);
 }
 
 // ------------------------------------------------- multi-replay tracking

@@ -8,19 +8,24 @@
  *    and across spill/merge epochs -- serializes byte-identically to
  *    a batch ProfileSession over the same records, and produces the
  *    same allocation map;
+ *  - *bounded memory*: a spilling session's resident bytes stay
+ *    within its bound after every append;
  *  - *protocol robustness*: truncated frames, bad magic, oversized
  *    length prefixes and version mismatches poison only the stream;
  *    payload CRC damage, unknown/duplicate sessions, undecodable
  *    payloads and out-of-order timestamps are answered with typed
  *    error frames and the service keeps serving;
  *  - *isolation*: concurrent tenants streaming interleaved sessions
- *    through one service never contaminate each other's graphs;
+ *    through one service never contaminate each other's graphs, and
+ *    a session whose spilled epoch was evicted fails alone;
  *  - the latency histograms fed by the service have sane quantiles.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -235,6 +240,77 @@ TEST(StreamingSession, SpillingPreservesExactness)
               expected);
     // finish() dropped the spilled epochs from the cache.
     EXPECT_EQ(cache.entryCount(), 0u);
+
+    // Spill bound x window x uneven blocks, with a snapshot after
+    // every append: each must equal the batch artifact of its prefix.
+    const std::size_t blocks[] = {1, 333, 1000, 7, 2500};
+    for (std::size_t window : {std::size_t(0), std::size_t(2),
+                               std::size_t(16)}) {
+        PipelineConfig pipeline = streamingConfig();
+        pipeline.interleave.max_window = window; // 0 = unbounded
+        for (std::uint64_t bound : {std::uint64_t(0),
+                                    std::uint64_t(4 * 1024),
+                                    std::uint64_t(32 * 1024)}) {
+            StreamingSessionConfig matrix;
+            matrix.pipeline = pipeline;
+            if (bound != 0) {
+                matrix.max_resident_bytes = bound;
+                matrix.spill_cache = &cache;
+                matrix.spill_scope = "t0/w" + std::to_string(window) +
+                                     "b" + std::to_string(bound);
+            }
+            StreamingProfileSession streamed(matrix);
+            std::size_t off = 0;
+            for (std::size_t i = 0; off < records.size(); ++i) {
+                std::size_t n = i < std::size(blocks)
+                                    ? blocks[i]
+                                    : records.size() - off;
+                streamed.appendBlock(records.data() + off, n);
+                off += n;
+                std::vector<BranchRecord> prefix(
+                    records.begin(), records.begin() + off);
+                EXPECT_EQ(store::serializeProfileArtifact(
+                              streamed.snapshot()),
+                          batchBytes(prefix, pipeline))
+                    << "window " << window << ", bound " << bound
+                    << ", prefix of " << off << " records";
+            }
+            if (bound == 4 * 1024) {
+                EXPECT_GT(streamed.spilledEpochs(), 1u)
+                    << "window " << window;
+            }
+            EXPECT_EQ(store::serializeProfileArtifact(
+                          streamed.finish()),
+                      batchBytes(records, pipeline));
+        }
+    }
+    EXPECT_EQ(cache.entryCount(), 0u);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(StreamingSession, ResidentBytesStayWithinBound)
+{
+    std::vector<BranchRecord> records = makeRecords(37, 60000, 800);
+    auto dir = tempDir("bound");
+    store::ArtifactCache cache(dir.string());
+
+    StreamingSessionConfig config;
+    config.pipeline = streamingConfig();
+    config.max_resident_bytes = 512 * 1024;
+    config.spill_cache = &cache;
+    config.spill_scope = "t0/bound";
+
+    StreamingProfileSession session(config);
+    for (std::size_t off = 0; off < records.size(); off += 1024) {
+        std::size_t n = std::min(std::size_t(1024),
+                                 records.size() - off);
+        session.appendBlock(records.data() + off, n);
+        ASSERT_LE(session.residentBytes(), config.max_resident_bytes)
+            << "after " << off + n << " records";
+    }
+    EXPECT_GT(session.spilledEpochs(), 0u);
+    EXPECT_EQ(store::serializeProfileArtifact(session.finish()),
+              batchBytes(records, streamingConfig()));
     std::filesystem::remove_all(dir);
 }
 
@@ -586,6 +662,69 @@ TEST(ProfileService, ConcurrentSessionsStayExact)
     for (unsigned t = 0; t < tenants; ++t)
         EXPECT_EQ(bad[t], 0) << "tenant " << t;
     EXPECT_EQ(service.sessionCount(), 0u);
+}
+
+TEST(ProfileService, EvictedSpillEpochFailsOnlyItsSession)
+{
+    // A 1-byte cap keeps only the newest spilled epoch, so a session
+    // that spilled twice has lost its first epoch.
+    auto dir = tempDir("evict");
+    store::ArtifactCache cache(dir.string(), 1);
+    serve::ServiceConfig config;
+    config.max_session_bytes = 64 * 1024;
+    config.spill_cache = &cache;
+    serve::ProfileService service(config);
+
+    // Tenant 1 outgrows its bound; tenant 2's 30 branches fit in it.
+    std::vector<BranchRecord> starved = makeRecords(43, 8000, 800);
+    std::vector<BranchRecord> within = makeRecords(47, 4000, 30);
+    ASSERT_EQ(service.handle(1, makeRequest(serve::FrameType::Begin, 3))
+                  .status,
+              serve::FrameStatus::Ok);
+    ASSERT_EQ(service.handle(2, makeRequest(serve::FrameType::Begin, 3))
+                  .status,
+              serve::FrameStatus::Ok);
+    auto append = [&](std::uint64_t tenant,
+                      const std::vector<BranchRecord> &records,
+                      std::size_t off, std::size_t n) {
+        return service
+            .handle(tenant,
+                    makeRequest(serve::FrameType::Append, 3,
+                                serve::encodeAppendPayload(
+                                    records.data() + off, n)))
+            .status;
+    };
+    for (std::size_t i = 0; i < 4; ++i) {
+        ASSERT_EQ(append(1, starved, i * 2000, 2000),
+                  serve::FrameStatus::Ok);
+        ASSERT_EQ(append(2, within, i * 500, 500),
+                  serve::FrameStatus::Ok);
+    }
+    EXPECT_GT(cache.evictions(), 0u);
+
+    serve::Frame snapshot = service.handle(
+        1, makeRequest(serve::FrameType::Snapshot, 3));
+    EXPECT_EQ(snapshot.status, serve::FrameStatus::Internal);
+    EXPECT_NE(snapshot.payload.find("evicted"), std::string::npos);
+    EXPECT_EQ(service.handle(1, makeRequest(serve::FrameType::Finish, 3))
+                  .status,
+              serve::FrameStatus::Internal);
+
+    // The service keeps serving the other tenant, exactly.
+    for (std::size_t i = 4; i < 8; ++i)
+        ASSERT_EQ(append(2, within, i * 500, 500),
+                  serve::FrameStatus::Ok);
+    serve::Frame finish = service.handle(
+        2, makeRequest(serve::FrameType::Finish, 3));
+    EXPECT_EQ(finish.status, serve::FrameStatus::Ok);
+    EXPECT_EQ(finish.payload, batchBytes(within, streamingConfig()));
+
+    // The failed session stays open until its tenant goes away.
+    EXPECT_EQ(service.sessionCount(), 1u);
+    service.abortTenant(1);
+    EXPECT_EQ(service.sessionCount(), 0u);
+    EXPECT_EQ(cache.entryCount(), 0u);
+    std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------

@@ -16,7 +16,9 @@
  * other client's and reclaimed when the connection drops.  With
  * --max-session-bytes, sessions that outgrow the bound spill graph
  * epochs into the artifact cache at --store-dir (--store-cap-mb caps
- * its LRU footprint).  Sessions that opt into phase detection (a
+ * its LRU footprint; a session that lost an epoch to eviction gets an
+ * Internal error on Snapshot/Finish, and the daemon keeps serving
+ * every other session).  Sessions that opt into phase detection (a
  * nonzero phase interval in their Begin frame) get live PhaseEvent
  * frames pushed at every detected boundary; the --phase-* flags tune
  * the daemon-wide detector.  The daemon stops when a client sends a
