@@ -458,10 +458,9 @@ recordShardStats(const std::string &label, const ShardRunStats &stats)
                             fixedString(t.millis, 3)});
     shard_table.addRow({"merge", "-", "-", "-",
                         fixedString(stats.merge_millis, 3)});
-    shard_table.addRow(
-        {"stitch", "-", std::to_string(stats.stitch.records_scanned),
-         std::to_string(stats.stitch.pair_increments),
-         fixedString(stats.stitch.millis, 3)});
+    shard_table.addRow({"stitch", "-", "-",
+                        std::to_string(stats.stitch.pair_increments),
+                        fixedString(stats.stitch.millis, 3)});
     shard_table.addRow({"total",
                         std::to_string(stats.threads) + " threads",
                         "-", "-",

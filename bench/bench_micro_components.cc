@@ -321,17 +321,22 @@ emitProfilingThroughput(const bench::BenchOptions &options)
                          : 0.0;
 
     TextTable table({"config", "instructions", "records", "ms",
-                     "Mrec/s", "speedup", "graph identical"});
+                     "Mrec/s", "speedup", "merge ms", "stitch ms",
+                     "stitch increments", "graph identical"});
     table.addRow({"serial", withCommas(instructions),
                   withCommas(trace.size()),
                   fixedString(serial.total_millis, 3),
                   fixedString(rate(serial.total_millis), 2), "1.00",
-                  "-"});
+                  "-", "-", "-", "-"});
     table.addRow({"4 shards / 4 threads", withCommas(instructions),
                   withCommas(trace.size()),
                   fixedString(sharded.total_millis, 3),
                   fixedString(rate(sharded.total_millis), 2),
-                  fixedString(speedup, 2), equal ? "yes" : "NO"});
+                  fixedString(speedup, 2),
+                  fixedString(sharded.merge_millis, 3),
+                  fixedString(sharded.stitch.millis, 3),
+                  withCommas(sharded.stitch.pair_increments),
+                  equal ? "yes" : "NO"});
     bench::emitTable("profiling throughput (sharded vs serial)",
                      table, options);
 }

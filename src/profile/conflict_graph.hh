@@ -8,13 +8,21 @@
  * central artifact of branch working set analysis: working sets are
  * complete subgraphs of its thresholded form, and the branch allocator
  * colors it to assign BHT entries.
+ *
+ * Edges live in one array of (packed key, count) pairs held sorted by
+ * key, with unique keys and no zero counts.  Every bulk writer -- the
+ * interleave tracker's flush, graph and shard merges, the artifact
+ * parser -- hands over sorted runs that fold in with one linear merge
+ * (mergeEdges); pruning is a filter and adjacency a counting pass.
  */
 
 #ifndef BWSA_PROFILE_CONFLICT_GRAPH_HH
 #define BWSA_PROFILE_CONFLICT_GRAPH_HH
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "trace/branch_record.hh"
@@ -51,6 +59,9 @@ struct ConflictNode
 class ConflictGraph
 {
   public:
+    /** One edge: packed (min_id, max_id) key and interleave count. */
+    using Edge = std::pair<std::uint64_t, std::uint64_t>;
+
     ConflictGraph() = default;
 
     /** Node id for @p pc, creating the node on first sight. */
@@ -59,7 +70,12 @@ class ConflictGraph
     /** Node id for @p pc, or invalid_node when absent. */
     NodeId findNode(BranchPc pc) const;
 
-    /** Add @p count interleavings between two distinct nodes. */
+    /**
+     * Add @p count interleavings between two distinct nodes: a binary
+     * search, then an increment or an insertion into the sorted edge
+     * array (O(E) worst case).  The single-edge primitive; bulk
+     * writers build sorted runs and call mergeEdges().
+     */
     void addInterleave(NodeId a, NodeId b, std::uint64_t count = 1);
 
     /**
@@ -87,11 +103,19 @@ class ConflictGraph
     /** All nodes in id order. */
     const std::vector<ConflictNode> &nodes() const { return _nodes; }
 
-    /** Raw edge map: key packs (min_id, max_id), value is the count. */
-    const std::unordered_map<std::uint64_t, std::uint64_t> &
-    edges() const
+    /**
+     * All edges, sorted by packed key (min_id, max_id): keys strictly
+     * ascending, no self edges, no zero counts.
+     */
+    const std::vector<Edge> &edges() const { return _edges; }
+
+    /** Pack two distinct node ids into an edge key (order-free). */
+    static std::uint64_t
+    packEdge(NodeId a, NodeId b)
     {
-        return _edges;
+        if (a > b)
+            std::swap(a, b);
+        return (static_cast<std::uint64_t>(a) << 32) | b;
     }
 
     /** Unpack an edge key into its two node ids. */
@@ -116,8 +140,26 @@ class ConflictGraph
     void mergeFrom(const ConflictGraph &other);
 
     /**
-     * Adjacency lists with counts, sorted by neighbour id.  O(V + E);
-     * build once per analysis pass.
+     * Fold sorted edge runs into this graph: one k-way linear merge
+     * of the runs and the current edges, adding counts of equal keys.
+     * Each run must hold strictly ascending keys of existing, distinct
+     * nodes with nonzero counts (misuse panics).
+     */
+    void mergeEdges(std::vector<std::vector<Edge>> runs);
+
+    /**
+     * The k-way merge behind mergeEdges(): one sorted run holding
+     * every key of the sorted @p runs, counts of equal keys added.
+     * Unchecked; callers that split the key space merge each range
+     * with it and hand the concatenation to mergeEdges().
+     */
+    static std::vector<Edge>
+    mergeRuns(const std::vector<std::span<const Edge>> &runs);
+
+    /**
+     * Adjacency lists with counts, sorted by neighbour id.  O(V + E):
+     * the key order already sorts every list; build once per analysis
+     * pass.
      */
     std::vector<std::vector<std::pair<NodeId, std::uint64_t>>>
     adjacency() const;
@@ -126,17 +168,20 @@ class ConflictGraph
     std::uint64_t totalExecutions() const { return _total_executions; }
 
   private:
-    static std::uint64_t
-    packEdge(NodeId a, NodeId b)
-    {
-        if (a > b)
-            std::swap(a, b);
-        return (static_cast<std::uint64_t>(a) << 32) | b;
-    }
+    /**
+     * @p edges with both endpoints translated through @p remap (an
+     * injective id map into a graph of @p node_count nodes), sorted
+     * by the new keys.  A strictly increasing map keeps the order and
+     * costs one pass; any other map costs a two-pass LSD counting
+     * sort (by max id, then stably by min id), O(E + node_count).
+     */
+    static std::vector<Edge> remapEdges(const std::vector<Edge> &edges,
+                                        const std::vector<NodeId> &remap,
+                                        std::size_t node_count);
 
     std::vector<ConflictNode> _nodes;
     std::unordered_map<BranchPc, NodeId> _pc_to_node;
-    std::unordered_map<std::uint64_t, std::uint64_t> _edges;
+    std::vector<Edge> _edges; ///< sorted by key, see edges()
     std::uint64_t _total_executions = 0;
 };
 

@@ -1,5 +1,8 @@
 #include "profile/interleave.hh"
 
+#include <algorithm>
+#include <numeric>
+
 #include "obs/branch_telemetry.hh"
 #include "obs/metrics.hh"
 #include "obs/phase_detect.hh"
@@ -17,18 +20,24 @@ InterleaveTracker::InterleaveTracker(ConflictGraph &graph,
 }
 
 InterleaveTracker::Slot
+InterleaveTracker::slotOf(BranchPc pc) const
+{
+    if (_table.empty())
+        return npos;
+    std::size_t mask = _table.size() - 1;
+    for (std::size_t i = mix64(pc) & mask;; i = (i + 1) & mask) {
+        const TableEntry &entry = _table[i];
+        if (entry.slot == npos || entry.pc == pc)
+            return entry.slot;
+    }
+}
+
+InterleaveTracker::Slot
 InterleaveTracker::slotFor(BranchPc pc)
 {
-    if (!_table.empty()) {
-        std::size_t mask = _table.size() - 1;
-        for (std::size_t i = mix64(pc) & mask;; i = (i + 1) & mask) {
-            const TableEntry &entry = _table[i];
-            if (entry.slot == npos)
-                break;
-            if (entry.pc == pc)
-                return entry.slot;
-        }
-    }
+    Slot known = slotOf(pc);
+    if (known != npos)
+        return known;
 
     // First occurrence: the next slot, in first-occurrence order.
     Slot slot = static_cast<Slot>(_pcs.size());
@@ -88,7 +97,7 @@ InterleaveTracker::onBranch(const BranchRecord &record)
     ++_counts[id].executed;
     if (record.taken)
         ++_counts[id].taken;
-    ++_unflushed_records;
+    _unflushed = true;
     if (_config.telemetry)
         _config.telemetry->record(record.pc, record.taken,
                                   record.timestamp);
@@ -165,32 +174,44 @@ InterleaveTracker::windowPcs() const
 }
 
 void
-InterleaveTracker::onEnd()
+InterleaveTracker::addInterleavings(Slot slot, Slot prefix,
+                                    const std::vector<Slot> &others)
 {
-    if (_unflushed_records == 0)
-        return;
-    _unflushed_records = 0;
-    BWSA_SPAN("profile.flush");
+    CounterRow &row = _rows[slot];
+    const std::size_t live = _pcs.size();
+    // Same density rule as onBranch(), applied to the row as it will
+    // be after this pass.
+    if (row.dense.empty() &&
+        (row.sparse.size() + prefix + others.size()) * 4 >= live) {
+        row.dense.adopt(row.sparse, live);
+        row.sparse = FlatCounterMap();
+    }
+    if (!row.dense.empty()) {
+        std::uint32_t *cells = row.dense.beginPass(live);
+        for (Slot s = 0; s < prefix; ++s)
+            ++cells[s];
+        for (Slot s : others)
+            ++cells[s];
+    } else {
+        for (Slot s = 0; s < prefix; ++s)
+            row.sparse.increment(s);
+        for (Slot s : others)
+            row.sparse.increment(s);
+    }
+    _unflushed = true;
+}
 
-    // Nodes in slot order: into an empty graph the ids equal the
-    // slots, i.e. first-occurrence order.
+std::vector<NodeId>
+InterleaveTracker::flushNodes()
+{
+    _unflushed = false;
+    // Slot order: into an empty graph the ids equal the slots, i.e.
+    // first-occurrence order.
     std::vector<NodeId> ids(_pcs.size());
     for (Slot s = 0; s < _pcs.size(); ++s) {
         ids[s] = _graph.restoreNode(_pcs[s], _counts[s].executed,
                                     _counts[s].taken);
         _counts[s] = SlotCounts{};
-    }
-    // Edges: both directions of a pair add up in the graph.
-    for (Slot a = 0; a < _rows.size(); ++a) {
-        auto add = [&](std::uint32_t b, std::uint64_t count) {
-            _graph.addInterleave(ids[a], ids[b], count);
-        };
-        CounterRow &row = _rows[a];
-        if (!row.dense.empty())
-            row.dense.forEach(add);
-        else
-            row.sparse.forEach(add);
-        row = CounterRow{}; // release the buffers
     }
 
     // Whole-stream analysis totals; onBranch() stays uninstrumented
@@ -203,6 +224,126 @@ InterleaveTracker::onEnd()
         .inc(_evicted_reentries - _flushed_evictions);
     _flushed_pair_increments = _pair_increments;
     _flushed_evictions = _evicted_reentries;
+    return ids;
+}
+
+std::vector<ConflictGraph::Edge>
+InterleaveTracker::drainEdges(const std::vector<NodeId> &ids)
+{
+    const std::size_t n = _rows.size();
+    if (ids.size() != n)
+        bwsa_panic("drainEdges: ", ids.size(), " ids for ", n,
+                   " slots");
+    // Work in rank space: slots in ascending node id, so pairs
+    // ordered by (min rank, max rank) are ordered by edge key.  With
+    // ids equal to the slots (every flush into a graph only this
+    // tracker fills) the ranks are the slots.
+    std::vector<Slot> order(n);
+    std::iota(order.begin(), order.end(), Slot(0));
+    if (!std::is_sorted(ids.begin(), ids.end()))
+        std::sort(order.begin(), order.end(),
+                  [&ids](Slot x, Slot y) { return ids[x] < ids[y]; });
+    std::vector<Slot> rank(n);
+    for (Slot r = 0; r < n; ++r)
+        rank[order[r]] = r;
+
+    auto visit = [this](Slot s, auto &&fn) {
+        const CounterRow &row = _rows[s];
+        if (!row.dense.empty())
+            row.dense.forEach(fn);
+        else
+            row.sparse.forEach(fn);
+    };
+
+    // The lower triangle (row[b][a], rank a < rank b), bucketed by
+    // rank a.  Rows are visited in ascending rank b, so every bucket
+    // comes out sorted by rank b.
+    struct Cell
+    {
+        Slot rank;
+        std::uint64_t count;
+    };
+    std::vector<std::size_t> start(n + 1, 0);
+    std::size_t upper_cells = 0;
+    for (Slot b = 0; b < n; ++b)
+        visit(b, [&](std::uint32_t a, std::uint64_t) {
+            if (rank[a] < rank[b])
+                ++start[rank[a] + 1];
+            else
+                ++upper_cells;
+        });
+    for (std::size_t r = 0; r < n; ++r)
+        start[r + 1] += start[r];
+    std::vector<Cell> lower(start[n]);
+    {
+        std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+        for (Slot rb = 0; rb < n; ++rb)
+            visit(order[rb], [&](std::uint32_t a, std::uint64_t count) {
+                if (rank[a] < rb)
+                    lower[fill[rank[a]]++] = {rb, count};
+            });
+    }
+
+    // Row a's upper triangle in ascending rank, merged with its
+    // bucket, gives the edges (a, b) with rank b > rank a in key
+    // order.
+    std::vector<ConflictGraph::Edge> edges;
+    edges.reserve(upper_cells + lower.size());
+    std::vector<Cell> upper;
+    for (Slot ra = 0; ra < n; ++ra) {
+        CounterRow &row = _rows[order[ra]];
+        upper.clear();
+        if (!row.dense.empty()) {
+            for (Slot rb = ra + 1; rb < n; ++rb)
+                if (std::uint64_t count = row.dense.count(order[rb]))
+                    upper.push_back({rb, count});
+        } else {
+            row.sparse.forEach([&](std::uint32_t b, std::uint64_t count) {
+                if (rank[b] > ra)
+                    upper.push_back({rank[b], count});
+            });
+            std::sort(upper.begin(), upper.end(),
+                      [](const Cell &x, const Cell &y) {
+                          return x.rank < y.rank;
+                      });
+        }
+        row = CounterRow{}; // release the buffers
+
+        auto u = upper.begin();
+        const Cell *l = lower.data() + start[ra];
+        const Cell *l_end = lower.data() + start[ra + 1];
+        const NodeId id = ids[order[ra]];
+        while (u != upper.end() || l != l_end) {
+            Cell cell;
+            if (l == l_end || (u != upper.end() && u->rank < l->rank)) {
+                cell = *u++;
+            } else if (u == upper.end() || l->rank < u->rank) {
+                cell = *l++;
+            } else {
+                cell = {u->rank, u->count + l->count};
+                ++u;
+                ++l;
+            }
+            edges.emplace_back(
+                ConflictGraph::packEdge(id, ids[order[cell.rank]]),
+                cell.count);
+        }
+    }
+    return edges;
+}
+
+void
+InterleaveTracker::onEnd()
+{
+    if (!_unflushed)
+        return;
+    BWSA_SPAN("profile.flush");
+    std::vector<NodeId> ids = flushNodes();
+    std::vector<std::vector<ConflictGraph::Edge>> runs;
+    runs.push_back(drainEdges(ids));
+    _graph.mergeEdges(std::move(runs));
+
+    auto &registry = obs::MetricsRegistry::global();
     registry.gauge("profile.window_size")
         .set(static_cast<double>(windowSize()));
     registry.gauge("graph.nodes")

@@ -35,6 +35,12 @@
  * and an indexed add replaces a hash probe on the hot path.  A dense
  * row that must widen while below that density turns sparse again
  * (util/flat_counter.hh, DESIGN.md Section 7).
+ *
+ * The flush turns the directional rows into undirected edges
+ * (row[a][b] + row[b][a]) already sorted by edge key -- a counting
+ * pass buckets the lower triangle, so no comparison sort runs over
+ * dense rows -- and hands them to the graph as one sorted run
+ * (ConflictGraph::mergeEdges).
  */
 
 #ifndef BWSA_PROFILE_INTERLEAVE_HH
@@ -103,6 +109,12 @@ struct InterleaveConfig
 class InterleaveTracker : public TraceSink
 {
   public:
+    /** Tracker-local branch index, in first-occurrence order. */
+    using Slot = std::uint32_t;
+
+    /** Sentinel for "no slot". */
+    static constexpr Slot npos = ~Slot(0);
+
     /**
      * @param graph  conflict graph to populate (not owned)
      * @param config analysis knobs
@@ -115,12 +127,63 @@ class InterleaveTracker : public TraceSink
     /**
      * Flush the counts gathered since the last flush into the
      * conflict graph: nodes (restoreNode, in slot order) first, then
-     * edges.  Called automatically at end of stream; nothing of the
-     * stream is visible in the graph before this runs.  May repeat
-     * (each call adds only the new counts; the window persists), and
-     * is a no-op when no record arrived since the last flush.
+     * edges, as one sorted run.  Called automatically at end of
+     * stream; nothing of the stream is visible in the graph before
+     * this runs.  May repeat (each call adds only the new counts; the
+     * window persists), and is a no-op when nothing was counted since
+     * the last flush.
      */
     void onEnd() override;
+
+    /**
+     * First half of onEnd(), for callers that merge several trackers'
+     * edges at once (the sharded engine): restore the counts since
+     * the last flush as graph nodes, in slot order, and return each
+     * slot's node id.
+     */
+    std::vector<NodeId> flushNodes();
+
+    /**
+     * Second half of onEnd(): empty the counter rows into one run of
+     * undirected edges (row[a][b] + row[b][a]) keyed by @p ids (one
+     * distinct node id per slot) and sorted by key, ready for
+     * ConflictGraph::mergeEdges().  Touches no graph, so trackers of
+     * one graph may drain concurrently.
+     */
+    std::vector<ConflictGraph::Edge>
+    drainEdges(const std::vector<NodeId> &ids);
+
+    /** Window bound this tracker runs with (0 = unbounded). */
+    std::size_t maxWindow() const { return _config.max_window; }
+
+    /**
+     * Distinct branches seen so far.  Slots are numbered in
+     * first-occurrence order, so slot f is the f-th distinct branch
+     * of the stream: the boundary stitch (stitch.hh) reads a
+     * segment's first-occurrence order straight off the slots.
+     */
+    std::size_t slotCount() const { return _pcs.size(); }
+
+    /** Slot of @p pc, or npos when the tracker never saw it. */
+    Slot slotOf(BranchPc pc) const;
+
+    /**
+     * Slot of @p pc, adding one with zero counts outside the window
+     * when the tracker never saw it.  For the boundary stitch, after
+     * the stream's last record: a branch that runs later would count
+     * as an evicted re-entry.
+     */
+    Slot slotFor(BranchPc pc);
+
+    /**
+     * Add one interleaving between @p slot and each of the slots
+     * [0, @p prefix) and each slot in @p others -- the increments
+     * the boundary stitch derives for one carried-over branch.  The
+     * slots must be distinct and differ from @p slot; they land in
+     * @p slot's counter row and flush with the rest.
+     */
+    void addInterleavings(Slot slot, Slot prefix,
+                          const std::vector<Slot> &others);
 
     /** Branches currently inside the tracking window. */
     std::size_t
@@ -148,9 +211,6 @@ class InterleaveTracker : public TraceSink
     std::uint64_t pairIncrements() const { return _pair_increments; }
 
   private:
-    using Slot = std::uint32_t;
-    static constexpr Slot npos = ~Slot(0);
-
     /** Executions since the last flush. */
     struct SlotCounts
     {
@@ -177,7 +237,6 @@ class InterleaveTracker : public TraceSink
         Slot slot = npos;
     };
 
-    Slot slotFor(BranchPc pc);
     void growTable();
     void evictHead();
 
@@ -199,7 +258,7 @@ class InterleaveTracker : public TraceSink
      */
     std::vector<Slot> _window;
     std::size_t _window_begin = 0;
-    std::uint64_t _unflushed_records = 0;
+    bool _unflushed = false; ///< counts arrived since the last flush
     std::uint64_t _evicted_reentries = 0;
     std::uint64_t _pair_increments = 0;
 

@@ -1,8 +1,8 @@
 #include "profile/shard.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
-#include <unordered_map>
 
 #include "exec/thread_pool.hh"
 #include "obs/branch_telemetry.hh"
@@ -47,7 +47,9 @@ replayFiltered(const TraceSource &segment,
  * Pass-through sink publishing shard progress: one unit sample per
  * record at its trace timestamp, so the series' window *weights* show
  * how many records each instruction window contributed to this shard
- * (a throughput-over-trace-position signal per worker).
+ * (a throughput-over-trace-position signal per worker).  It holds
+ * back the end of stream: the shard tracker flushes only after its
+ * boundary stitch has added the carried-over increments.
  */
 class ShardProgressSink : public TraceSink
 {
@@ -65,7 +67,7 @@ class ShardProgressSink : public TraceSink
         _inner.onBranch(record);
     }
 
-    void onEnd() override { _inner.onEnd(); }
+    void onEnd() override {}
 
     bool done() const override { return _inner.done(); }
 
@@ -74,13 +76,68 @@ class ShardProgressSink : public TraceSink
     obs::TimeSeries *_series;
 };
 
-/** Result of one shard of the parallel pass. */
+/** State of one shard between the passes. */
 struct ShardResult
 {
-    ConflictGraph graph;
-    std::vector<BranchPc> window;
+    std::unique_ptr<InterleaveTracker> tracker; ///< until drained
+    std::vector<NodeId> ids; ///< tracker slot -> merged node id
 };
 
+
+/**
+ * The shard runs merged across @p pool: the key space is cut at
+ * quantiles of the largest run into one range per worker, each range
+ * merges on its own (ConflictGraph::mergeRuns), and the ranges
+ * concatenate in order.  Empties @p runs.
+ */
+std::vector<ConflictGraph::Edge>
+mergeRunsByRange(std::vector<std::vector<ConflictGraph::Edge>> &runs,
+                 exec::ThreadPool &pool, unsigned parts)
+{
+    using Edge = ConflictGraph::Edge;
+    const std::vector<Edge> &largest = *std::max_element(
+        runs.begin(), runs.end(),
+        [](const auto &x, const auto &y) { return x.size() < y.size(); });
+    // Range j holds keys in [cuts[j], cuts[j + 1]); no real key is
+    // all-ones.
+    if (largest.empty())
+        parts = 1;
+    std::vector<std::uint64_t> cuts{0};
+    for (unsigned j = 1; j < parts; ++j)
+        cuts.push_back(largest[largest.size() * j / parts].first);
+    cuts.push_back(~std::uint64_t(0));
+
+    std::vector<std::vector<Edge>> ranges(parts);
+    for (unsigned j = 0; j < parts; ++j) {
+        pool.submit([&, j](unsigned) {
+            auto below = [](const Edge &edge, std::uint64_t key) {
+                return edge.first < key;
+            };
+            std::vector<std::span<const Edge>> slices;
+            for (const std::vector<Edge> &run : runs) {
+                auto lo = std::lower_bound(run.begin(), run.end(),
+                                           cuts[j], below);
+                auto hi = std::lower_bound(lo, run.end(), cuts[j + 1],
+                                           below);
+                slices.emplace_back(lo, hi);
+            }
+            ranges[j] = ConflictGraph::mergeRuns(slices);
+        });
+    }
+    pool.wait();
+    runs.clear();
+
+    std::size_t total = 0;
+    for (const std::vector<Edge> &range : ranges)
+        total += range.size();
+    std::vector<Edge> merged;
+    merged.reserve(total);
+    for (std::vector<Edge> &range : ranges) {
+        merged.insert(merged.end(), range.begin(), range.end());
+        range = std::vector<Edge>();
+    }
+    return merged;
+}
 
 /** Plain serial profile, reported as a one-shard run. */
 ShardRunStats
@@ -138,13 +195,13 @@ profileTraceSharded(const TraceSource &source, ConflictGraph &graph,
 
     exec::ThreadPool pool(threads);
 
-    // --- Parallel pass: one cold tracker per segment.  Per-branch
-    // telemetry gets one cold local map per segment too (same order
-    // as the caller's map), folded back in segment order after the
-    // pass -- mergeAppend repairs the boundary-crossing transitions
-    // and entropy contexts, so the folded map is bit-identical to a
-    // serial run's.  The stitch passes below replay boundary regions
-    // a second time and therefore must not feed telemetry.
+    // --- Parallel pass: one cold tracker per segment, all over the
+    // merged graph but none flushed yet (a tracker touches its graph
+    // only when it flushes).  Per-branch telemetry gets one cold
+    // local map per segment too (same order as the caller's map),
+    // folded back in segment order after the pass -- mergeAppend
+    // repairs the boundary-crossing transitions and entropy
+    // contexts, so the folded map is bit-identical to a serial run's.
     obs::BranchTelemetryMap *telemetry = config.interleave.telemetry;
     std::vector<std::unique_ptr<obs::BranchTelemetryMap>> shard_maps(
         telemetry ? count : 0);
@@ -184,16 +241,16 @@ profileTraceSharded(const TraceSource &source, ConflictGraph &graph,
                         phase->interval());
                 shard_config.phase = shard_phases[i].get();
             }
-            InterleaveTracker tracker(results[i].graph, shard_config);
-            ShardProgressSink sink(tracker, progress);
+            results[i].tracker = std::make_unique<InterleaveTracker>(
+                graph, shard_config);
+            ShardProgressSink sink(*results[i].tracker, progress);
             replayFiltered(segments[i], config.selection, sink);
-            results[i].window = tracker.windowPcs();
 
             ShardTiming &timing = stats.timings[i];
             timing.index = i;
             timing.worker = worker;
             timing.records = segments[i].recordCount();
-            timing.increments = tracker.pairIncrements();
+            timing.increments = results[i].tracker->pairIncrements();
             timing.millis = millisSince(start);
         });
     }
@@ -208,69 +265,77 @@ profileTraceSharded(const TraceSource &source, ConflictGraph &graph,
         for (std::size_t i = 0; i < count; ++i)
             phase->mergeAppend(*shard_phases[i]);
 
-    // --- Boundary window states, composed from per-shard summaries
+    // --- Boundary window states, composed from the shard trackers
     // (no serial scan of the trace is needed).  boundaries[k] is the
-    // serial window state at the start of segment k+1.  Must run
-    // before the merge below moves the per-shard graphs.
-    std::size_t max_window = config.interleave.max_window;
+    // serial window state at the start of segment k+1.
     std::vector<std::vector<BranchPc>> boundaries(count - 1);
     for (std::size_t k = 0; k + 1 < count; ++k)
         boundaries[k] = composeBoundary(
             k == 0 ? std::vector<BranchPc>{} : boundaries[k - 1],
-            results[k].graph, results[k].window, max_window);
+            *results[k].tracker);
 
-    // --- Merge and stitch, concurrently.  The stitch sinks buffer
-    // pc-pair deltas instead of touching the merged graph, so the
-    // K-1 boundary scans and the merge fold are independent: one
-    // worker folds the per-shard graphs (in segment order, so node
-    // ids land in global first-occurrence order, identical to a
-    // serial pass) while the others scan boundary regions.
-    std::vector<std::unique_ptr<StitchSink>> stitches(count - 1);
-    std::vector<double> stitch_millis(count - 1, 0.0);
-    pool.submit([&](unsigned worker) {
-        obs::PhaseTracer::Span span("profile.shard_merge");
-        span.setWorker(worker);
-        Clock::time_point start = Clock::now();
-        graph = std::move(results[0].graph);
-        for (std::size_t i = 1; i < count; ++i)
-            graph.mergeFrom(results[i].graph);
-        stats.merge_millis = millisSince(start);
-    });
-    for (std::size_t k = 0; k + 1 < count; ++k) {
-        if (boundaries[k].empty())
+    // --- Stitch: the increments each boundary owes go straight into
+    // the next segment's counter rows, so its flush emits them with
+    // its own.
+    std::vector<std::uint64_t> stitch_increments(count, 0);
+    std::vector<double> stitch_millis(count, 0.0);
+    for (std::size_t i = 1; i < count; ++i) {
+        if (boundaries[i - 1].empty())
             continue;
-        pool.submit([&, k](unsigned worker) {
+        pool.submit([&, i](unsigned worker) {
             obs::PhaseTracer::Span span("profile.stitch");
             span.setWorker(worker);
             Clock::time_point start = Clock::now();
-            auto stitch = std::make_unique<StitchSink>(boundaries[k],
-                                                       max_window);
-            replayFiltered(segments[k + 1], config.selection,
-                           *stitch);
-            span.addWork(stitch->recordsScanned());
-            stitch_millis[k] = millisSince(start);
-            stitches[k] = std::move(stitch);
+            stitch_increments[i] =
+                stitchBoundary(boundaries[i - 1], *results[i].tracker);
+            stitch_millis[i] = millisSince(start);
         });
     }
     pool.wait();
 
-    // --- Fold the buffered boundary increments in (cheap: the
-    // deltas are small compared to the scans that produced them).
-    for (std::size_t k = 0; k + 1 < count; ++k) {
-        if (!stitches[k])
+    // --- Flush and merge.  Node counts flush serially in segment
+    // order, so node ids land in global first-occurrence order,
+    // identical to a serial pass (a stitch's zero-count slots are
+    // branches of earlier segments and keep their ids).  Every shard
+    // then drains its rows into one run sorted by merged edge key, in
+    // parallel, and a k-way linear merge, split by key range across
+    // the pool, folds the runs.
+    Clock::time_point merge_start = Clock::now();
+    for (std::size_t i = 0; i < count; ++i)
+        results[i].ids = results[i].tracker->flushNodes();
+    double merge_millis = millisSince(merge_start);
+    std::vector<std::vector<ConflictGraph::Edge>> runs(count);
+    for (std::size_t i = 0; i < count; ++i) {
+        pool.submit([&, i](unsigned worker) {
+            obs::PhaseTracer::Span span("profile.shard_flush");
+            span.setWorker(worker);
+            Clock::time_point start = Clock::now();
+            runs[i] = results[i].tracker->drainEdges(results[i].ids);
+            results[i].tracker.reset();
+            stats.timings[i].millis += millisSince(start);
+        });
+    }
+    pool.wait();
+    {
+        obs::PhaseTracer::Span span("profile.shard_merge");
+        Clock::time_point start = Clock::now();
+        std::vector<std::vector<ConflictGraph::Edge>> merged;
+        merged.push_back(mergeRunsByRange(runs, pool, threads));
+        graph.mergeEdges(std::move(merged));
+        stats.merge_millis = merge_millis + millisSince(start);
+    }
+
+    for (std::size_t i = 1; i < count; ++i) {
+        if (boundaries[i - 1].empty())
             continue;
-        stitches[k]->applyTo(graph);
         ++stats.stitch.boundaries;
-        stats.stitch.records_scanned += stitches[k]->recordsScanned();
-        stats.stitch.pair_increments += stitches[k]->increments();
-        stats.stitch.millis += stitch_millis[k];
+        stats.stitch.pair_increments += stitch_increments[i];
+        stats.stitch.millis += stitch_millis[i];
     }
 
     auto &registry = obs::MetricsRegistry::global();
     registry.counter("profile.sharded_runs").inc();
     registry.counter("profile.shard_passes").inc(count);
-    registry.counter("profile.stitch_records")
-        .inc(stats.stitch.records_scanned);
     registry.counter("profile.stitch_increments")
         .inc(stats.stitch.pair_increments);
 

@@ -6,12 +6,13 @@
  * every table/figure reproduction, and it is inherently serial when
  * run as one pass.  This engine recovers parallelism by splitting the
  * dynamic branch trace into K contiguous segments (TraceSource::
- * segments), running one cold-started InterleaveTracker per segment on
- * a thread pool, merging the per-shard conflict graphs in segment
- * order, and repairing the interleavings lost at segment boundaries
- * with a *stitch pass* per boundary.  The stitch scans buffer their
- * increments locally, so they run concurrently with each other and
- * with the merge fold on the same pool.
+ * segments) and running one cold-started InterleaveTracker per
+ * segment on a thread pool.  Before each tracker flushes, a *boundary
+ * stitch* adds the interleavings its segment start cut off (derived,
+ * not replayed: stitch.hh).  The per-shard graphs then merge: nodes
+ * fold in segment order, each shard re-sorts its edges into the
+ * merged ids on the pool, and one k-way linear merge folds the
+ * sorted runs.
  *
  * Why the result is exact (not an approximation):
  *
@@ -30,18 +31,15 @@
  *   The boundary window itself composes from per-shard summaries
  *   without any serial scan: appending segment k's distinct-branch
  *   order to the boundary state before it and keeping the last
- *   max_window entries yields the boundary state after it.  The
- *   stitch pass replays each segment once more through a window
- *   seeded with that composed state, emitting increments only for
- *   first re-executions of pre-boundary ("old") branches, and stops
- *   as soon as no old branches remain in the window -- with a bounded
- *   window that is after at most ~max_window distinct branches, so
- *   the stitch touches a small boundary region of each segment.
+ *   max_window entries yields the boundary state after it.  From that
+ *   window and the next segment's first-occurrence order (its
+ *   tracker's slot order) the stitch derives every missing increment
+ *   in time proportional to the increments themselves, without
+ *   touching the segment's records again.
  *
  * Consequently the sharded graph -- node order, execution counts and
  * every edge count -- is identical to the serial graph for any shard
- * count, with or without a window bound (an unbounded window only
- * makes the stitch scan further into each segment).
+ * count, with or without a window bound.
  */
 
 #ifndef BWSA_PROFILE_SHARD_HH
@@ -73,9 +71,9 @@ struct ShardConfig
     InterleaveConfig interleave;
 
     /**
-     * Optional frequency selection: when set, every pass (shard and
-     * stitch) sees only the selected branches, exactly like the
-     * pipeline's filtered profiling.  Not owned; must outlive the run.
+     * Optional frequency selection: when set, every shard pass sees
+     * only the selected branches, exactly like the pipeline's
+     * filtered profiling.  Not owned; must outlive the run.
      */
     const FrequencySelection *selection = nullptr;
 
@@ -94,18 +92,18 @@ struct ShardTiming
     unsigned worker = 0;          ///< executing pool worker
     std::uint64_t records = 0;    ///< raw records in the segment
     std::uint64_t increments = 0; ///< pair increments performed
-    double millis = 0.0;          ///< wall time of the shard pass
+    double millis = 0.0;          ///< wall time of the pass and flush
 };
 
-/** Cost and volume of the boundary stitch passes. */
+/** Cost and volume of the boundary stitches. */
 struct StitchStats
 {
-    std::uint64_t boundaries = 0;      ///< boundary regions stitched
-    std::uint64_t records_scanned = 0; ///< records replayed in total
+    std::uint64_t boundaries = 0;      ///< boundaries stitched
+    std::uint64_t records_scanned = 0; ///< always 0: nothing replays
     std::uint64_t pair_increments = 0; ///< recovered edge increments
 
     /**
-     * Summed wall time of the per-boundary scans.  They run
+     * Summed wall time of the per-boundary derivations.  They run
      * concurrently, so this is total work, not elapsed time.
      */
     double millis = 0.0;
@@ -118,7 +116,7 @@ struct ShardRunStats
     unsigned threads = 1;              ///< pool workers used
     std::vector<ShardTiming> timings;  ///< per-shard, segment order
     StitchStats stitch;                ///< boundary repair cost
-    double merge_millis = 0.0;         ///< graph merge wall time
+    double merge_millis = 0.0;         ///< node fold + edge merge
     double total_millis = 0.0;         ///< whole engine wall time
 };
 

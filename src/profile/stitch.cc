@@ -1,152 +1,91 @@
 #include "profile/stitch.hh"
 
-#include "util/logging.hh"
+#include <algorithm>
 
 namespace bwsa
 {
 
-StitchSink::StitchSink(const std::vector<BranchPc> &seed,
-                       std::size_t max_window)
-    : _max_window(max_window)
-{
-    for (BranchPc pc : seed)
-        appendTail(oldSlotFor(pc));
-    _old_remaining = seed.size();
-}
-
-void
-StitchSink::onBranch(const BranchRecord &record)
-{
-    ++_records;
-    std::uint32_t id = slotFor(record.pc);
-    Slot &slot = _slots[id];
-    if (slot.in_list) {
-        if (slot.old_entry) {
-            // Anchor before the boundary: the cold segment tracker
-            // recorded nothing for this record.  Every branch after
-            // this one in the window ran since its previous instance
-            // -- the serial tracker's exact increment set.
-            for (std::uint32_t cur = slot.next; cur != npos;
-                 cur = _slots[cur].next) {
-                ++_deltas[packPair(id, cur)];
-                ++_increments;
-            }
-            slot.old_entry = false;
-            --_old_remaining;
-        }
-        unlink(id);
-    }
-    appendTail(id);
-    if (_max_window != 0 && _size > _max_window)
-        evictHead();
-}
-
-void
-StitchSink::applyTo(ConflictGraph &graph) const
-{
-    for (const auto &[key, count] : _deltas) {
-        // Every branch the stitch can see executed in some segment,
-        // so both are already nodes of the merged graph.
-        NodeId a = graph.findNode(
-            _slots[static_cast<std::uint32_t>(key >> 32)].pc);
-        NodeId b = graph.findNode(
-            _slots[static_cast<std::uint32_t>(key)].pc);
-        if (a == invalid_node || b == invalid_node)
-            bwsa_panic("stitch pass met a pc absent from the merged "
-                       "graph");
-        graph.addInterleave(a, b, count);
-    }
-}
-
-std::uint32_t
-StitchSink::slotFor(BranchPc pc)
-{
-    auto it = _pc_to_slot.find(pc);
-    if (it != _pc_to_slot.end())
-        return it->second;
-    std::uint32_t id = static_cast<std::uint32_t>(_slots.size());
-    Slot slot;
-    slot.pc = pc;
-    _slots.push_back(slot);
-    _pc_to_slot.emplace(pc, id);
-    return id;
-}
-
-std::uint32_t
-StitchSink::oldSlotFor(BranchPc pc)
-{
-    std::uint32_t id = slotFor(pc);
-    _slots[id].old_entry = true;
-    return id;
-}
-
-void
-StitchSink::unlink(std::uint32_t id)
-{
-    Slot &slot = _slots[id];
-    if (slot.prev != npos)
-        _slots[slot.prev].next = slot.next;
-    else
-        _head = slot.next;
-    if (slot.next != npos)
-        _slots[slot.next].prev = slot.prev;
-    else
-        _tail = slot.prev;
-    slot.prev = npos;
-    slot.next = npos;
-    slot.in_list = false;
-    --_size;
-}
-
-void
-StitchSink::appendTail(std::uint32_t id)
-{
-    Slot &slot = _slots[id];
-    slot.prev = _tail;
-    slot.next = npos;
-    slot.in_list = true;
-    if (_tail != npos)
-        _slots[_tail].next = id;
-    else
-        _head = id;
-    _tail = id;
-    ++_size;
-}
-
-void
-StitchSink::evictHead()
-{
-    if (_head == npos)
-        bwsa_panic("stitch evictHead on empty window");
-    std::uint32_t id = _head;
-    Slot &slot = _slots[id];
-    if (slot.old_entry) {
-        // Evicted before re-running: the serial tracker would treat
-        // its next execution as fresh too.
-        slot.old_entry = false;
-        --_old_remaining;
-    }
-    unlink(id);
-}
-
 std::vector<BranchPc>
 composeBoundary(const std::vector<BranchPc> &before,
-                const ConflictGraph &segment_graph,
-                const std::vector<BranchPc> &segment_window,
-                std::size_t max_window)
+                const InterleaveTracker &segment)
 {
+    std::vector<BranchPc> window = segment.windowPcs();
     std::vector<BranchPc> out;
-    out.reserve(before.size() + segment_window.size());
+    out.reserve(before.size() + window.size());
     for (BranchPc pc : before)
-        if (segment_graph.findNode(pc) == invalid_node)
+        if (segment.slotOf(pc) == InterleaveTracker::npos)
             out.push_back(pc);
-    out.insert(out.end(), segment_window.begin(),
-               segment_window.end());
+    out.insert(out.end(), window.begin(), window.end());
+    std::size_t max_window = segment.maxWindow();
     if (max_window != 0 && out.size() > max_window)
         out.erase(out.begin(),
                   out.begin() + static_cast<std::ptrdiff_t>(
                                     out.size() - max_window));
     return out;
+}
+
+std::uint64_t
+stitchBoundary(const std::vector<BranchPc> &boundary,
+               InterleaveTracker &segment)
+{
+    using Slot = InterleaveTracker::Slot;
+    constexpr Slot npos = InterleaveTracker::npos;
+    const std::size_t w = boundary.size();
+    const std::size_t max_window = segment.maxWindow();
+    // |A(X)| >= f, so with a bounded window no slot at or past
+    // max_window is owed anything.
+    std::size_t limit = segment.slotCount();
+    if (max_window != 0)
+        limit = std::min(limit, max_window);
+
+    // Each boundary entry's slot, and each early slot's position p in
+    // the boundary (npos: the branch is not a boundary entry).
+    std::vector<Slot> slot_at(w);
+    std::vector<Slot> pos_of(limit, npos);
+    for (std::size_t p = 0; p < w; ++p) {
+        slot_at[p] = segment.slotOf(boundary[p]);
+        if (slot_at[p] < limit)
+            pos_of[slot_at[p]] = static_cast<Slot>(p);
+    }
+
+    // Fenwick tree over boundary positions of the old branches whose
+    // slot precedes the current one: how many W[j > p] also lie in
+    // S[0..f), i.e. count once.
+    std::vector<std::uint32_t> tree(w + 1, 0);
+    std::size_t marked = 0;
+    auto markedUpTo = [&](std::size_t p) { // positions <= p
+        std::size_t n = 0;
+        for (std::size_t i = p + 1; i > 0; i -= i & (~i + 1))
+            n += tree[i];
+        return n;
+    };
+
+    std::uint64_t increments = 0;
+    std::vector<Slot> others;
+    for (Slot f = 0; f < limit; ++f) {
+        const Slot p = pos_of[f];
+        if (p == npos)
+            continue;
+        const std::size_t both = marked - markedUpTo(p);
+        const std::size_t owed = f + (w - 1 - p) - both;
+        for (std::size_t i = p + 1; i <= w; i += i & (~i + 1))
+            ++tree[i];
+        ++marked;
+        if (max_window != 0 && owed >= max_window)
+            continue; // evicted before it re-ran: fresh, as in the shard
+
+        others.clear();
+        for (std::size_t j = p + 1; j < w; ++j) {
+            if (slot_at[j] == npos)
+                slot_at[j] = segment.slotFor(boundary[j]);
+            else if (slot_at[j] < f)
+                continue; // already in S[0..f)
+            others.push_back(slot_at[j]);
+        }
+        segment.addInterleavings(f, f, others);
+        increments += owed;
+    }
+    return increments;
 }
 
 } // namespace bwsa

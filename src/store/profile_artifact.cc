@@ -57,7 +57,8 @@ serializeProfileArtifact(const ProfileArtifact &artifact)
             appendU64(out, pc);
     }
 
-    // Graph: nodes positionally (id order), edges by packed key.
+    // Graph: nodes positionally (id order), edges by packed key (the
+    // graph's own edge order).
     {
         const ConflictGraph &graph = artifact.graph;
         appendU64(out, graph.nodeCount());
@@ -66,11 +67,8 @@ serializeProfileArtifact(const ProfileArtifact &artifact)
             appendU64(out, node.executed);
             appendU64(out, node.taken);
         }
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> edges(
-            graph.edges().begin(), graph.edges().end());
-        std::sort(edges.begin(), edges.end());
-        appendU64(out, edges.size());
-        for (const auto &[key, count] : edges) {
+        appendU64(out, graph.edgeCount());
+        for (const auto &[key, count] : graph.edges()) {
             appendU64(out, key);
             appendU64(out, count);
         }
@@ -135,6 +133,12 @@ parseProfileArtifact(std::string_view bytes, ProfileArtifact &out)
     std::uint64_t edge_count = 0;
     if (!cur.getU64(edge_count))
         return ArtifactParseStatus::Corrupt;
+    // A count that overshoots the payload (16 bytes per record) is
+    // corrupt before anything is allocated for it.
+    if (edge_count > cur.remaining() / 16)
+        return ArtifactParseStatus::Corrupt;
+    std::vector<ConflictGraph::Edge> edges;
+    edges.reserve(static_cast<std::size_t>(edge_count));
     for (std::uint64_t i = 0; i < edge_count; ++i) {
         std::uint64_t key = 0, count = 0;
         if (!cur.getU64(key) || !cur.getU64(count) || count == 0)
@@ -142,8 +146,27 @@ parseProfileArtifact(std::string_view bytes, ProfileArtifact &out)
         auto [a, b] = ConflictGraph::unpackEdge(key);
         if (a >= node_count || b >= node_count || a == b)
             return ArtifactParseStatus::Corrupt;
-        parsed.graph.addInterleave(a, b, count);
+        edges.emplace_back(ConflictGraph::packEdge(a, b), count);
     }
+    // Canonical artifacts are already sorted; anything else is sorted
+    // here and duplicate keys add up, then the edges load as one run.
+    if (!std::is_sorted(edges.begin(), edges.end()))
+        std::sort(edges.begin(), edges.end());
+    std::size_t unique = 0;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        if (unique > 0 && edges[unique - 1].first == edges[i].first) {
+            std::uint64_t &sum = edges[unique - 1].second;
+            if (sum + edges[i].second < sum)
+                return ArtifactParseStatus::Corrupt; // count overflow
+            sum += edges[i].second;
+        } else {
+            edges[unique++] = edges[i];
+        }
+    }
+    edges.resize(unique);
+    std::vector<std::vector<ConflictGraph::Edge>> runs;
+    runs.push_back(std::move(edges));
+    parsed.graph.mergeEdges(std::move(runs));
 
     if (!cur.atEnd())
         return ArtifactParseStatus::Corrupt;

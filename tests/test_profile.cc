@@ -5,6 +5,7 @@
  * the conflict graph's pruning and merging.
  */
 
+#include <map>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -298,7 +299,7 @@ struct OracleProfile
     std::vector<BranchPc> pcs; ///< node ids in first-occurrence order
     std::vector<std::uint64_t> executed;
     std::vector<std::uint64_t> taken;
-    std::unordered_map<std::uint64_t, std::uint64_t> edges;
+    std::map<std::uint64_t, std::uint64_t> edges; ///< by packed key
 };
 
 /**
@@ -351,7 +352,8 @@ expectMatchesOracle(const ConflictGraph &g, const OracleProfile &want)
         EXPECT_EQ(g.node(v).executed, want.executed[v]) << "node " << v;
         EXPECT_EQ(g.node(v).taken, want.taken[v]) << "node " << v;
     }
-    EXPECT_EQ(g.edges(), want.edges);
+    EXPECT_EQ(g.edges(), std::vector<ConflictGraph::Edge>(
+                             want.edges.begin(), want.edges.end()));
 }
 
 /**

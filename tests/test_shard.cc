@@ -7,6 +7,9 @@
  *    node order, execution counts, every edge count -- for bounded
  *    and unbounded windows, any shard count, with and without a
  *    frequency selection;
+ *  - the derived boundary stitch adds exactly the increments a
+ *    replaying stitch (a test-only oracle) finds, boundary by
+ *    boundary, and composeBoundary() reproduces the serial window;
  *  - conflict-graph merging is associative and commutative (the
  *    algebra the shard merge relies on);
  *  - ProfileSession enforces its phase discipline, and repeated
@@ -16,11 +19,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
+#include <unordered_map>
 
 #include "core/pipeline.hh"
 #include "test_helpers.hh"
 #include "profile/interleave.hh"
 #include "profile/shard.hh"
+#include "profile/stitch.hh"
 #include "store/block_trace.hh"
 #include "trace/frequency_filter.hh"
 #include "trace/trace_stats.hh"
@@ -67,10 +73,18 @@ makeAllDistinctTrace(std::size_t records)
     return trace;
 }
 
-/** Strict equality: node order, counts, and every edge count. */
+/**
+ * Strict equality: node order, counts, and every edge count; both
+ * graphs must also hold the sorted-edge invariant.
+ */
 ::testing::AssertionResult
 graphsIdentical(const ConflictGraph &a, const ConflictGraph &b)
 {
+    for (const ConflictGraph *g : {&a, &b})
+        if (::testing::AssertionResult ok =
+                testhelpers::edgeInvariantHolds(*g);
+            !ok)
+            return ok;
     if (a.nodeCount() != b.nodeCount())
         return ::testing::AssertionFailure()
                << "node counts differ: " << a.nodeCount() << " vs "
@@ -305,6 +319,308 @@ TEST(ShardedProfile, RequiresEmptyGraph)
 }
 
 // ---------------------------------------------------------------
+// The derived boundary stitch against a replaying oracle.
+
+namespace
+{
+
+using PcPair = std::pair<BranchPc, BranchPc>;
+using PcPairCounts = std::map<PcPair, std::uint64_t>;
+
+PcPair
+orderedPair(BranchPc a, BranchPc b)
+{
+    return a < b ? PcPair{a, b} : PcPair{b, a};
+}
+
+/** Edge counts of @p graph keyed by pc pair. */
+PcPairCounts
+pcEdges(const ConflictGraph &graph)
+{
+    PcPairCounts out;
+    for (const auto &[key, count] : graph.edges()) {
+        auto [a, b] = ConflictGraph::unpackEdge(key);
+        out[orderedPair(graph.node(a).pc, graph.node(b).pc)] = count;
+    }
+    return out;
+}
+
+/**
+ * The replaying boundary stitch the derived one replaced, kept as its
+ * oracle: a window seeded with the boundary state (its entries marked
+ * *old*) replays the segment; the first re-execution of an old branch
+ * emits its suffix walk -- the increments a cold segment tracker
+ * missed -- and everything else merely evolves the window.
+ */
+class StitchSink : public TraceSink
+{
+  public:
+    StitchSink(const std::vector<BranchPc> &seed, std::size_t max_window)
+        : _max_window(max_window)
+    {
+        for (BranchPc pc : seed) {
+            std::uint32_t id = slotFor(pc);
+            _slots[id].old_entry = true;
+            appendTail(id);
+        }
+        _old_remaining = seed.size();
+    }
+
+    void
+    onBranch(const BranchRecord &record) override
+    {
+        std::uint32_t id = slotFor(record.pc);
+        Slot &slot = _slots[id];
+        if (slot.in_list) {
+            if (slot.old_entry) {
+                for (std::uint32_t cur = slot.next; cur != npos;
+                     cur = _slots[cur].next) {
+                    ++_deltas[orderedPair(record.pc, _slots[cur].pc)];
+                    ++_increments;
+                }
+                slot.old_entry = false;
+                --_old_remaining;
+            }
+            unlink(id);
+        }
+        appendTail(id);
+        if (_max_window != 0 && _size > _max_window)
+            evictHead();
+    }
+
+    bool done() const override { return _old_remaining == 0; }
+
+    const PcPairCounts &deltas() const { return _deltas; }
+    std::uint64_t increments() const { return _increments; }
+
+    /** Old entries evicted before they re-ran. */
+    std::uint64_t oldEvicted() const { return _old_evicted; }
+
+  private:
+    static constexpr std::uint32_t npos = ~std::uint32_t(0);
+
+    struct Slot
+    {
+        std::uint32_t prev = npos;
+        std::uint32_t next = npos;
+        BranchPc pc = 0;
+        bool in_list = false;
+        bool old_entry = false;
+    };
+
+    std::uint32_t
+    slotFor(BranchPc pc)
+    {
+        auto [it, inserted] = _pc_to_slot.try_emplace(
+            pc, static_cast<std::uint32_t>(_slots.size()));
+        if (inserted) {
+            _slots.emplace_back();
+            _slots.back().pc = pc;
+        }
+        return it->second;
+    }
+
+    void
+    unlink(std::uint32_t id)
+    {
+        Slot &slot = _slots[id];
+        if (slot.prev != npos)
+            _slots[slot.prev].next = slot.next;
+        else
+            _head = slot.next;
+        if (slot.next != npos)
+            _slots[slot.next].prev = slot.prev;
+        else
+            _tail = slot.prev;
+        slot.prev = npos;
+        slot.next = npos;
+        slot.in_list = false;
+        --_size;
+    }
+
+    void
+    appendTail(std::uint32_t id)
+    {
+        Slot &slot = _slots[id];
+        slot.prev = _tail;
+        slot.next = npos;
+        slot.in_list = true;
+        if (_tail != npos)
+            _slots[_tail].next = id;
+        else
+            _head = id;
+        _tail = id;
+        ++_size;
+    }
+
+    void
+    evictHead()
+    {
+        std::uint32_t id = _head;
+        if (_slots[id].old_entry) {
+            _slots[id].old_entry = false;
+            --_old_remaining;
+            ++_old_evicted;
+        }
+        unlink(id);
+    }
+
+    std::size_t _max_window;
+    std::vector<Slot> _slots;
+    std::unordered_map<BranchPc, std::uint32_t> _pc_to_slot;
+    PcPairCounts _deltas;
+    std::uint32_t _head = npos;
+    std::uint32_t _tail = npos;
+    std::size_t _size = 0;
+    std::size_t _old_remaining = 0;
+    std::uint64_t _increments = 0;
+    std::uint64_t _old_evicted = 0;
+};
+
+/** Replay @p source into @p sink, through the optional filter. */
+void
+replayThrough(const TraceSource &source,
+              const FrequencySelection *selection, TraceSink &sink)
+{
+    if (selection) {
+        FilteredSink filter(*selection, sink);
+        source.replay(filter);
+    } else {
+        source.replay(sink);
+    }
+}
+
+/**
+ * A hot loop of 6 branches mixed with uniform draws over 300 cold
+ * ones, whose share drops in the second half: boundary windows hold
+ * branches that never recur, and small windows evict mid-segment.
+ */
+MemoryTrace
+makeStitchTrace(std::uint64_t seed)
+{
+    Pcg32 rng(seed);
+    MemoryTrace trace;
+    std::uint64_t ts = 0;
+    constexpr std::size_t records = 2400;
+    for (std::size_t i = 0; i < records; ++i) {
+        double cold_share = i < records / 2 ? 0.5 : 0.15;
+        BranchRecord r;
+        r.pc = rng.nextBool(cold_share)
+                   ? 0x500000 + 8ull * rng.nextBounded(300)
+                   : 0x400000 + 8ull * (i % 6);
+        ts += 1 + rng.nextBounded(9);
+        r.timestamp = ts;
+        r.taken = rng.nextBool(0.55);
+        trace.onBranch(r);
+    }
+    return trace;
+}
+
+/** Cases the matrix below must reach at least once. */
+struct StitchCoverage
+{
+    std::uint64_t short_segments = 0; ///< fewer records than the bound
+    std::uint64_t never_recurring = 0; ///< old branch absent from segment
+    std::uint64_t evicted_old = 0; ///< old branch evicted before re-run
+    std::uint64_t increments = 0;
+};
+
+/**
+ * Walk one segmentation boundary by boundary: the composed boundary
+ * must equal the serial window, and the derived stitch must add
+ * exactly the oracle's pc-pair increments.
+ */
+void
+checkDerivedStitch(const MemoryTrace &trace, unsigned shards,
+                   std::size_t max_window,
+                   const FrequencySelection *selection,
+                   StitchCoverage &coverage)
+{
+    InterleaveConfig config;
+    config.max_window = max_window;
+    ConflictGraph serial_graph;
+    InterleaveTracker serial(serial_graph, config);
+
+    std::vector<BranchPc> boundary; // composed state at segment start
+    for (const TraceSegment &segment : trace.segments(shards)) {
+        SCOPED_TRACE(::testing::Message()
+                     << "segment [" << segment.begin() << ", "
+                     << segment.end() << ")");
+        ASSERT_EQ(boundary, serial.windowPcs());
+
+        ConflictGraph graph;
+        InterleaveTracker cold(graph, config);
+        replayThrough(segment, selection, cold);
+        EXPECT_TRUE(testhelpers::edgeInvariantHolds(graph));
+        std::vector<BranchPc> next = composeBoundary(boundary, cold);
+
+        if (!boundary.empty()) {
+            StitchSink oracle(boundary, max_window);
+            replayThrough(segment, selection, oracle);
+
+            PcPairCounts before = pcEdges(graph);
+            std::uint64_t increments = stitchBoundary(boundary, cold);
+            cold.onEnd();
+            EXPECT_TRUE(testhelpers::edgeInvariantHolds(graph));
+            PcPairCounts derived;
+            for (const auto &[pair, count] : pcEdges(graph)) {
+                auto it = before.find(pair);
+                std::uint64_t was = it == before.end() ? 0 : it->second;
+                if (count != was)
+                    derived[pair] = count - was;
+            }
+            EXPECT_EQ(derived, oracle.deltas());
+            EXPECT_EQ(increments, oracle.increments());
+
+            coverage.increments += increments;
+            coverage.evicted_old += oracle.oldEvicted();
+            if (max_window != 0 && segment.recordCount() < max_window)
+                ++coverage.short_segments;
+            for (BranchPc pc : boundary)
+                if (graph.findNode(pc) == invalid_node)
+                    ++coverage.never_recurring;
+        }
+
+        replayThrough(segment, selection, serial);
+        boundary = std::move(next);
+    }
+    ASSERT_EQ(boundary, serial.windowPcs());
+}
+
+} // namespace
+
+TEST(DerivedStitch, MatchesReplayingOracle)
+{
+    StitchCoverage coverage;
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        MemoryTrace trace = makeStitchTrace(seed);
+        TraceStatsCollector stats;
+        trace.replay(stats);
+        FrequencySelection selection = selectByFrequency(stats, 0.95);
+        ASSERT_LT(selection.selected.size(), stats.staticBranches());
+        for (std::size_t window :
+             {0u, 1u, 2u, 3u, 16u, 64u, 4096u}) {
+            for (unsigned shards : {2u, 3u, 4u, 7u}) {
+                for (bool filtered : {false, true}) {
+                    SCOPED_TRACE(::testing::Message()
+                                 << "seed=" << seed
+                                 << " window=" << window
+                                 << " shards=" << shards
+                                 << " filtered=" << filtered);
+                    checkDerivedStitch(trace, shards, window,
+                                       filtered ? &selection : nullptr,
+                                       coverage);
+                }
+            }
+        }
+    }
+    EXPECT_GT(coverage.increments, 0u);
+    EXPECT_GT(coverage.short_segments, 0u);
+    EXPECT_GT(coverage.never_recurring, 0u);
+    EXPECT_GT(coverage.evicted_old, 0u);
+}
+
+// ---------------------------------------------------------------
 // Conflict-graph merge algebra (what the shard merge relies on).
 
 namespace
@@ -363,6 +679,11 @@ TEST(ConflictGraphMerge, Associative)
     // Node-id assignment agrees too (a's nodes first, then new pcs in
     // first-appearance order), so equality is strict.
     EXPECT_TRUE(graphsIdentical(left, right));
+
+    // Pruning filters the sorted array without breaking it.
+    for (std::uint64_t threshold : {2u, 5u, 1000u})
+        EXPECT_TRUE(
+            testhelpers::edgeInvariantHolds(left.pruned(threshold)));
 }
 
 TEST(ConflictGraphMerge, CommutativeUpToNodeOrder)
@@ -375,6 +696,8 @@ TEST(ConflictGraphMerge, CommutativeUpToNodeOrder)
     ConflictGraph ba = b;
     ba.mergeFrom(a);
 
+    EXPECT_TRUE(testhelpers::edgeInvariantHolds(ab));
+    EXPECT_TRUE(testhelpers::edgeInvariantHolds(ba));
     expectEquivalent(ab, ba);
 }
 

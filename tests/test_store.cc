@@ -929,3 +929,63 @@ TEST(ProfileArtifactTest, ImportMergesLikeASecondProfile)
               reference.graph().nodeCount());
     EXPECT_EQ(merged.graph().edges(), reference.graph().edges());
 }
+
+TEST(ProfileArtifactTest, ParsesUnsortedEdgesInOneSortedLoad)
+{
+    // 200k edges written in descending key order, one key split over
+    // two records: the parser sorts, adds the duplicate up and loads
+    // the canonical graph.  Loading record by record into the sorted
+    // edge array would shift it once per record (O(E^2)).
+    ConflictGraph graph;
+    constexpr NodeId nodes = 700;
+    for (NodeId v = 0; v < nodes; ++v)
+        graph.restoreNode(0x400000 + 8 * v, 10, 3);
+    std::vector<std::vector<ConflictGraph::Edge>> runs(1);
+    for (NodeId a = 0; a < nodes && runs[0].size() < 200000; ++a)
+        for (NodeId b = a + 1; b < nodes && runs[0].size() < 200000;
+             ++b)
+            runs[0].emplace_back(ConflictGraph::packEdge(a, b),
+                                 1 + (a * 7 + b) % 50);
+    graph.mergeEdges(std::move(runs));
+    ASSERT_EQ(graph.edgeCount(), 200000u);
+    ProfileArtifact canonical;
+    canonical.graph = graph;
+    std::string bytes = serializeProfileArtifact(canonical);
+
+    // The edge section ends the artifact: a u64 count, then 16-byte
+    // (key, count) records.
+    const std::size_t edge_section = bytes.size() - 8 - 16 * 200000;
+    std::string hostile = bytes.substr(0, edge_section);
+    appendU64(hostile, 200001);
+    const auto &edges = graph.edges();
+    constexpr std::size_t split = 1234;
+    ASSERT_GE(edges[split].second, 2u);
+    for (std::size_t i = edges.size(); i-- > 0;) {
+        auto [key, count] = edges[i];
+        if (i == split) {
+            appendU64(hostile, key);
+            appendU64(hostile, 1);
+            --count;
+        }
+        appendU64(hostile, key);
+        appendU64(hostile, count);
+    }
+
+    ProfileArtifact parsed;
+    ASSERT_EQ(parseProfileArtifact(hostile, parsed),
+              ArtifactParseStatus::Ok);
+    EXPECT_TRUE(testhelpers::edgeInvariantHolds(parsed.graph));
+    EXPECT_EQ(parsed.graph.edges(), graph.edges());
+    EXPECT_EQ(serializeProfileArtifact(parsed), bytes);
+
+    // Duplicates whose counts add past 2^64 are corrupt, not a
+    // wrapped (or zero) count.
+    std::string overflow = bytes.substr(0, edge_section);
+    appendU64(overflow, 2);
+    for (std::uint64_t count : {~std::uint64_t(0), std::uint64_t(1)}) {
+        appendU64(overflow, edges[split].first);
+        appendU64(overflow, count);
+    }
+    EXPECT_EQ(parseProfileArtifact(overflow, parsed),
+              ArtifactParseStatus::Corrupt);
+}
