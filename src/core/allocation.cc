@@ -27,56 +27,30 @@ buildFiltered(const ConflictGraph &graph,
 
     // Prune edges below the threshold and, with classification on,
     // drop edges between branches of the same biased class (their
-    // shared history is identical, so the conflict is harmless).
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> kept;
-    std::vector<std::size_t> offsets(n + 1, 0);
-    for (const auto &[key, count] : graph.edges()) {
-        if (count < config.edge_threshold)
+    // shared history is identical, so the conflict is harmless).  The
+    // kept edges are a subsequence of the key-sorted edge array.
+    std::vector<ConflictGraph::Edge> kept;
+    for (const ConflictGraph::Edge &edge : graph.edges()) {
+        if (edge.second < config.edge_threshold)
             continue;
-        auto [a, b] = ConflictGraph::unpackEdge(key);
+        auto [a, b] = ConflictGraph::unpackEdge(edge.first);
         BranchClass ca = fg.classes[a];
         if (ca == fg.classes[b] && ca != BranchClass::Mixed)
             continue; // same biased class: harmless conflict
-        kept.emplace_back(key, count);
-        ++offsets[a + 1];
-        ++offsets[b + 1];
+        kept.push_back(edge);
     }
-    for (std::size_t v = 0; v < n; ++v)
-        offsets[v + 1] += offsets[v];
-
-    // Bucket each edge under both endpoints in edge-map order, then
-    // transpose: visiting neighbours u in ascending order and
-    // appending u to each of its own neighbours' lists leaves every
-    // list sorted without a comparison sort.
-    std::vector<std::pair<NodeId, std::uint64_t>> unsorted(offsets[n]);
-    std::vector<std::size_t> fill(offsets.begin(), offsets.end() - 1);
-    for (const auto &[key, count] : kept) {
-        auto [a, b] = ConflictGraph::unpackEdge(key);
-        unsorted[fill[a]++] = {b, count};
-        unsorted[fill[b]++] = {a, count};
-    }
-    kept = {};
-    fg.targets.resize(offsets[n]);
-    fg.weights.resize(offsets[n]);
-    std::copy(offsets.begin(), offsets.end() - 1, fill.begin());
-    for (NodeId u = 0; u < n; ++u) {
-        for (std::size_t k = offsets[u]; k < offsets[u + 1]; ++k) {
-            auto [v, w] = unsorted[k];
-            fg.targets[fill[v]] = u;
-            fg.weights[fill[v]++] = w;
-        }
-    }
-    fg.offsets = std::move(offsets);
+    fg.adj = neighbourLists(kept, n);
 
     fg.degree.assign(n, 0);
     fg.incident.assign(n, 0);
+    const NeighbourLists &adj = fg.adj;
     for (NodeId v = 0; v < n; ++v) {
         if (fg.classes[v] != BranchClass::Mixed)
             continue;
-        for (std::size_t k = fg.offsets[v]; k < fg.offsets[v + 1]; ++k) {
-            if (fg.classes[fg.targets[k]] == BranchClass::Mixed) {
+        for (std::size_t k = adj.offsets[v]; k < adj.offsets[v + 1]; ++k) {
+            if (fg.classes[adj.targets[k]] == BranchClass::Mixed) {
                 ++fg.degree[v];
-                fg.incident[v] += fg.weights[k];
+                fg.incident[v] += adj.weights[k];
             }
         }
     }
@@ -123,6 +97,7 @@ allocateBranches(const ConflictGraph &graph, const FilteredGraph &fg,
     // --- Simplify: peel nodes of degree < colors (min degree first);
     // when none qualifies, optimistically push the node with the
     // least incident interleave weight as a share candidate.
+    const NeighbourLists &adj = fg.adj;
     std::vector<std::size_t> degree = fg.degree;
     const std::vector<std::uint64_t> &weight = fg.incident;
 
@@ -167,8 +142,7 @@ allocateBranches(const ConflictGraph &graph, const FilteredGraph &fg,
         removed[v] = true;
         stack.push_back(v);
         --remaining;
-        for (std::size_t k = fg.offsets[v]; k < fg.offsets[v + 1]; ++k) {
-            NodeId u = fg.targets[k];
+        for (NodeId u : adj.of(v)) {
             if (colorable[u] && !removed[u]) {
                 --degree[u];
                 buckets[bucket_of(u)].push_back(u);
@@ -246,12 +220,12 @@ allocateBranches(const ConflictGraph &graph, const FilteredGraph &fg,
         stack.pop_back();
 
         touched.clear();
-        for (std::size_t k = fg.offsets[v]; k < fg.offsets[v + 1]; ++k) {
-            NodeId u = fg.targets[k];
+        for (std::size_t k = adj.offsets[v]; k < adj.offsets[v + 1]; ++k) {
+            NodeId u = adj.targets[k];
             if (color[u] != uncolored && colorable[u]) {
                 if (clash[color[u]] == 0)
                     touched.push_back(color[u]);
-                clash[color[u]] += fg.weights[k];
+                clash[color[u]] += adj.weights[k];
             }
         }
 

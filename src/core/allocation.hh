@@ -96,14 +96,8 @@ struct AllocationResult
  */
 struct FilteredGraph
 {
-    /**
-     * Node v's neighbours, ascending, are
-     * targets[offsets[v], offsets[v + 1]); weights[k] is the edge
-     * weight to targets[k].
-     */
-    std::vector<std::size_t> offsets;
-    std::vector<NodeId> targets;
-    std::vector<std::uint64_t> weights;
+    /** Neighbour lists over the kept edges. */
+    NeighbourLists adj;
 
     /** Classification of every node (all Mixed when disabled). */
     std::vector<BranchClass> classes;

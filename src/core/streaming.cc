@@ -116,7 +116,7 @@ StreamingProfileSession::residentBytes() const
     // allocator overhead, which is all the spill threshold needs.
     std::uint64_t bytes = 0;
     bytes += _graph.nodeCount() * (sizeof(ConflictNode) + 48);
-    bytes += _graph.edgeCount() * 48;
+    bytes += _graph.edges().capacity() * sizeof(ConflictGraph::Edge);
     bytes += _stats.table().size() * 64;
     bytes += _tracker.windowSize() * sizeof(BranchPc);
     return bytes;

@@ -1,11 +1,11 @@
 #include "core/working_set.hh"
 
 #include <algorithm>
-#include <unordered_map>
+#include <set>
+#include <span>
 
 #include "obs/metrics.hh"
 #include "obs/phase_tracer.hh"
-#include "util/bitfield.hh"
 #include "util/logging.hh"
 
 namespace bwsa
@@ -14,34 +14,25 @@ namespace bwsa
 namespace
 {
 
-/** Plain sorted adjacency without counts. */
-std::vector<std::vector<NodeId>>
-plainAdjacency(const ConflictGraph &graph)
+/** Heat order: more executions first, then the lower id. */
+struct Hotter
 {
-    std::vector<std::vector<NodeId>> adj(graph.nodeCount());
-    for (const auto &[key, count] : graph.edges()) {
-        auto [a, b] = ConflictGraph::unpackEdge(key);
-        adj[a].push_back(b);
-        adj[b].push_back(a);
-    }
-    for (auto &list : adj)
-        std::sort(list.begin(), list.end());
-    return adj;
-}
+    const ConflictGraph &graph;
 
-bool
-isNeighbor(const std::vector<std::vector<NodeId>> &adj, NodeId a,
-           NodeId b)
-{
-    const std::vector<NodeId> &list = adj[a];
-    return std::binary_search(list.begin(), list.end(), b);
-}
+    bool
+    operator()(NodeId a, NodeId b) const
+    {
+        std::uint64_t ea = graph.node(a).executed;
+        std::uint64_t eb = graph.node(b).executed;
+        return ea != eb ? ea > eb : a < b;
+    }
+};
 
 /** Bron-Kerbosch with pivoting over sorted id vectors. */
 class CliqueEnumerator
 {
   public:
-    CliqueEnumerator(const std::vector<std::vector<NodeId>> &adj,
+    CliqueEnumerator(const NeighbourLists &adj,
                      const WorkingSetLimits &limits,
                      WorkingSetResult &result)
         : _adj(adj), _limits(limits), _result(result)
@@ -50,8 +41,8 @@ class CliqueEnumerator
     void
     run()
     {
-        std::vector<NodeId> all(_adj.size());
-        for (NodeId i = 0; i < _adj.size(); ++i)
+        std::vector<NodeId> all(_adj.nodeCount());
+        for (NodeId i = 0; i < all.size(); ++i)
             all[i] = i;
         std::vector<NodeId> r;
         expand(r, std::move(all), {});
@@ -71,8 +62,9 @@ class CliqueEnumerator
     intersect(const std::vector<NodeId> &sorted_set, NodeId v) const
     {
         std::vector<NodeId> out;
+        std::span<const NodeId> nbrs = _adj.of(v);
         std::set_intersection(sorted_set.begin(), sorted_set.end(),
-                              _adj[v].begin(), _adj[v].end(),
+                              nbrs.begin(), nbrs.end(),
                               std::back_inserter(out));
         return out;
     }
@@ -102,7 +94,7 @@ class CliqueEnumerator
         std::size_t best_degree = 0;
         for (const std::vector<NodeId> *set : {&p, &x}) {
             for (NodeId u : *set) {
-                std::size_t degree = _adj[u].size();
+                std::size_t degree = _adj.of(u).size();
                 if (pivot == invalid_node || degree > best_degree) {
                     pivot = u;
                     best_degree = degree;
@@ -114,9 +106,9 @@ class CliqueEnumerator
         if (pivot == invalid_node) {
             candidates = p;
         } else {
-            std::set_difference(p.begin(), p.end(),
-                                _adj[pivot].begin(), _adj[pivot].end(),
-                                std::back_inserter(candidates));
+            std::span<const NodeId> nbrs = _adj.of(pivot);
+            std::set_difference(p.begin(), p.end(), nbrs.begin(),
+                                nbrs.end(), std::back_inserter(candidates));
         }
 
         for (NodeId v : candidates) {
@@ -134,94 +126,62 @@ class CliqueEnumerator
         }
     }
 
-    const std::vector<std::vector<NodeId>> &_adj;
+    const NeighbourLists &_adj;
     const WorkingSetLimits &_limits;
     WorkingSetResult &_result;
 };
 
 WorkingSetResult
-seededCliques(const ConflictGraph &graph,
-              const std::vector<std::vector<NodeId>> &adj)
+seededCliques(const ConflictGraph &graph, const NeighbourLists &adj)
 {
     WorkingSetResult result;
-    std::size_t n = graph.nodeCount();
-
-    auto hotter = [&](NodeId a, NodeId b) {
-        std::uint64_t ea = graph.node(a).executed;
-        std::uint64_t eb = graph.node(b).executed;
-        if (ea != eb)
-            return ea > eb;
-        return a < b;
-    };
-
-    // Dedup by hashing the sorted member list.
-    std::unordered_map<std::uint64_t, std::vector<WorkingSet>> seen;
-    auto set_hash = [](const WorkingSet &set) {
-        std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-        for (NodeId id : set)
-            h = mix64(h ^ (id + 0x100));
-        return h;
-    };
-
+    Hotter hotter{graph};
+    std::set<WorkingSet> seen;
     std::vector<NodeId> candidates;
     std::vector<NodeId> next;
-    for (NodeId seed = 0; seed < n; ++seed) {
+    for (NodeId seed = 0; seed < adj.nodeCount(); ++seed) {
         WorkingSet set{seed};
-        candidates = adj[seed];
+        std::span<const NodeId> seed_nbrs = adj.of(seed);
+        candidates.assign(seed_nbrs.begin(), seed_nbrs.end());
 
         // Grow: repeatedly take the hottest remaining candidate and
         // intersect the candidate set with its neighbourhood; every
         // accepted member is adjacent to all previous members, so the
         // final set is a maximal clique containing the seed.
         while (!candidates.empty()) {
+            // A plain scan: std::min_element benchmarked slower here.
             NodeId best = candidates[0];
             for (NodeId c : candidates)
                 if (hotter(c, best))
                     best = c;
             set.push_back(best);
+            std::span<const NodeId> nbrs = adj.of(best);
             next.clear();
-            std::set_intersection(candidates.begin(),
-                                  candidates.end(),
-                                  adj[best].begin(), adj[best].end(),
+            std::set_intersection(candidates.begin(), candidates.end(),
+                                  nbrs.begin(), nbrs.end(),
                                   std::back_inserter(next));
             candidates.swap(next);
         }
         std::sort(set.begin(), set.end());
-
-        std::uint64_t h = set_hash(set);
-        bool duplicate = false;
-        for (const WorkingSet &prior : seen[h])
-            if (prior == set) {
-                duplicate = true;
-                break;
-            }
-        if (!duplicate) {
-            seen[h].push_back(set);
+        if (seen.insert(set).second)
             result.sets.push_back(std::move(set));
-        }
     }
     return result;
 }
 
 WorkingSetResult
-greedyPartition(const ConflictGraph &graph,
-                const std::vector<std::vector<NodeId>> &adj)
+greedyPartition(const ConflictGraph &graph, const NeighbourLists &adj)
 {
     WorkingSetResult result;
-    std::size_t n = graph.nodeCount();
+    std::size_t n = adj.nodeCount();
+    Hotter hotter{graph};
 
     // Hottest branches seed sets first so the dominant loop nests form
     // coherent sets instead of being absorbed piecemeal.
     std::vector<NodeId> order(n);
     for (NodeId i = 0; i < n; ++i)
         order[i] = i;
-    std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
-        std::uint64_t ea = graph.node(a).executed;
-        std::uint64_t eb = graph.node(b).executed;
-        if (ea != eb)
-            return ea > eb;
-        return a < b;
-    });
+    std::sort(order.begin(), order.end(), hotter);
 
     std::vector<bool> assigned(n, false);
     for (NodeId seed : order) {
@@ -233,23 +193,18 @@ greedyPartition(const ConflictGraph &graph,
         // Candidates: unassigned neighbours, hottest first; each must
         // be adjacent to every current member (complete subgraph).
         std::vector<NodeId> candidates;
-        for (NodeId v : adj[seed])
+        for (NodeId v : adj.of(seed))
             if (!assigned[v])
                 candidates.push_back(v);
-        std::sort(candidates.begin(), candidates.end(),
-                  [&](NodeId a, NodeId b) {
-                      std::uint64_t ea = graph.node(a).executed;
-                      std::uint64_t eb = graph.node(b).executed;
-                      if (ea != eb)
-                          return ea > eb;
-                      return a < b;
-                  });
+        std::sort(candidates.begin(), candidates.end(), hotter);
 
         for (NodeId cand : candidates) {
+            std::span<const NodeId> nbrs = adj.of(cand);
             bool complete = true;
             for (NodeId member : set) {
                 if (member != seed &&
-                    !isNeighbor(adj, cand, member)) {
+                    !std::binary_search(nbrs.begin(), nbrs.end(),
+                                        member)) {
                     complete = false;
                     break;
                 }
@@ -266,11 +221,10 @@ greedyPartition(const ConflictGraph &graph,
 }
 
 WorkingSetResult
-connectedComponents(const ConflictGraph &graph,
-                    const std::vector<std::vector<NodeId>> &adj)
+connectedComponents(const NeighbourLists &adj)
 {
     WorkingSetResult result;
-    std::size_t n = graph.nodeCount();
+    std::size_t n = adj.nodeCount();
     std::vector<bool> visited(n, false);
     std::vector<NodeId> stack;
 
@@ -284,7 +238,7 @@ connectedComponents(const ConflictGraph &graph,
             NodeId v = stack.back();
             stack.pop_back();
             component.push_back(v);
-            for (NodeId w : adj[v]) {
+            for (NodeId w : adj.of(v)) {
                 if (!visited[w]) {
                     visited[w] = true;
                     stack.push_back(w);
@@ -322,7 +276,7 @@ findWorkingSets(const ConflictGraph &graph, WorkingSetDefinition def,
     obs::PhaseTracer::Span span("ws.extract");
     span.addWork(graph.nodeCount());
 
-    std::vector<std::vector<NodeId>> adj = plainAdjacency(graph);
+    const NeighbourLists adj = graph.neighbours();
     WorkingSetResult result;
     switch (def) {
       case WorkingSetDefinition::MaximalClique: {
@@ -337,7 +291,7 @@ findWorkingSets(const ConflictGraph &graph, WorkingSetDefinition def,
         result = greedyPartition(graph, adj);
         break;
       case WorkingSetDefinition::ConnectedComponent:
-        result = connectedComponents(graph, adj);
+        result = connectedComponents(adj);
         break;
       default:
         bwsa_panic("unknown WorkingSetDefinition ",

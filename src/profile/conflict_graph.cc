@@ -241,29 +241,39 @@ ConflictGraph::mergeRuns(const std::vector<std::span<const Edge>> &runs)
     return out;
 }
 
-std::vector<std::vector<std::pair<NodeId, std::uint64_t>>>
-ConflictGraph::adjacency() const
+NeighbourLists
+ConflictGraph::neighbours() const
 {
-    std::vector<std::size_t> degree(_nodes.size(), 0);
-    for (const Edge &edge : _edges) {
-        auto [a, b] = unpackEdge(edge.first);
-        ++degree[a];
-        ++degree[b];
+    return neighbourLists(_edges, nodeCount());
+}
+
+NeighbourLists
+neighbourLists(std::span<const ConflictGraph::Edge> edges,
+               std::size_t node_count)
+{
+    NeighbourLists lists;
+    std::vector<std::size_t> &offsets = lists.offsets;
+    offsets.assign(node_count + 1, 0);
+    for (const auto &[key, count] : edges) {
+        auto [a, b] = ConflictGraph::unpackEdge(key);
+        ++offsets[a + 1];
+        ++offsets[b + 1];
     }
-    std::vector<std::vector<std::pair<NodeId, std::uint64_t>>> adj(
-        _nodes.size());
-    for (std::size_t v = 0; v < adj.size(); ++v)
-        adj[v].reserve(degree[v]);
-    // Keys ascend by (min, max): node v first receives its smaller
-    // neighbours (as max id, in ascending min id) and then its larger
-    // ones (as min id, in ascending max id), so every list comes out
-    // sorted.
-    for (const auto &[key, count] : _edges) {
-        auto [a, b] = unpackEdge(key);
-        adj[a].emplace_back(b, count);
-        adj[b].emplace_back(a, count);
+    for (std::size_t v = 0; v < node_count; ++v)
+        offsets[v + 1] += offsets[v];
+    lists.targets.resize(offsets[node_count]);
+    lists.weights.resize(offsets[node_count]);
+    // The key order fills every list in ascending order (see the
+    // precondition).
+    std::vector<std::size_t> fill(offsets.begin(), offsets.end() - 1);
+    for (const auto &[key, count] : edges) {
+        auto [a, b] = ConflictGraph::unpackEdge(key);
+        lists.targets[fill[a]] = b;
+        lists.weights[fill[a]++] = count;
+        lists.targets[fill[b]] = a;
+        lists.weights[fill[b]++] = count;
     }
-    return adj;
+    return lists;
 }
 
 } // namespace bwsa

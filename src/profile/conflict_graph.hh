@@ -13,7 +13,9 @@
  * key, with unique keys and no zero counts.  Every bulk writer -- the
  * interleave tracker's flush, graph and shard merges, the artifact
  * parser -- hands over sorted runs that fold in with one linear merge
- * (mergeEdges); pruning is a filter and adjacency a counting pass.
+ * (mergeEdges); pruning is a filter.  The working-set definitions and
+ * the allocator read one neighbour-list view, NeighbourLists, built
+ * from the sorted edges (or a filtered subsequence) without a sort.
  */
 
 #ifndef BWSA_PROFILE_CONFLICT_GRAPH_HH
@@ -50,6 +52,28 @@ struct ConflictNode
         return executed ? static_cast<double>(taken) /
                               static_cast<double>(executed)
                         : 0.0;
+    }
+};
+
+/**
+ * Compressed neighbour lists of an undirected graph: node v's
+ * neighbours, strictly ascending, are targets[offsets[v],
+ * offsets[v + 1]), and weights[k] is the interleave count of the edge
+ * to targets[k].  Built by neighbourLists().
+ */
+struct NeighbourLists
+{
+    std::vector<std::size_t> offsets{0};
+    std::vector<NodeId> targets;
+    std::vector<std::uint64_t> weights;
+
+    std::size_t nodeCount() const { return offsets.size() - 1; }
+
+    /** Node @p v's neighbours, ascending. */
+    std::span<const NodeId>
+    of(NodeId v) const
+    {
+        return {targets.data() + offsets[v], targets.data() + offsets[v + 1]};
     }
 };
 
@@ -157,12 +181,11 @@ class ConflictGraph
     mergeRuns(const std::vector<std::span<const Edge>> &runs);
 
     /**
-     * Adjacency lists with counts, sorted by neighbour id.  O(V + E):
-     * the key order already sorts every list; build once per analysis
-     * pass.
+     * Neighbour lists of every node with edge counts:
+     * neighbourLists(edges(), nodeCount()).  O(V + E); build once per
+     * analysis pass.
      */
-    std::vector<std::vector<std::pair<NodeId, std::uint64_t>>>
-    adjacency() const;
+    NeighbourLists neighbours() const;
 
     /** Total dynamic executions over all nodes. */
     std::uint64_t totalExecutions() const { return _total_executions; }
@@ -184,6 +207,18 @@ class ConflictGraph
     std::vector<Edge> _edges; ///< sorted by key, see edges()
     std::uint64_t _total_executions = 0;
 };
+
+/**
+ * Neighbour lists of a @p node_count node graph over @p edges: one
+ * counting pass and one fill pass.  Precondition: @p edges is
+ * ConflictGraph::edges() of such a graph or a subsequence of it, so
+ * keys ascend by (min id, max id).  Each node then receives its
+ * smaller neighbours first, in ascending order, and then its larger
+ * ones, in ascending order, which leaves every list sorted without a
+ * sort.
+ */
+NeighbourLists neighbourLists(std::span<const ConflictGraph::Edge> edges,
+                              std::size_t node_count);
 
 } // namespace bwsa
 

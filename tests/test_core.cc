@@ -129,7 +129,6 @@ TEST(WorkingSets, SeededCliqueSetsAreMaximalCliques)
                                   {3, 5, 1},
                                   {5, 6, 1},
                                   {6, 7, 1}});
-    auto adjacency = g.adjacency();
     WorkingSetResult result =
         findWorkingSets(g, WorkingSetDefinition::SeededClique);
     for (const WorkingSet &set : result.sets) {

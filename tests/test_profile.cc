@@ -7,6 +7,7 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <tuple>
 #include <unordered_map>
 
@@ -256,19 +257,79 @@ TEST(ConflictGraph, MergeAccumulatesAcrossInputs)
 TEST(ConflictGraph, AdjacencyMatchesEdges)
 {
     ConflictGraph g = profileSeq({A, B, C, A, B, C, A, D, A});
-    auto adj = g.adjacency();
-    ASSERT_EQ(adj.size(), g.nodeCount());
+    NeighbourLists adj = g.neighbours();
+    ASSERT_EQ(adj.nodeCount(), g.nodeCount());
     std::size_t total = 0;
-    for (NodeId v = 0; v < adj.size(); ++v) {
-        for (auto [u, w] : adj[v]) {
-            EXPECT_EQ(g.interleaveCount(v, u), w);
+    for (NodeId v = 0; v < adj.nodeCount(); ++v) {
+        std::span<const NodeId> nbrs = adj.of(v);
+        for (std::size_t i = 0; i < nbrs.size(); ++i) {
+            EXPECT_EQ(g.interleaveCount(v, nbrs[i]),
+                      adj.weights[adj.offsets[v] + i]);
             ++total;
         }
         // sorted by neighbour id
-        for (std::size_t i = 1; i < adj[v].size(); ++i)
-            EXPECT_LT(adj[v][i - 1].first, adj[v][i].first);
+        for (std::size_t i = 1; i < nbrs.size(); ++i)
+            EXPECT_LT(nbrs[i - 1], nbrs[i]);
     }
     EXPECT_EQ(total, 2 * g.edgeCount());
+}
+
+TEST(ConflictGraph, NeighboursOfEmptyGraph)
+{
+    NeighbourLists adj = ConflictGraph().neighbours();
+    EXPECT_EQ(adj.nodeCount(), 0u);
+    EXPECT_EQ(adj.offsets, std::vector<std::size_t>{0});
+    EXPECT_TRUE(adj.targets.empty());
+    EXPECT_EQ(NeighbourLists().nodeCount(), 0u);
+}
+
+TEST(ConflictGraph, NeighboursOfIsolatedNodes)
+{
+    ConflictGraph g;
+    NodeId a = g.addOrGetNode(A), b = g.addOrGetNode(B);
+    NodeId c = g.addOrGetNode(C), d = g.addOrGetNode(D);
+    g.addInterleave(b, d, 3);
+    NeighbourLists adj = g.neighbours();
+    ASSERT_EQ(adj.nodeCount(), 4u);
+    EXPECT_TRUE(adj.of(a).empty());
+    EXPECT_TRUE(adj.of(c).empty());
+    ASSERT_EQ(adj.of(b).size(), 1u);
+    EXPECT_EQ(adj.of(b)[0], d);
+    ASSERT_EQ(adj.of(d).size(), 1u);
+    EXPECT_EQ(adj.of(d)[0], b);
+    EXPECT_EQ(adj.weights, (std::vector<std::uint64_t>{3, 3}));
+}
+
+TEST(ConflictGraph, NeighbourListsOfFilteredEdgesMatchPruned)
+{
+    // Any subsequence of the key-sorted edges yields sorted lists:
+    // filtering by threshold must give exactly the pruned copy's.
+    ConflictGraph g;
+    for (BranchPc pc = 0; pc < 12; ++pc)
+        g.addOrGetNode(0x1000 + 4 * pc);
+    for (NodeId a = 0; a < 12; ++a)
+        for (NodeId b = a + 1; b < 12; ++b)
+            if ((a * 7 + b * 3) % 5 != 0)
+                g.addInterleave(a, b, 1 + (a * 13 + b * 5) % 9);
+    const std::uint64_t threshold = 5;
+    std::vector<ConflictGraph::Edge> kept;
+    for (const ConflictGraph::Edge &edge : g.edges())
+        if (edge.second >= threshold)
+            kept.push_back(edge);
+    ASSERT_LT(kept.size(), g.edgeCount());
+    NeighbourLists filtered = neighbourLists(kept, g.nodeCount());
+    NeighbourLists pruned = g.pruned(threshold).neighbours();
+    EXPECT_EQ(filtered.offsets, pruned.offsets);
+    EXPECT_EQ(filtered.targets, pruned.targets);
+    EXPECT_EQ(filtered.weights, pruned.weights);
+    for (NodeId v = 0; v < filtered.nodeCount(); ++v) {
+        std::span<const NodeId> nbrs = filtered.of(v);
+        for (std::size_t i = 0; i < nbrs.size(); ++i)
+            EXPECT_EQ(filtered.weights[filtered.offsets[v] + i],
+                      g.interleaveCount(v, nbrs[i]));
+        for (std::size_t i = 1; i < nbrs.size(); ++i)
+            EXPECT_LT(nbrs[i - 1], nbrs[i]);
+    }
 }
 
 // ------------------------------------------------- multi-replay tracking

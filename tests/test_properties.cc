@@ -222,6 +222,188 @@ TEST_P(WorkingSetSeeds, PartitionNeverExceedsComponentSize)
     EXPECT_GE(partition.sets.size(), components.sets.size());
 }
 
+namespace
+{
+
+/**
+ * Straight-line reference of every working-set definition, written
+ * against interleaveCount() alone so it shares no neighbour-list code
+ * with the library.
+ */
+class ReferenceWorkingSets
+{
+  public:
+    explicit ReferenceWorkingSets(const ConflictGraph &g) : _g(g) {}
+
+    std::vector<WorkingSet>
+    seededCliques() const
+    {
+        std::vector<WorkingSet> out;
+        for (NodeId seed = 0; seed < n(); ++seed) {
+            WorkingSet set{seed};
+            std::vector<NodeId> candidates = neighbours(seed);
+            while (!candidates.empty()) {
+                NodeId best = *std::min_element(
+                    candidates.begin(), candidates.end(),
+                    [this](NodeId a, NodeId b) { return hotter(a, b); });
+                set.push_back(best);
+                std::erase_if(candidates, [&](NodeId c) {
+                    return !adjacent(c, best);
+                });
+            }
+            std::sort(set.begin(), set.end());
+            if (std::find(out.begin(), out.end(), set) == out.end())
+                out.push_back(set);
+        }
+        return out;
+    }
+
+    std::vector<WorkingSet>
+    greedyPartition() const
+    {
+        std::vector<NodeId> order(n());
+        for (NodeId v = 0; v < n(); ++v)
+            order[v] = v;
+        std::sort(order.begin(), order.end(),
+                  [this](NodeId a, NodeId b) { return hotter(a, b); });
+        std::vector<bool> assigned(n(), false);
+        std::vector<WorkingSet> out;
+        for (NodeId seed : order) {
+            if (assigned[seed])
+                continue;
+            assigned[seed] = true;
+            WorkingSet set{seed};
+            std::vector<NodeId> candidates;
+            for (NodeId v : order)
+                if (!assigned[v] && adjacent(seed, v))
+                    candidates.push_back(v);
+            for (NodeId c : candidates) {
+                if (std::all_of(set.begin(), set.end(), [&](NodeId m) {
+                        return adjacent(c, m);
+                    })) {
+                    set.push_back(c);
+                    assigned[c] = true;
+                }
+            }
+            std::sort(set.begin(), set.end());
+            out.push_back(set);
+        }
+        return out;
+    }
+
+    /** Components, each sorted, in order of their smallest member. */
+    std::vector<WorkingSet>
+    connectedComponents() const
+    {
+        std::vector<NodeId> label(n(), invalid_node);
+        std::vector<WorkingSet> out;
+        for (NodeId start = 0; start < n(); ++start) {
+            if (label[start] != invalid_node)
+                continue;
+            WorkingSet component{start};
+            label[start] = start;
+            for (std::size_t i = 0; i < component.size(); ++i)
+                for (NodeId w : neighbours(component[i]))
+                    if (label[w] == invalid_node) {
+                        label[w] = start;
+                        component.push_back(w);
+                    }
+            std::sort(component.begin(), component.end());
+            out.push_back(component);
+        }
+        return out;
+    }
+
+    /** Every maximal clique, by enumerating all node subsets. */
+    std::set<WorkingSet>
+    maximalCliques() const
+    {
+        std::set<WorkingSet> out;
+        for (std::uint32_t mask = 1; mask < (1u << n()); ++mask) {
+            WorkingSet set;
+            for (NodeId v = 0; v < n(); ++v)
+                if (mask & (1u << v))
+                    set.push_back(v);
+            if (!isClique(set))
+                continue;
+            bool maximal = true;
+            for (NodeId v = 0; v < n() && maximal; ++v)
+                if (!(mask & (1u << v)) &&
+                    std::all_of(set.begin(), set.end(),
+                                [&](NodeId m) { return adjacent(v, m); }))
+                    maximal = false;
+            if (maximal)
+                out.insert(set);
+        }
+        return out;
+    }
+
+  private:
+    NodeId n() const { return static_cast<NodeId>(_g.nodeCount()); }
+
+    bool
+    adjacent(NodeId a, NodeId b) const
+    {
+        return a != b && _g.interleaveCount(a, b) != 0;
+    }
+
+    std::vector<NodeId>
+    neighbours(NodeId v) const
+    {
+        std::vector<NodeId> out;
+        for (NodeId u = 0; u < n(); ++u)
+            if (adjacent(v, u))
+                out.push_back(u);
+        return out;
+    }
+
+    bool
+    isClique(const WorkingSet &set) const
+    {
+        for (std::size_t i = 0; i < set.size(); ++i)
+            for (std::size_t j = i + 1; j < set.size(); ++j)
+                if (!adjacent(set[i], set[j]))
+                    return false;
+        return true;
+    }
+
+    /** More executions first, then the lower id. */
+    bool
+    hotter(NodeId a, NodeId b) const
+    {
+        std::uint64_t ea = _g.node(a).executed;
+        std::uint64_t eb = _g.node(b).executed;
+        return ea != eb ? ea > eb : a < b;
+    }
+
+    const ConflictGraph &_g;
+};
+
+} // namespace
+
+TEST_P(WorkingSetSeeds, DefinitionsMatchReference)
+{
+    ConflictGraph g = randomGraph(GetParam(), 60, 0.15);
+    ReferenceWorkingSets ref(g);
+    EXPECT_EQ(findWorkingSets(g, WorkingSetDefinition::SeededClique).sets,
+              ref.seededCliques());
+    EXPECT_EQ(
+        findWorkingSets(g, WorkingSetDefinition::GreedyPartition).sets,
+        ref.greedyPartition());
+    EXPECT_EQ(
+        findWorkingSets(g, WorkingSetDefinition::ConnectedComponent)
+            .sets,
+        ref.connectedComponents());
+
+    ConflictGraph small = randomGraph(GetParam() + 300, 14, 0.45);
+    WorkingSetResult cliques =
+        findWorkingSets(small, WorkingSetDefinition::MaximalClique);
+    EXPECT_FALSE(cliques.truncated);
+    std::set<WorkingSet> got(cliques.sets.begin(), cliques.sets.end());
+    EXPECT_EQ(got.size(), cliques.sets.size()) << "duplicate clique";
+    EXPECT_EQ(got, ReferenceWorkingSets(small).maximalCliques());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, WorkingSetSeeds,
                          ::testing::Values(1u, 7u, 21u, 42u));
 
