@@ -39,9 +39,8 @@ main(int argc, char **argv)
             makeWorkload(run.preset, run.input_label, options.scale);
         WorkloadTraceSource source = w.source();
 
-        PredictorPtr predictor = makePredictor(paperBaselineSpec());
         ClusterReport report =
-            analyzeMispredictionClustering(source, *predictor);
+            analyzeMispredictionClustering(source, paperBaselineSpec());
 
         double miss_pct =
             report.branches

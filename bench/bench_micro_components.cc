@@ -22,11 +22,9 @@
 #include "store/block_trace.hh"
 #include "store/profile_artifact.hh"
 #include "predict/factory.hh"
-#include "predict/twolevel.hh"
 #include "profile/interleave.hh"
 #include "profile/shard.hh"
 #include "sim/batched_replay.hh"
-#include "sim/bpred_sim.hh"
 #include "trace/trace.hh"
 #include "trace/trace_stats.hh"
 #include "util/strutil.hh"
@@ -88,15 +86,14 @@ BM_InterleaveTracking(benchmark::State &state)
         static_cast<std::int64_t>(trace.size()));
 }
 
+/** One single-lane batched replay of the cached trace per iteration. */
 void
 BM_PredictorStep(benchmark::State &state, PredictorSpec spec)
 {
     const MemoryTrace &trace = cachedTrace();
-    PredictorPtr predictor = makePredictor(spec);
     for (auto _ : state) {
-        PredictionSim sim(*predictor);
-        trace.replay(sim);
-        benchmark::DoNotOptimize(sim.stats().mispredicts.events());
+        std::vector<PredictionStats> stats = replayBatched(trace, {spec});
+        benchmark::DoNotOptimize(stats[0].mispredicts.events());
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
@@ -114,10 +111,9 @@ replayContenders()
 
 /**
  * The batched replay engine over the whole contender set: one trace
- * decode, all predictors stepped through packed lanes.  Compare
- * against BM_FanoutReplay (same set through comparePredictors()) --
- * items processed count (records x predictors) in both, so the
- * items/s rates are directly comparable.
+ * decode, all predictors stepped through packed lanes.  Items
+ * processed count records x predictors, so the items/s rate compares
+ * directly with the single-lane BM_PredictorStep rows.
  */
 void
 BM_BatchedReplay(benchmark::State &state)
@@ -134,46 +130,23 @@ BM_BatchedReplay(benchmark::State &state)
         static_cast<std::int64_t>(trace.size() * specs.size()));
 }
 
-/** Reference path: the same contender set via comparePredictors(). */
-void
-BM_FanoutReplay(benchmark::State &state)
-{
-    const MemoryTrace &trace = cachedTrace();
-    const std::vector<PredictorSpec> specs = replayContenders();
-    for (auto _ : state) {
-        std::vector<PredictorPtr> owned;
-        std::vector<Predictor *> raw;
-        for (const PredictorSpec &spec : specs) {
-            owned.push_back(makePredictor(spec));
-            raw.push_back(owned.back().get());
-        }
-        std::vector<PredictionStats> stats =
-            comparePredictors(trace, raw);
-        benchmark::DoNotOptimize(stats[0].mispredicts.events());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(trace.size() * specs.size()));
-}
-
 /**
  * The interference probe's replay cost, against the BM_PredictorStep
  * pag_modulo baseline: probe_off must sit within noise of pag_modulo
- * (a disabled probe is one null-pointer test per update), probe_on
+ * (a disabled probe is one null-pointer test per step), probe_on
  * quantifies the opt-in shadow-history cost.
  */
 void
 BM_PredictorStepProbe(benchmark::State &state, bool enable_probe)
 {
     const MemoryTrace &trace = cachedTrace();
-    PredictorPtr predictor = makePredictor(paperBaselineSpec());
-    if (enable_probe)
-        dynamic_cast<PAgPredictor &>(*predictor)
-            .enableInterferenceProbe();
+    BatchedLaneOptions options;
+    options.probe = enable_probe;
     for (auto _ : state) {
-        PredictionSim sim(*predictor);
-        trace.replay(sim);
-        benchmark::DoNotOptimize(sim.stats().mispredicts.events());
+        BatchedReplayer replayer;
+        replayer.addLane(paperBaselineSpec(), options);
+        replayer.replay(trace);
+        benchmark::DoNotOptimize(replayer.stats(0).mispredicts.events());
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
@@ -491,11 +464,10 @@ emitStoreThroughput(const bench::BenchOptions &options)
 
 /**
  * The headline batched-replay measurement: the fig3-shaped contender
- * set replayed three ways -- N serial single-predictor replays (N
- * decodes), the comparePredictors() fan-out (1 decode, virtual
- * dispatch) and the batched engine (1 decode, packed lanes) -- with
- * per-lane misprediction identity checked across all three.  The
- * speedups are what the trajectory file (BENCH_7) tracks.
+ * set replayed as N single-lane passes (N decodes) and as one N-lane
+ * pass (1 decode), with per-lane misprediction identity checked
+ * between the two.  The speedup is what the trajectory file (BENCH_7)
+ * tracks.
  */
 void
 emitBatchedReplay(const bench::BenchOptions &options)
@@ -505,22 +477,8 @@ emitBatchedReplay(const bench::BenchOptions &options)
 
     std::vector<PredictionStats> serial_stats;
     double serial_ms = timedMillis([&] {
-        for (const PredictorSpec &spec : specs) {
-            PredictorPtr predictor = makePredictor(spec);
-            serial_stats.push_back(
-                simulatePredictor(trace, *predictor));
-        }
-    });
-
-    std::vector<PredictionStats> fanout_stats;
-    double fanout_ms = timedMillis([&] {
-        std::vector<PredictorPtr> owned;
-        std::vector<Predictor *> raw;
-        for (const PredictorSpec &spec : specs) {
-            owned.push_back(makePredictor(spec));
-            raw.push_back(owned.back().get());
-        }
-        fanout_stats = comparePredictors(trace, raw);
+        for (const PredictorSpec &spec : specs)
+            serial_stats.push_back(replayBatched(trace, {spec})[0]);
     });
 
     std::vector<PredictionStats> batched_stats;
@@ -531,25 +489,18 @@ emitBatchedReplay(const bench::BenchOptions &options)
     for (std::size_t i = 0; i < specs.size(); ++i)
         identical = identical &&
                     batched_stats[i].mispredicts.events() ==
-                        fanout_stats[i].mispredicts.events() &&
-                    batched_stats[i].mispredicts.events() ==
                         serial_stats[i].mispredicts.events() &&
                     batched_stats[i].mispredicts.total() ==
-                        fanout_stats[i].mispredicts.total();
+                        serial_stats[i].mispredicts.total();
 
-    auto speedup = [](double base_ms, double ms) {
-        return ms > 0.0 ? fixedString(base_ms / ms, 2) + "x"
-                        : std::string("-");
-    };
     TextTable table({"predictors", "records", "serial ms",
-                     "fanout ms", "batched ms", "vs serial",
-                     "vs fanout", "identical"});
+                     "batched ms", "vs serial", "identical"});
     table.addRow({std::to_string(specs.size()),
                   withCommas(trace.size()), fixedString(serial_ms, 3),
-                  fixedString(fanout_ms, 3),
                   fixedString(batched_ms, 3),
-                  speedup(serial_ms, batched_ms),
-                  speedup(fanout_ms, batched_ms),
+                  batched_ms > 0.0
+                      ? fixedString(serial_ms / batched_ms, 2) + "x"
+                      : std::string("-"),
                   identical ? "yes" : "NO"});
     bench::emitTable("batched replay (one decode, N predictors)",
                      table, options);
@@ -573,7 +524,6 @@ BENCHMARK_CAPTURE(BM_PredictorStep, pag_modulo, paperBaselineSpec())
 BENCHMARK_CAPTURE(BM_PredictorStep, pag_ideal, interferenceFreeSpec())
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_BatchedReplay)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FanoutReplay)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PredictorStepProbe, probe_off, false)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_PredictorStepProbe, probe_on, true)

@@ -1,12 +1,5 @@
 #include "predict/factory.hh"
 
-#include "predict/agree.hh"
-#include "predict/bimodal.hh"
-#include "predict/index_policy.hh"
-#include "predict/static_filter.hh"
-#include "predict/static_pred.hh"
-#include "predict/tournament.hh"
-#include "predict/twolevel.hh"
 #include "util/bitfield.hh"
 #include "util/logging.hh"
 #include "util/strutil.hh"
@@ -48,83 +41,123 @@ predictorKindName(PredictorKind kind)
     bwsa_panic("unknown PredictorKind ", static_cast<int>(kind));
 }
 
-PredictorPtr
-makePredictor(const PredictorSpec &spec)
+void
+validatePredictorSpec(const PredictorSpec &spec)
 {
+    const std::string kind = predictorKindName(spec.kind);
     switch (spec.kind) {
       case PredictorKind::AlwaysTaken:
-        return std::make_unique<AlwaysTakenPredictor>();
-
       case PredictorKind::AlwaysNotTaken:
-        return std::make_unique<AlwaysNotTakenPredictor>();
-
       case PredictorKind::ProfileStatic:
-        return std::make_unique<ProfileStaticPredictor>(
-            spec.static_directions);
+        return;
+
+      case PredictorKind::Tournament:
+        for (const PredictorSpec &part : componentSpecs(spec))
+            validatePredictorSpec(part);
+        if (spec.pht_entries == 0)
+            bwsa_panic(kind, " requires a nonzero chooser");
+        return;
+
+      case PredictorKind::StaticFilteredPAg:
+        validatePredictorSpec(componentSpecs(spec)[0]);
+        return;
 
       case PredictorKind::Bimodal:
-        return std::make_unique<BimodalPredictor>(
-            std::make_unique<ModuloIndexer>(spec.bht_entries,
-                                            spec.insn_shift),
-            spec.counter_bits);
+      case PredictorKind::PAgModulo:
+      case PredictorKind::PAgAllocated:
+      case PredictorKind::PAs:
+        if (spec.bht_entries == 0)
+            bwsa_panic(kind, " BHT requires at least 1 entry");
+        break;
 
       case PredictorKind::GAg:
-        return std::make_unique<GAgPredictor>(spec.history_bits,
-                                              spec.counter_bits);
-
       case PredictorKind::Gshare:
-        return std::make_unique<GsharePredictor>(
-            spec.history_bits, spec.counter_bits, spec.insn_shift);
-
-      case PredictorKind::PAgModulo:
-        return std::make_unique<PAgPredictor>(
-            std::make_unique<ModuloIndexer>(spec.bht_entries,
-                                            spec.insn_shift),
-            spec.history_bits, spec.pht_entries, spec.counter_bits);
-
-      case PredictorKind::PAgAllocated:
-        return std::make_unique<PAgPredictor>(
-            std::make_unique<AllocatedIndexer>(spec.assignment,
-                                               spec.bht_entries,
-                                               spec.insn_shift),
-            spec.history_bits, spec.pht_entries, spec.counter_bits);
-
-      case PredictorKind::PAgIdeal:
-        return std::make_unique<PAgPredictor>(
-            std::make_unique<IdealIndexer>(), spec.history_bits,
-            spec.pht_entries, spec.counter_bits);
-
-      case PredictorKind::PAs:
-        return std::make_unique<PAsPredictor>(
-            std::make_unique<ModuloIndexer>(spec.bht_entries,
-                                            spec.insn_shift),
-            spec.history_bits, spec.pht_sets, spec.counter_bits,
-            spec.insn_shift);
-
       case PredictorKind::Agree:
-        return std::make_unique<AgreePredictor>(
-            spec.history_bits, spec.counter_bits, spec.insn_shift);
+      case PredictorKind::PAgIdeal:
+        break;
+    }
 
-      case PredictorKind::StaticFilteredPAg: {
-        PredictorSpec inner_spec = spec;
-        inner_spec.kind = spec.assignment.empty()
-                              ? PredictorKind::PAgModulo
-                              : PredictorKind::PAgAllocated;
-        return std::make_unique<StaticFilterPredictor>(
-            spec.static_directions, makePredictor(inner_spec));
-      }
+    if (spec.kind == PredictorKind::PAgAllocated)
+        for (const auto &[pc, idx] : spec.assignment)
+            if (idx >= spec.bht_entries)
+                bwsa_panic("allocated index ", idx, " for pc ", pc,
+                           " exceeds table size ", spec.bht_entries);
+    const bool pag = spec.kind == PredictorKind::PAgModulo ||
+                     spec.kind == PredictorKind::PAgAllocated ||
+                     spec.kind == PredictorKind::PAgIdeal;
+    if (pag && spec.pht_entries == 0)
+        bwsa_panic(kind, " requires a nonzero PHT");
+    if (spec.kind == PredictorKind::PAs && !isPowerOfTwo(spec.pht_sets))
+        bwsa_panic(kind, " pht_sets must be a power of two, got ",
+                   spec.pht_sets);
+    if (spec.kind != PredictorKind::Bimodal &&
+        (spec.history_bits < 1 || spec.history_bits > 32))
+        bwsa_panic(kind, " history width must be 1..32, got ",
+                   spec.history_bits);
+    if (spec.counter_bits < 1 || spec.counter_bits > 8)
+        bwsa_panic(kind, " counter width must be 1..8, got ",
+                   spec.counter_bits);
+}
 
+std::string
+predictorName(const PredictorSpec &spec)
+{
+    const std::string hist = "-h" + std::to_string(spec.history_bits);
+    const std::string bht = std::to_string(spec.bht_entries);
+    const std::string pht = ",pht=" + std::to_string(spec.pht_entries) + ")";
+    switch (spec.kind) {
+      case PredictorKind::AlwaysTaken:
+      case PredictorKind::AlwaysNotTaken:
+      case PredictorKind::ProfileStatic:
+        return predictorKindName(spec.kind);
+      case PredictorKind::Bimodal:
+        return "bimodal(pc-mod-" + bht + ")";
+      case PredictorKind::GAg:
+        return "GAg" + hist;
+      case PredictorKind::Gshare:
+        return "gshare" + hist;
+      case PredictorKind::Agree:
+        return "agree" + hist;
+      case PredictorKind::PAgModulo:
+        return "PAg(pc-mod-" + bht + ",bht=" + bht + pht;
+      case PredictorKind::PAgAllocated:
+        return "PAg(alloc-" + bht + ",bht=" + bht + pht;
+      case PredictorKind::PAgIdeal:
+        return "PAg(ideal,bht=inf" + pht;
+      case PredictorKind::PAs:
+        return "PAs(pc-mod-" + bht +
+               ",sets=" + std::to_string(spec.pht_sets) + ")";
       case PredictorKind::Tournament: {
-        PredictorSpec gshare_spec = spec;
-        gshare_spec.kind = PredictorKind::Gshare;
-        PredictorSpec bimodal_spec = spec;
-        bimodal_spec.kind = PredictorKind::Bimodal;
-        return std::make_unique<TournamentPredictor>(
-            makePredictor(bimodal_spec), makePredictor(gshare_spec),
-            spec.pht_entries, spec.insn_shift);
+        std::vector<PredictorSpec> parts = componentSpecs(spec);
+        return "tournament(" + predictorName(parts[0]) + "," +
+               predictorName(parts[1]) + ")";
       }
+      case PredictorKind::StaticFilteredPAg:
+        return "static-filter(" +
+               std::to_string(spec.static_directions.size()) + "," +
+               predictorName(componentSpecs(spec)[0]) + ")";
     }
     bwsa_panic("unknown PredictorKind ", static_cast<int>(spec.kind));
+}
+
+std::vector<PredictorSpec>
+componentSpecs(const PredictorSpec &spec)
+{
+    auto as = [&spec](PredictorKind kind) {
+        PredictorSpec part = spec;
+        part.kind = kind;
+        return part;
+    };
+    switch (spec.kind) {
+      case PredictorKind::Tournament:
+        return {as(PredictorKind::Bimodal), as(PredictorKind::Gshare)};
+      case PredictorKind::StaticFilteredPAg:
+        return {as(spec.assignment.empty()
+                       ? PredictorKind::PAgModulo
+                       : PredictorKind::PAgAllocated)};
+      default:
+        return {};
+    }
 }
 
 namespace
@@ -190,7 +223,7 @@ applySpecParam(PredictorSpec &spec, const std::string &param,
         require(value >= 1 && value <= 30, "1..30");
         spec.history_bits = static_cast<unsigned>(value);
     } else if (key == "ctr") {
-        require(value >= 1 && value <= 16, "1..16");
+        require(value >= 1 && value <= 8, "1..8");
         spec.counter_bits = static_cast<unsigned>(value);
     } else if (key == "sets") {
         require(value >= 1, ">= 1");

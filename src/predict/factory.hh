@@ -1,19 +1,24 @@
 /**
  * @file
- * Declarative construction of predictors for benches and examples.
+ * The predictor spec layer: the PredictorSpec every bench, tool and
+ * example describes a predictor with, its CLI grammar, its validation
+ * and its report name.  Batched replay (sim/batched_replay.hh) builds
+ * its lanes from these specs.
  */
 
 #ifndef BWSA_PREDICT_FACTORY_HH
 #define BWSA_PREDICT_FACTORY_HH
 
+#include <string>
 #include <unordered_map>
+#include <vector>
 
-#include "predict/predictor.hh"
+#include "trace/branch_record.hh"
 
 namespace bwsa
 {
 
-/** Predictor families the factory can build. */
+/** Predictor families a spec can describe. */
 enum class PredictorKind
 {
     AlwaysTaken,
@@ -69,8 +74,29 @@ struct PredictorSpec
     unsigned insn_shift = 3;
 };
 
-/** Build a predictor; panics on inconsistent specs. */
-PredictorPtr makePredictor(const PredictorSpec &spec);
+/**
+ * Panic on an inconsistent spec: a zero-entry BHT, PHT or chooser, a
+ * PAs set count that is not a power of two, an allocated index
+ * outside the BHT, or a history (1..32) or counter (1..8) width out
+ * of range.  Only the fields the kind uses are checked; composite
+ * kinds check their components.
+ */
+void validatePredictorSpec(const PredictorSpec &spec);
+
+/**
+ * Report name of the predictor @p spec describes, e.g.
+ * "PAg(pc-mod-1024,bht=1024,pht=4096)" or "gshare-h12".
+ */
+std::string predictorName(const PredictorSpec &spec);
+
+/**
+ * Component specs of a composite kind, empty for the others:
+ * Tournament -> {bimodal, gshare} over the spec's geometry (the
+ * chooser favours the second when high); StaticFilteredPAg -> the PAg
+ * behind the static map (allocated when the spec carries an
+ * assignment, modulo otherwise).
+ */
+std::vector<PredictorSpec> componentSpecs(const PredictorSpec &spec);
 
 /**
  * Parse a predictor description string into a spec (the CLI-facing
@@ -84,7 +110,7 @@ PredictorPtr makePredictor(const PredictorSpec &spec);
  *     key   := bht   (first-level BHT / bimodal entries, >= 1)
  *            | pht   (second-level PHT entries, >= 1)
  *            | hist  (history register bits, 1..30)
- *            | ctr   (saturating counter bits, 1..16)
+ *            | ctr   (saturating counter bits, 1..8)
  *            | sets  (PAs second-level set count, >= 1)
  *            | shift (instruction alignment shift, 0..4)
  *

@@ -4,7 +4,6 @@
 
 #include "obs/metrics.hh"
 #include "obs/phase_tracer.hh"
-#include "predict/twolevel.hh"
 #include "util/bitfield.hh"
 #include "util/logging.hh"
 
@@ -14,21 +13,23 @@ namespace bwsa
 namespace
 {
 
-/** Flat-lane families; Generic drives a real Predictor object. */
+/** Lane families, one per PredictorKind (the PAg kinds share one). */
 enum class LaneKind : std::uint8_t
 {
     StaticTaken,
     StaticNotTaken,
+    ProfileStatic,
     Bimodal,
     GAg,
     Gshare,
     Agree,
     PAg,
     PAs,
-    Generic,
+    Tournament,
+    StaticFiltered,
 };
 
-/** BHT index policy of a flat PAg lane. */
+/** BHT index policy of a PAg lane. */
 enum class PagIndexMode : std::uint8_t
 {
     Modulo,
@@ -37,10 +38,8 @@ enum class PagIndexMode : std::uint8_t
 };
 
 /**
- * Counter handles resolved once (same rationale as bpred_sim.cc: the
- * by-name lookup takes the registry mutex).  They alias the cells the
- * serial engine flushes into -- counters are keyed by name -- so
- * reports see one sim.* family whichever engine replayed the trace.
+ * Counter handles resolved once: the by-name lookup takes the
+ * registry mutex, and parallel sweep cells flush after every replay.
  */
 obs::Counter &
 branchesCounter()
@@ -93,34 +92,39 @@ counterStep(std::uint8_t &value, std::uint8_t max, bool taken)
     }
 }
 
-} // namespace
+/** Shift @p taken into a history pattern of @p mask width. */
+inline std::uint32_t
+pushHistory(std::uint32_t hist, bool taken, std::uint32_t mask)
+{
+    return ((hist << 1) | (taken ? 1u : 0u)) & mask;
+}
 
 /**
- * One predictor configuration in packed (structure-of-arrays) form.
+ * The predictor state of one lane in packed (structure-of-arrays)
+ * form.
  *
  * The geometry fields are frozen at addLane(); the step loop touches
- * only the flat vectors (histories as raw uint16_t patterns, counters
- * as raw uint8_t values) plus the sparse side maps the corresponding
- * Predictor would also consult (allocated assignment, ideal-index ids,
- * agree bias bits).
+ * only the flat vectors plus the sparse side maps the predictor
+ * consults (allocated assignment, ideal-index ids, agree bias bits,
+ * static directions).  Composite kinds keep their components as
+ * sub-lanes in `parts`.
  */
-struct BatchedReplayer::Lane
+struct LaneState
 {
-    LaneKind kind = LaneKind::Generic;
+    LaneKind kind = LaneKind::StaticTaken;
     PagIndexMode index_mode = PagIndexMode::Modulo;
 
     // Geometry.
     std::uint64_t bht_entries = 0; ///< modulo divisor; 0 = unbounded
-    std::uint64_t pht_size = 0;    ///< PAg PHT modulo divisor
+    std::uint64_t pht_size = 0;    ///< PAg PHT / chooser divisor
     std::uint64_t pht_sets = 1;    ///< PAs second-level set count
-    std::uint64_t ghist_mask = 0;  ///< global-history index mask
-    std::uint16_t hist_mask = 0;   ///< per-address pattern mask
+    std::uint32_t hist_mask = 0;   ///< global or per-address history
     unsigned hist_bits = 0;
     unsigned shift = 3;
     std::uint8_t counter_max = 3;
 
     // Packed state.
-    std::vector<std::uint16_t> bht; ///< per-entry history patterns
+    std::vector<std::uint32_t> bht; ///< per-entry history patterns
     std::vector<std::uint8_t> pht;  ///< saturating counter values
     std::uint32_t ghist = 0;        ///< global history register
 
@@ -128,13 +132,257 @@ struct BatchedReplayer::Lane
     std::unordered_map<BranchPc, std::uint32_t> assignment;
     std::unordered_map<BranchPc, std::uint64_t> ideal_ids;
     std::unordered_map<BranchPc, bool> bias;
+    std::unordered_map<BranchPc, bool> directions;
 
-    // Generic fallback: the real predictor object.
-    PredictorPtr predictor;
-    PAgPredictor *generic_pag = nullptr; ///< probe-enabled fallback
+    /** Sub-lanes: tournament {bimodal, gshare}; filtered {PAg}. */
+    std::vector<LaneState> parts;
+
+    /** BHT interference probe (top-level PAg lanes only). */
+    std::unique_ptr<BhtInterferenceProbe> probe;
+};
+
+/** Lane state for a validated @p spec. */
+LaneState
+buildLane(const PredictorSpec &spec)
+{
+    LaneState lane;
+    lane.shift = spec.insn_shift;
+    std::uint8_t mid = 0;
+    if (spec.kind != PredictorKind::AlwaysTaken &&
+        spec.kind != PredictorKind::AlwaysNotTaken &&
+        spec.kind != PredictorKind::ProfileStatic) {
+        mid = static_cast<std::uint8_t>((1u << spec.counter_bits) >> 1);
+        lane.counter_max =
+            static_cast<std::uint8_t>((1u << spec.counter_bits) - 1u);
+        lane.hist_bits = spec.history_bits;
+        lane.hist_mask =
+            static_cast<std::uint32_t>(lowMask(spec.history_bits));
+    }
+
+    switch (spec.kind) {
+      case PredictorKind::AlwaysTaken:
+        lane.kind = LaneKind::StaticTaken;
+        break;
+
+      case PredictorKind::AlwaysNotTaken:
+        lane.kind = LaneKind::StaticNotTaken;
+        break;
+
+      case PredictorKind::ProfileStatic:
+        lane.kind = LaneKind::ProfileStatic;
+        lane.directions = spec.static_directions;
+        break;
+
+      case PredictorKind::Bimodal:
+        lane.kind = LaneKind::Bimodal;
+        lane.bht_entries = spec.bht_entries;
+        lane.pht.assign(spec.bht_entries, mid);
+        break;
+
+      case PredictorKind::GAg:
+      case PredictorKind::Gshare:
+        lane.kind = spec.kind == PredictorKind::GAg ? LaneKind::GAg
+                                                    : LaneKind::Gshare;
+        lane.pht.assign(std::uint64_t(1) << spec.history_bits, mid);
+        break;
+
+      case PredictorKind::Agree:
+        lane.kind = LaneKind::Agree;
+        // Agree counters start strongly agreeing.
+        lane.pht.assign(std::uint64_t(1) << spec.history_bits,
+                        lane.counter_max);
+        break;
+
+      case PredictorKind::PAgModulo:
+      case PredictorKind::PAgAllocated:
+      case PredictorKind::PAgIdeal:
+        lane.kind = LaneKind::PAg;
+        lane.pht_size = spec.pht_entries;
+        lane.pht.assign(spec.pht_entries, mid);
+        if (spec.kind == PredictorKind::PAgIdeal) {
+            lane.index_mode = PagIndexMode::Ideal;
+        } else {
+            lane.index_mode = spec.kind == PredictorKind::PAgAllocated
+                                  ? PagIndexMode::Allocated
+                                  : PagIndexMode::Modulo;
+            lane.bht_entries = spec.bht_entries;
+            lane.bht.assign(spec.bht_entries, 0);
+            if (spec.kind == PredictorKind::PAgAllocated)
+                lane.assignment = spec.assignment;
+        }
+        break;
+
+      case PredictorKind::PAs:
+        lane.kind = LaneKind::PAs;
+        lane.pht_sets = spec.pht_sets;
+        lane.bht_entries = spec.bht_entries;
+        lane.bht.assign(spec.bht_entries, 0);
+        lane.pht.assign(spec.pht_sets << spec.history_bits, mid);
+        break;
+
+      case PredictorKind::Tournament:
+        lane.kind = LaneKind::Tournament;
+        // The chooser: 2-bit counters starting weakly at the first
+        // (bimodal) component.
+        lane.counter_max = 3;
+        lane.pht_size = spec.pht_entries;
+        lane.pht.assign(spec.pht_entries, 1);
+        break;
+
+      case PredictorKind::StaticFilteredPAg:
+        lane.kind = LaneKind::StaticFiltered;
+        lane.directions = spec.static_directions;
+        break;
+    }
+    for (const PredictorSpec &part : componentSpecs(spec))
+        lane.parts.push_back(buildLane(part));
+    return lane;
+}
+
+/** Advance one lane by one record; returns the prediction. */
+bool
+step(LaneState &lane, BranchPc pc, bool taken)
+{
+    switch (lane.kind) {
+      case LaneKind::StaticTaken:
+        return true;
+
+      case LaneKind::StaticNotTaken:
+        return false;
+
+      case LaneKind::ProfileStatic: {
+        // Unprofiled branches are predicted taken.
+        auto it = lane.directions.find(pc);
+        return it == lane.directions.end() || it->second;
+      }
+
+      case LaneKind::Bimodal: {
+        std::uint8_t &ctr =
+            lane.pht[(pc >> lane.shift) % lane.bht_entries];
+        bool predicted = counterTaken(ctr, lane.counter_max);
+        counterStep(ctr, lane.counter_max, taken);
+        return predicted;
+      }
+
+      case LaneKind::GAg: {
+        std::uint8_t &ctr = lane.pht[lane.ghist];
+        bool predicted = counterTaken(ctr, lane.counter_max);
+        counterStep(ctr, lane.counter_max, taken);
+        lane.ghist = pushHistory(lane.ghist, taken, lane.hist_mask);
+        return predicted;
+      }
+
+      case LaneKind::Gshare: {
+        std::uint64_t idx =
+            (lane.ghist ^ (pc >> lane.shift)) & lane.hist_mask;
+        std::uint8_t &ctr = lane.pht[idx];
+        bool predicted = counterTaken(ctr, lane.counter_max);
+        counterStep(ctr, lane.counter_max, taken);
+        lane.ghist = pushHistory(lane.ghist, taken, lane.hist_mask);
+        return predicted;
+      }
+
+      case LaneKind::Agree: {
+        auto it = lane.bias.find(pc);
+        // Unknown branch: no bias bit yet, predict taken.
+        bool bias = it == lane.bias.end() ? true : it->second;
+        std::uint64_t idx =
+            (lane.ghist ^ (pc >> lane.shift)) & lane.hist_mask;
+        std::uint8_t &ctr = lane.pht[idx];
+        bool predicted =
+            counterTaken(ctr, lane.counter_max) ? bias : !bias;
+        // The bias bit latches the branch's first outcome.
+        bool latched = lane.bias.emplace(pc, taken).first->second;
+        counterStep(ctr, lane.counter_max, taken == latched);
+        lane.ghist = pushHistory(lane.ghist, taken, lane.hist_mask);
+        return predicted;
+      }
+
+      case LaneKind::PAg: {
+        std::uint64_t idx = 0;
+        switch (lane.index_mode) {
+          case PagIndexMode::Modulo:
+            idx = (pc >> lane.shift) % lane.bht_entries;
+            break;
+          case PagIndexMode::Allocated: {
+            auto it = lane.assignment.find(pc);
+            idx = it != lane.assignment.end()
+                      ? it->second
+                      : (pc >> lane.shift) % lane.bht_entries;
+            break;
+          }
+          case PagIndexMode::Ideal:
+            idx = lane.ideal_ids.emplace(pc, lane.ideal_ids.size())
+                      .first->second;
+            break;
+        }
+        if (idx >= lane.bht.size())
+            lane.bht.resize(idx + 1, 0);
+        std::uint32_t hist = lane.bht[idx];
+        std::uint8_t &ctr = lane.pht[hist % lane.pht_size];
+        bool predicted = counterTaken(ctr, lane.counter_max);
+        if (lane.probe) {
+            // Classify against the pre-update PHT, then advance the
+            // branch's private shadow history.
+            HistoryRegister &shadow = lane.probe->shadow(pc);
+            std::uint32_t private_hist = shadow.value();
+            bool pred_private =
+                counterTaken(lane.pht[private_hist % lane.pht_size],
+                             lane.counter_max);
+            lane.probe->observe(idx, pc, hist, private_hist, predicted,
+                                pred_private, taken);
+            shadow.push(taken);
+        }
+        counterStep(ctr, lane.counter_max, taken);
+        lane.bht[idx] = pushHistory(hist, taken, lane.hist_mask);
+        return predicted;
+      }
+
+      case LaneKind::PAs: {
+        std::uint64_t idx = (pc >> lane.shift) % lane.bht_entries;
+        std::uint32_t hist = lane.bht[idx];
+        std::uint64_t set = (pc >> lane.shift) & (lane.pht_sets - 1);
+        std::uint8_t &ctr = lane.pht[(set << lane.hist_bits) + hist];
+        bool predicted = counterTaken(ctr, lane.counter_max);
+        counterStep(ctr, lane.counter_max, taken);
+        lane.bht[idx] = pushHistory(hist, taken, lane.hist_mask);
+        return predicted;
+      }
+
+      case LaneKind::Tournament: {
+        // The components never read the chooser, so stepping them
+        // first is the same as predicting all three, then updating.
+        bool first = step(lane.parts[0], pc, taken);
+        bool second = step(lane.parts[1], pc, taken);
+        std::uint8_t &choice =
+            lane.pht[(pc >> lane.shift) % lane.pht_size];
+        bool predicted =
+            counterTaken(choice, lane.counter_max) ? second : first;
+        // Train only when exactly one component was right.
+        if (first != second)
+            counterStep(choice, lane.counter_max, second == taken);
+        return predicted;
+      }
+
+      case LaneKind::StaticFiltered: {
+        // A statically predicted branch never touches the PAg.
+        auto it = lane.directions.find(pc);
+        if (it != lane.directions.end())
+            return it->second;
+        return step(lane.parts[0], pc, taken);
+      }
+    }
+    bwsa_panic("unknown LaneKind ", static_cast<int>(lane.kind));
+}
+
+} // namespace
+
+/** One lane: its predictor state plus what the replayer records. */
+struct BatchedReplayer::Lane
+{
+    LaneState state;
 
     // Instrumentation.
-    std::unique_ptr<BhtInterferenceProbe> probe;
     obs::TimeSeries *miss_series = nullptr;
     PredictionStats stats;
 
@@ -161,119 +409,14 @@ BatchedReplayer::addLane(const PredictorSpec &spec,
 {
     if (_sealed)
         bwsa_panic("BatchedReplayer::addLane after replay started");
-
-    // The factory validates the spec and names the lane, so batched
-    // lanes reject bad geometry exactly like their Predictor twins.
-    PredictorPtr built = makePredictor(spec);
+    validatePredictorSpec(spec);
 
     auto lane = std::make_unique<Lane>();
-    lane->stats.predictor_name = built->name();
-    lane->shift = spec.insn_shift;
-    const auto mid =
-        static_cast<std::uint8_t>((1u << spec.counter_bits) >> 1);
-    lane->counter_max =
-        static_cast<std::uint8_t>((1u << spec.counter_bits) - 1u);
-
-    // Per-address history patterns pack into uint16_t; wider
-    // configurations (grammar allows up to 30 bits) take the generic
-    // path.  Global-history kinds keep the register in a uint32_t and
-    // never hit this limit.
-    const bool flat_history = spec.history_bits <= 16;
-
-    switch (spec.kind) {
-      case PredictorKind::AlwaysTaken:
-        lane->kind = LaneKind::StaticTaken;
-        break;
-
-      case PredictorKind::AlwaysNotTaken:
-        lane->kind = LaneKind::StaticNotTaken;
-        break;
-
-      case PredictorKind::Bimodal:
-        lane->kind = LaneKind::Bimodal;
-        lane->bht_entries = spec.bht_entries;
-        lane->pht.assign(spec.bht_entries, mid);
-        break;
-
-      case PredictorKind::GAg:
-      case PredictorKind::Gshare:
-        lane->kind = spec.kind == PredictorKind::GAg
-                         ? LaneKind::GAg
-                         : LaneKind::Gshare;
-        lane->hist_bits = spec.history_bits;
-        lane->ghist_mask = lowMask(spec.history_bits);
-        lane->pht.assign(std::uint64_t(1) << spec.history_bits, mid);
-        break;
-
-      case PredictorKind::Agree:
-        lane->kind = LaneKind::Agree;
-        lane->hist_bits = spec.history_bits;
-        lane->ghist_mask = lowMask(spec.history_bits);
-        // Agree counters start strongly agreeing (see agree.cc).
-        lane->pht.assign(std::uint64_t(1) << spec.history_bits,
-                         lane->counter_max);
-        break;
-
-      case PredictorKind::PAgModulo:
-      case PredictorKind::PAgAllocated:
-      case PredictorKind::PAgIdeal:
-        if (flat_history) {
-            lane->kind = LaneKind::PAg;
-            lane->hist_bits = spec.history_bits;
-            lane->hist_mask = static_cast<std::uint16_t>(
-                lowMask(spec.history_bits));
-            lane->pht_size = spec.pht_entries;
-            lane->pht.assign(spec.pht_entries, mid);
-            if (spec.kind == PredictorKind::PAgIdeal) {
-                lane->index_mode = PagIndexMode::Ideal;
-            } else {
-                lane->index_mode =
-                    spec.kind == PredictorKind::PAgAllocated
-                        ? PagIndexMode::Allocated
-                        : PagIndexMode::Modulo;
-                lane->bht_entries = spec.bht_entries;
-                lane->bht.assign(spec.bht_entries, 0);
-                if (spec.kind == PredictorKind::PAgAllocated)
-                    lane->assignment = spec.assignment;
-            }
-        }
-        break;
-
-      case PredictorKind::PAs:
-        if (flat_history) {
-            lane->kind = LaneKind::PAs;
-            lane->hist_bits = spec.history_bits;
-            lane->hist_mask = static_cast<std::uint16_t>(
-                lowMask(spec.history_bits));
-            lane->pht_sets = spec.pht_sets;
-            lane->bht_entries = spec.bht_entries;
-            lane->bht.assign(spec.bht_entries, 0);
-            lane->pht.assign(spec.pht_sets
-                                 << spec.history_bits,
-                             mid);
-        }
-        break;
-
-      case PredictorKind::Tournament:
-      case PredictorKind::StaticFilteredPAg:
-      case PredictorKind::ProfileStatic:
-        // Composite and map-driven predictors keep their object form.
-        break;
-    }
-
-    if (lane->kind == LaneKind::Generic) {
-        lane->predictor = std::move(built);
-        if (options.probe) {
-            if (auto *pag = dynamic_cast<PAgPredictor *>(
-                    lane->predictor.get())) {
-                pag->enableInterferenceProbe();
-                lane->generic_pag = pag;
-            }
-        }
-    } else if (options.probe && lane->kind == LaneKind::PAg) {
-        lane->probe =
+    lane->stats.predictor_name = predictorName(spec);
+    lane->state = buildLane(spec);
+    if (options.probe && lane->state.kind == LaneKind::PAg)
+        lane->state.probe =
             std::make_unique<BhtInterferenceProbe>(spec.history_bits);
-    }
 
     if (!options.series_scope.empty())
         lane->miss_series = obs::TimeSeriesRegistry::global().series(
@@ -282,125 +425,6 @@ BatchedReplayer::addLane(const PredictorSpec &spec,
 
     _lanes.push_back(std::move(lane));
     return _lanes.size() - 1;
-}
-
-bool
-BatchedReplayer::step(Lane &lane, BranchPc pc, bool taken)
-{
-    switch (lane.kind) {
-      case LaneKind::StaticTaken:
-        return true;
-
-      case LaneKind::StaticNotTaken:
-        return false;
-
-      case LaneKind::Bimodal: {
-        std::uint8_t &ctr =
-            lane.pht[(pc >> lane.shift) % lane.bht_entries];
-        bool predicted = counterTaken(ctr, lane.counter_max);
-        counterStep(ctr, lane.counter_max, taken);
-        return predicted;
-      }
-
-      case LaneKind::GAg: {
-        std::uint8_t &ctr = lane.pht[lane.ghist];
-        bool predicted = counterTaken(ctr, lane.counter_max);
-        counterStep(ctr, lane.counter_max, taken);
-        lane.ghist = static_cast<std::uint32_t>(
-            ((lane.ghist << 1) | (taken ? 1u : 0u)) & lane.ghist_mask);
-        return predicted;
-      }
-
-      case LaneKind::Gshare: {
-        std::uint64_t idx =
-            (lane.ghist ^ (pc >> lane.shift)) & lane.ghist_mask;
-        std::uint8_t &ctr = lane.pht[idx];
-        bool predicted = counterTaken(ctr, lane.counter_max);
-        counterStep(ctr, lane.counter_max, taken);
-        lane.ghist = static_cast<std::uint32_t>(
-            ((lane.ghist << 1) | (taken ? 1u : 0u)) & lane.ghist_mask);
-        return predicted;
-      }
-
-      case LaneKind::Agree: {
-        auto it = lane.bias.find(pc);
-        // Unknown branch: no bias bit yet, predict taken (agree.cc).
-        bool bias = it == lane.bias.end() ? true : it->second;
-        std::uint64_t idx =
-            (lane.ghist ^ (pc >> lane.shift)) & lane.ghist_mask;
-        std::uint8_t &ctr = lane.pht[idx];
-        bool predicted =
-            counterTaken(ctr, lane.counter_max) ? bias : !bias;
-        // The bias bit latches the branch's first outcome.
-        bool latched = lane.bias.emplace(pc, taken).first->second;
-        counterStep(ctr, lane.counter_max, taken == latched);
-        lane.ghist = static_cast<std::uint32_t>(
-            ((lane.ghist << 1) | (taken ? 1u : 0u)) & lane.ghist_mask);
-        return predicted;
-      }
-
-      case LaneKind::PAg: {
-        std::uint64_t idx = 0;
-        switch (lane.index_mode) {
-          case PagIndexMode::Modulo:
-            idx = (pc >> lane.shift) % lane.bht_entries;
-            break;
-          case PagIndexMode::Allocated: {
-            auto it = lane.assignment.find(pc);
-            idx = it != lane.assignment.end()
-                      ? it->second
-                      : (pc >> lane.shift) % lane.bht_entries;
-            break;
-          }
-          case PagIndexMode::Ideal:
-            idx = lane.ideal_ids.emplace(pc, lane.ideal_ids.size())
-                      .first->second;
-            break;
-        }
-        if (idx >= lane.bht.size())
-            lane.bht.resize(idx + 1, 0);
-        std::uint16_t hist = lane.bht[idx];
-        std::uint8_t &ctr = lane.pht[hist % lane.pht_size];
-        bool predicted = counterTaken(ctr, lane.counter_max);
-        if (lane.probe) {
-            // Mirrors PAgPredictor::probeObserve(): classify against
-            // the pre-update PHT, then advance the shadow history.
-            HistoryRegister &shadow = lane.probe->shadow(pc);
-            std::uint32_t private_hist = shadow.value();
-            bool pred_private =
-                counterTaken(lane.pht[private_hist % lane.pht_size],
-                             lane.counter_max);
-            lane.probe->observe(idx, pc, hist, private_hist, predicted,
-                                pred_private, taken);
-            shadow.push(taken);
-        }
-        counterStep(ctr, lane.counter_max, taken);
-        lane.bht[idx] = static_cast<std::uint16_t>(
-            ((hist << 1) | (taken ? 1u : 0u)) & lane.hist_mask);
-        return predicted;
-      }
-
-      case LaneKind::PAs: {
-        std::uint64_t idx = (pc >> lane.shift) % lane.bht_entries;
-        std::uint16_t hist = lane.bht[idx];
-        std::uint64_t set = (pc >> lane.shift) & (lane.pht_sets - 1);
-        std::uint8_t &ctr =
-            lane.pht[(set << lane.hist_bits) + hist];
-        bool predicted = counterTaken(ctr, lane.counter_max);
-        counterStep(ctr, lane.counter_max, taken);
-        lane.bht[idx] = static_cast<std::uint16_t>(
-            ((hist << 1) | (taken ? 1u : 0u)) & lane.hist_mask);
-        return predicted;
-      }
-
-      case LaneKind::Generic: {
-        bool predicted = lane.predictor->predict(pc);
-        lane.predictor->update(pc, taken);
-        return predicted;
-      }
-    }
-    bwsa_panic("unknown LaneKind ",
-               static_cast<int>(lane.kind));
 }
 
 void
@@ -423,7 +447,7 @@ BatchedReplayer::onBranch(const BranchRecord &record)
     }
     for (const std::unique_ptr<Lane> &lane_ptr : _lanes) {
         Lane &lane = *lane_ptr;
-        bool predicted = step(lane, record.pc, record.taken);
+        bool predicted = step(lane.state, record.pc, record.taken);
         bool miss = (predicted != record.taken);
         lane.stats.mispredicts.record(miss);
         if (_per_branch)
@@ -462,7 +486,8 @@ void
 BatchedReplayer::onEnd()
 {
     // Whole-replay totals only; onBranch() is the hot path and stays
-    // uninstrumented (same contract as PredictionSim::onEnd()).
+    // uninstrumented.  Safe to call repeatedly: only the delta since
+    // the previous flush is added.
     for (const std::unique_ptr<Lane> &lane_ptr : _lanes) {
         Lane &lane = *lane_ptr;
         branchesCounter().inc(lane.stats.mispredicts.total() -
@@ -523,12 +548,7 @@ BatchedReplayer::probe(std::size_t lane) const
     if (lane >= _lanes.size())
         bwsa_panic("BatchedReplayer::probe: lane ", lane,
                    " out of range (", _lanes.size(), " lanes)");
-    const Lane &l = *_lanes[lane];
-    if (l.probe)
-        return l.probe.get();
-    if (l.generic_pag)
-        return l.generic_pag->interferenceProbe();
-    return nullptr;
+    return _lanes[lane]->state.probe.get();
 }
 
 const std::string &
@@ -555,15 +575,6 @@ BatchedReplayer::phaseBins(std::size_t lane) const
         bwsa_panic("BatchedReplayer::phaseBins: lane ", lane,
                    " out of range (", _lanes.size(), " lanes)");
     return _lanes[lane]->phase_bins;
-}
-
-bool
-BatchedReplayer::laneIsFlat(std::size_t lane) const
-{
-    if (lane >= _lanes.size())
-        bwsa_panic("BatchedReplayer::laneIsFlat: lane ", lane,
-                   " out of range (", _lanes.size(), " lanes)");
-    return _lanes[lane]->kind != LaneKind::Generic;
 }
 
 std::vector<PredictionStats>

@@ -3,31 +3,20 @@
  * Single-pass batched predictor replay: the one replay engine of the
  * benches, examples and tools.
  *
- * The reference fan-out, comparePredictors(), feeds N predictors from
- * one trace decode, but every prediction goes through two virtual
- * calls (predict()/update()) per predictor per record, and each
- * predictor object scatters its tables across
- * SatCounter/HistoryRegister vectors of small structs.  The batched
- * replayer flattens both costs: each predictor configuration becomes a *lane* whose BHT and
- * PHT live in packed flat arrays owned by the replayer (histories as
- * `uint16_t` patterns, saturating counters as raw `uint8_t` values),
- * and the record loop steps every lane through a kind switch -- no
- * virtual dispatch, no per-entry objects, all lane state contiguous.
+ * Each predictor configuration becomes a *lane* whose tables live in
+ * packed flat arrays owned by the replayer (histories as `uint32_t`
+ * patterns, saturating counters as raw `uint8_t` values), and the
+ * record loop steps every lane through a kind switch -- no virtual
+ * dispatch, no per-entry objects.  Every PredictorKind is a flat
+ * lane: composite kinds are lanes built from lanes (a tournament is a
+ * bimodal and a gshare sub-lane plus a chooser table; a
+ * static-filtered PAg is a static-direction map in front of a PAg
+ * sub-lane), so no step arithmetic is duplicated.
  *
- * Lanes are described by the same PredictorSpec the factory consumes,
- * so anything the benches can build they can also batch.  The flat
- * step loop covers the whole paper zoo (always-taken/not-taken,
- * bimodal, GAg, gshare, agree, PAg with modulo/allocated/ideal
- * indexing, PAs); specs outside it (tournament, static-filtered, or
- * histories wider than 16 bits) transparently fall back to a generic
- * lane that drives the real Predictor object, so batched replay is
- * *always* available and always produces results byte-identical to
- * comparePredictors(), which stays as the test oracle only.
- *
- * Instrumentation: per-lane per-branch ratio maps and the BHT
- * interference probe (for PAg lanes) match PredictionSim and
- * PAgPredictor::enableInterferenceProbe() exactly; lanes can also
- * publish a windowed miss-rate time series.
+ * Lanes are described by PredictorSpec (predict/factory.hh), which
+ * also validates them and names them.  The predictor objects under
+ * tests/reference are the oracle the lanes are tested against, down
+ * to per-branch ratios and the BHT interference probe.
  */
 
 #ifndef BWSA_SIM_BATCHED_REPLAY_HH
@@ -35,6 +24,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -42,11 +32,33 @@
 #include "obs/timeseries.hh"
 #include "predict/factory.hh"
 #include "predict/interference.hh"
-#include "sim/bpred_sim.hh"
 #include "trace/trace.hh"
+#include "util/stats.hh"
 
 namespace bwsa
 {
+
+/** Outcome of replaying one predictor over one trace. */
+struct PredictionStats
+{
+    std::string predictor_name;
+
+    /** Aggregate misprediction ratio. */
+    RatioStat mispredicts;
+
+    /** Per-static-branch misprediction ratios (when requested). */
+    std::unordered_map<BranchPc, RatioStat> per_branch;
+
+    /** Misprediction rate in percent, the paper's reporting unit. */
+    double mispredictPercent() const { return mispredicts.percent(); }
+
+    /** Prediction accuracy in percent. */
+    double
+    accuracyPercent() const
+    {
+        return 100.0 - mispredicts.percent();
+    }
+};
 
 /**
  * Per-phase attribution of one predictor lane (one entry per phase
@@ -67,10 +79,9 @@ struct LanePhaseBin
 struct BatchedLaneOptions
 {
     /**
-     * Attach a BHT interference probe to this lane.  Honoured for PAg
-     * lanes (flat or generic), matching
-     * PAgPredictor::enableInterferenceProbe(); ignored for kinds
-     * without a shared first-level table.
+     * Attach a BHT interference probe to this lane.  Honoured for the
+     * three PAg kinds; ignored for every other kind, a static-filtered
+     * PAg included.
      */
     bool probe = false;
 
@@ -102,9 +113,9 @@ class BatchedReplayer : public TraceSink
     BatchedReplayer &operator=(const BatchedReplayer &) = delete;
 
     /**
-     * Add one predictor lane built from @p spec (validated through
-     * the factory, so malformed specs fail exactly like
-     * makePredictor).  Returns the lane index, in add order.
+     * Add one predictor lane built from @p spec; panics on a spec
+     * validatePredictorSpec() rejects.  Returns the lane index, in
+     * add order.
      */
     std::size_t addLane(const PredictorSpec &spec,
                         const BatchedLaneOptions &options = {});
@@ -123,23 +134,17 @@ class BatchedReplayer : public TraceSink
 
     std::size_t laneCount() const { return _lanes.size(); }
 
-    /** Statistics of one lane (same shape as PredictionSim). */
+    /** Statistics of one lane. */
     const PredictionStats &stats(std::size_t lane) const;
 
-    /** All lane statistics, in add order (comparePredictors shape). */
+    /** All lane statistics, in add order. */
     std::vector<PredictionStats> allStats() const;
 
     /** The lane's interference probe; nullptr when none attached. */
     const BhtInterferenceProbe *probe(std::size_t lane) const;
 
-    /** Predictor name of one lane (identical to Predictor::name()). */
+    /** Predictor name of one lane (predictorName() of its spec). */
     const std::string &laneName(std::size_t lane) const;
-
-    /**
-     * True when the lane runs in the packed flat step loop; false for
-     * generic fallback lanes driving a real Predictor object.
-     */
-    bool laneIsFlat(std::size_t lane) const;
 
     /**
      * Attribute the replay to the phases of @p timeline (not owned;
@@ -170,9 +175,6 @@ class BatchedReplayer : public TraceSink
   private:
     struct Lane;
 
-    /** Advance one lane by one record; returns the prediction. */
-    static bool step(Lane &lane, BranchPc pc, bool taken);
-
     void advancePhase();
 
     bool _per_branch;
@@ -187,8 +189,7 @@ class BatchedReplayer : public TraceSink
 
 /**
  * Build one lane per spec, replay @p source once, return per-lane
- * statistics in input order.  Byte-identical to running the
- * comparePredictors() oracle over makePredictor(spec) instances.
+ * statistics in input order.
  */
 std::vector<PredictionStats>
 replayBatched(const TraceSource &source,

@@ -4,6 +4,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "sim/batched_replay.hh"
 #include "util/logging.hh"
 
 namespace bwsa
@@ -19,18 +20,20 @@ namespace
 class ClusterSink : public TraceSink
 {
   public:
-    ClusterSink(Predictor &predictor, const ClusterConfig &config,
+    ClusterSink(const PredictorSpec &spec, const ClusterConfig &config,
                 ClusterReport &report)
-        : _predictor(predictor), _config(config), _report(report)
+        : _config(config), _report(report)
     {
+        _replayer.addLane(spec);
     }
 
     void
     onBranch(const BranchRecord &record) override
     {
-        bool miss =
-            (_predictor.predict(record.pc) != record.taken);
-        _predictor.update(record.pc, record.taken);
+        // The record missed when the lane's miss count moved.
+        _replayer.onBranch(record);
+        bool miss = _replayer.stats(0).mispredicts.events() !=
+                    _report.misses;
 
         ++_report.branches;
         if (miss)
@@ -121,7 +124,7 @@ class ClusterSink : public TraceSink
         }
     }
 
-    Predictor &_predictor;
+    BatchedReplayer _replayer;
     const ClusterConfig &_config;
     ClusterReport &_report;
 
@@ -139,13 +142,13 @@ class ClusterSink : public TraceSink
 
 ClusterReport
 analyzeMispredictionClustering(const TraceSource &source,
-                               Predictor &predictor,
+                               const PredictorSpec &spec,
                                const ClusterConfig &config)
 {
     if (config.window == 0)
         bwsa_panic("ClusterConfig window must be nonzero");
     ClusterReport report;
-    ClusterSink sink(predictor, config, report);
+    ClusterSink sink(spec, config, report);
     source.replay(sink);
     return report;
 }

@@ -5,7 +5,7 @@
  * found in recent work on dynamic prediction caused by changes in
  * working set?"
  *
- * This analysis runs a predictor over a trace while simultaneously
+ * This analysis replays a predictor over a trace while simultaneously
  * (a) grouping mispredictions into bursts (maximal runs of misses
  * separated by fewer than a gap of correctly predicted branches) and
  * (b) detecting working-set shifts as low Jaccard similarity between
@@ -20,7 +20,7 @@
 
 #include <cstdint>
 
-#include "predict/predictor.hh"
+#include "predict/factory.hh"
 #include "trace/trace.hh"
 #include "util/stats.hh"
 
@@ -99,11 +99,12 @@ struct ClusterReport
 };
 
 /**
- * Run the clustering analysis over one trace with one predictor.
+ * Run the clustering analysis over one trace with the predictor
+ * @p spec describes (replayed as one batched lane).
  */
 ClusterReport
 analyzeMispredictionClustering(const TraceSource &source,
-                               Predictor &predictor,
+                               const PredictorSpec &spec,
                                const ClusterConfig &config = {});
 
 } // namespace bwsa

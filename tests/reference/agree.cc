@@ -1,4 +1,4 @@
-#include "predict/agree.hh"
+#include "reference/agree.hh"
 
 #include "util/bitfield.hh"
 

@@ -17,13 +17,13 @@
  * harnesses.
  */
 
-#ifndef BWSA_PREDICT_AGREE_HH
-#define BWSA_PREDICT_AGREE_HH
+#ifndef BWSA_REFERENCE_AGREE_HH
+#define BWSA_REFERENCE_AGREE_HH
 
 #include <unordered_map>
 #include <vector>
 
-#include "predict/predictor.hh"
+#include "reference/predictor.hh"
 #include "util/sat_counter.hh"
 
 namespace bwsa
@@ -68,4 +68,4 @@ class AgreePredictor : public Predictor
 
 } // namespace bwsa
 
-#endif // BWSA_PREDICT_AGREE_HH
+#endif // BWSA_REFERENCE_AGREE_HH

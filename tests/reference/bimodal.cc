@@ -1,4 +1,4 @@
-#include "predict/bimodal.hh"
+#include "reference/bimodal.hh"
 
 #include "util/logging.hh"
 

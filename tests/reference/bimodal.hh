@@ -4,13 +4,13 @@
  * indexed by the branch PC.
  */
 
-#ifndef BWSA_PREDICT_BIMODAL_HH
-#define BWSA_PREDICT_BIMODAL_HH
+#ifndef BWSA_REFERENCE_BIMODAL_HH
+#define BWSA_REFERENCE_BIMODAL_HH
 
 #include <vector>
 
-#include "predict/index_policy.hh"
-#include "predict/predictor.hh"
+#include "reference/index_policy.hh"
+#include "reference/predictor.hh"
 #include "util/sat_counter.hh"
 
 namespace bwsa
@@ -44,4 +44,4 @@ class BimodalPredictor : public Predictor
 
 } // namespace bwsa
 
-#endif // BWSA_PREDICT_BIMODAL_HH
+#endif // BWSA_REFERENCE_BIMODAL_HH

@@ -1,4 +1,4 @@
-#include "sim/bpred_sim.hh"
+#include "reference/bpred_sim.hh"
 
 #include "obs/metrics.hh"
 #include "obs/phase_tracer.hh"

@@ -1,6 +1,6 @@
 /**
  * @file
- * Trace-driven branch prediction simulation (the sim-bpred role).
+ * Reference trace-driven simulation of predictor objects.
  *
  * Drives a dynamic branch stream through one or more predictors,
  * collecting misprediction statistics overall and, optionally, per
@@ -9,41 +9,17 @@
  * is the reference the packed batched engine is tested against.
  */
 
-#ifndef BWSA_SIM_BPRED_SIM_HH
-#define BWSA_SIM_BPRED_SIM_HH
+#ifndef BWSA_REFERENCE_BPRED_SIM_HH
+#define BWSA_REFERENCE_BPRED_SIM_HH
 
-#include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "predict/predictor.hh"
+#include "reference/predictor.hh"
+#include "sim/batched_replay.hh"
 #include "trace/trace.hh"
-#include "util/stats.hh"
 
 namespace bwsa
 {
-
-/** Outcome of simulating one predictor over one trace. */
-struct PredictionStats
-{
-    std::string predictor_name;
-
-    /** Aggregate misprediction ratio. */
-    RatioStat mispredicts;
-
-    /** Per-static-branch misprediction ratios (when requested). */
-    std::unordered_map<BranchPc, RatioStat> per_branch;
-
-    /** Misprediction rate in percent, the paper's reporting unit. */
-    double mispredictPercent() const { return mispredicts.percent(); }
-
-    /** Prediction accuracy in percent. */
-    double
-    accuracyPercent() const
-    {
-        return 100.0 - mispredicts.percent();
-    }
-};
 
 /**
  * TraceSink wiring a predictor to the stream.
@@ -104,4 +80,4 @@ comparePredictors(const TraceSource &source,
 
 } // namespace bwsa
 
-#endif // BWSA_SIM_BPRED_SIM_HH
+#endif // BWSA_REFERENCE_BPRED_SIM_HH

@@ -1,4 +1,4 @@
-#include "predict/index_policy.hh"
+#include "reference/index_policy.hh"
 
 #include "util/logging.hh"
 

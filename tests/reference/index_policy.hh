@@ -11,8 +11,8 @@
  * entry" BHT made exact).
  */
 
-#ifndef BWSA_PREDICT_INDEX_POLICY_HH
-#define BWSA_PREDICT_INDEX_POLICY_HH
+#ifndef BWSA_REFERENCE_INDEX_POLICY_HH
+#define BWSA_REFERENCE_INDEX_POLICY_HH
 
 #include <cstdint>
 #include <memory>
@@ -137,4 +137,4 @@ class IdealIndexer : public BhtIndexer
 
 } // namespace bwsa
 
-#endif // BWSA_PREDICT_INDEX_POLICY_HH
+#endif // BWSA_REFERENCE_INDEX_POLICY_HH

@@ -8,8 +8,8 @@
  * same trace in, same accuracy out.
  */
 
-#ifndef BWSA_PREDICT_PREDICTOR_HH
-#define BWSA_PREDICT_PREDICTOR_HH
+#ifndef BWSA_REFERENCE_PREDICTOR_HH
+#define BWSA_REFERENCE_PREDICTOR_HH
 
 #include <memory>
 #include <string>
@@ -48,4 +48,4 @@ using PredictorPtr = std::unique_ptr<Predictor>;
 
 } // namespace bwsa
 
-#endif // BWSA_PREDICT_PREDICTOR_HH
+#endif // BWSA_REFERENCE_PREDICTOR_HH

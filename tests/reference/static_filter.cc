@@ -1,4 +1,4 @@
-#include "predict/static_filter.hh"
+#include "reference/static_filter.hh"
 
 #include "util/logging.hh"
 

@@ -13,12 +13,12 @@
  * history.
  */
 
-#ifndef BWSA_PREDICT_STATIC_FILTER_HH
-#define BWSA_PREDICT_STATIC_FILTER_HH
+#ifndef BWSA_REFERENCE_STATIC_FILTER_HH
+#define BWSA_REFERENCE_STATIC_FILTER_HH
 
 #include <unordered_map>
 
-#include "predict/predictor.hh"
+#include "reference/predictor.hh"
 
 namespace bwsa
 {
@@ -57,4 +57,4 @@ class StaticFilterPredictor : public Predictor
 
 } // namespace bwsa
 
-#endif // BWSA_PREDICT_STATIC_FILTER_HH
+#endif // BWSA_REFERENCE_STATIC_FILTER_HH

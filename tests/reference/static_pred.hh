@@ -5,12 +5,12 @@
  * branches when the allocator sets them aside (Section 5.2).
  */
 
-#ifndef BWSA_PREDICT_STATIC_PRED_HH
-#define BWSA_PREDICT_STATIC_PRED_HH
+#ifndef BWSA_REFERENCE_STATIC_PRED_HH
+#define BWSA_REFERENCE_STATIC_PRED_HH
 
 #include <unordered_map>
 
-#include "predict/predictor.hh"
+#include "reference/predictor.hh"
 
 namespace bwsa
 {
@@ -72,4 +72,4 @@ class ProfileStaticPredictor : public Predictor
 
 } // namespace bwsa
 
-#endif // BWSA_PREDICT_STATIC_PRED_HH
+#endif // BWSA_REFERENCE_STATIC_PRED_HH

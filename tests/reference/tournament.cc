@@ -1,4 +1,4 @@
-#include "predict/tournament.hh"
+#include "reference/tournament.hh"
 
 #include "util/logging.hh"
 

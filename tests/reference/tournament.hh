@@ -5,12 +5,12 @@
  * per branch address, which component to trust.
  */
 
-#ifndef BWSA_PREDICT_TOURNAMENT_HH
-#define BWSA_PREDICT_TOURNAMENT_HH
+#ifndef BWSA_REFERENCE_TOURNAMENT_HH
+#define BWSA_REFERENCE_TOURNAMENT_HH
 
 #include <vector>
 
-#include "predict/predictor.hh"
+#include "reference/predictor.hh"
 #include "util/sat_counter.hh"
 
 namespace bwsa
@@ -54,4 +54,4 @@ class TournamentPredictor : public Predictor
 
 } // namespace bwsa
 
-#endif // BWSA_PREDICT_TOURNAMENT_HH
+#endif // BWSA_REFERENCE_TOURNAMENT_HH

@@ -1,4 +1,4 @@
-#include "predict/twolevel.hh"
+#include "reference/twolevel.hh"
 
 #include "util/bitfield.hh"
 #include "util/logging.hh"

@@ -10,15 +10,15 @@
  * changes only the BHT index policy.
  */
 
-#ifndef BWSA_PREDICT_TWOLEVEL_HH
-#define BWSA_PREDICT_TWOLEVEL_HH
+#ifndef BWSA_REFERENCE_TWOLEVEL_HH
+#define BWSA_REFERENCE_TWOLEVEL_HH
 
 #include <memory>
 #include <vector>
 
-#include "predict/index_policy.hh"
+#include "reference/index_policy.hh"
 #include "predict/interference.hh"
-#include "predict/predictor.hh"
+#include "reference/predictor.hh"
 #include "util/sat_counter.hh"
 
 namespace bwsa
@@ -162,4 +162,4 @@ class PAsPredictor : public Predictor
 
 } // namespace bwsa
 
-#endif // BWSA_PREDICT_TWOLEVEL_HH
+#endif // BWSA_REFERENCE_TWOLEVEL_HH

@@ -2,15 +2,15 @@
  * @file
  * Tests for the batched replay engine (sim/batched_replay.hh):
  *
- *  - every predictor family the factory can build produces
- *    byte-identical statistics (aggregate and per-branch) whether
- *    replayed through BatchedReplayer or through comparePredictors(),
- *    the reference implementation;
+ *  - every PredictorKind produces byte-identical statistics
+ *    (aggregate and per-branch) whether replayed through
+ *    BatchedReplayer or through comparePredictors(), the reference
+ *    implementation under tests/reference, composite and
+ *    wide-history specs included;
  *  - the interference probe riding a batched PAg lane classifies
  *    exactly like PAgPredictor's own probe, down to per-branch
  *    victim/aggressor attribution;
- *  - composite / wide-history specs run through the generic fallback
- *    lane and still match the reference;
+ *  - lanes reject exactly the specs the reference constructors do;
  *  - replay() maintains the sim.runs / sim.predictor_runs counter
  *    contract: one trace replay, laneCount() predictor replays.
  */
@@ -19,9 +19,10 @@
 
 #include "obs/metrics.hh"
 #include "predict/factory.hh"
-#include "predict/twolevel.hh"
+#include "reference/bpred_sim.hh"
+#include "reference/make_predictor.hh"
+#include "reference/twolevel.hh"
 #include "sim/batched_replay.hh"
-#include "sim/bpred_sim.hh"
 #include "trace/trace.hh"
 #include "util/random.hh"
 
@@ -89,7 +90,7 @@ specOf(PredictorKind kind)
     return spec;
 }
 
-/** The whole factory zoo, flat lanes and generic fallbacks alike. */
+/** Every PredictorKind, composite and wide-history specs included. */
 std::vector<PredictorSpec>
 zooSpecs()
 {
@@ -105,7 +106,8 @@ zooSpecs()
     specs.push_back(allocatedSpec(makeAssignment(64), 64));
     specs.push_back(interferenceFreeSpec());
     specs.push_back(parsePredictorSpec("pas:bht=128,hist=6,sets=4"));
-    // Generic fallback lanes: composite kinds and >16-bit history.
+    // Composite kinds (lanes built from sub-lanes) and >16-bit
+    // histories.
     specs.push_back(specOf(PredictorKind::Tournament));
     specs.push_back(parsePredictorSpec("gshare:hist=18"));
     specs.push_back(parsePredictorSpec("pag:bht=32,hist=20,pht=64"));
@@ -193,28 +195,6 @@ TEST(BatchedReplay, PerBranchMapsMatchReference)
     }
 }
 
-TEST(BatchedReplay, FlatAndGenericLaneClassification)
-{
-    BatchedReplayer replayer;
-    std::size_t flat_pag = replayer.addLane(paperBaselineSpec());
-    std::size_t ideal = replayer.addLane(interferenceFreeSpec());
-    std::size_t tournament =
-        replayer.addLane(specOf(PredictorKind::Tournament));
-    // Global history lives in a 32-bit register, so wide-history
-    // gshare stays flat; per-address histories are packed uint16_t
-    // patterns, so a >16-bit PAg falls back to the generic lane.
-    std::size_t wide_global =
-        replayer.addLane(parsePredictorSpec("gshare:hist=18"));
-    std::size_t wide_private =
-        replayer.addLane(parsePredictorSpec("pag:bht=32,hist=20"));
-
-    EXPECT_TRUE(replayer.laneIsFlat(flat_pag));
-    EXPECT_TRUE(replayer.laneIsFlat(ideal));
-    EXPECT_FALSE(replayer.laneIsFlat(tournament));
-    EXPECT_TRUE(replayer.laneIsFlat(wide_global));
-    EXPECT_FALSE(replayer.laneIsFlat(wide_private));
-}
-
 TEST(BatchedReplay, LaneNamesMatchFactoryNames)
 {
     BatchedReplayer replayer;
@@ -274,10 +254,10 @@ TEST(BatchedReplay, ProbeMatchesPredictorProbe)
         EXPECT_EQ(got_victims[i].first, want_victims[i].first);
 }
 
-TEST(BatchedReplay, GenericLaneProbeMatchesToo)
+TEST(BatchedReplay, WideHistoryProbeMatchesToo)
 {
-    // hist=20 exceeds the flat lane's 16-bit pattern budget, so this
-    // probe rides the generic fallback's real PAgPredictor.
+    // hist=20: the probe's shadow histories and the lane's packed
+    // uint32_t patterns must agree beyond 16 bits too.
     MemoryTrace trace = makeTrace(8000, 41);
     PredictorSpec spec = parsePredictorSpec("pag:bht=64,hist=20");
 
@@ -292,7 +272,6 @@ TEST(BatchedReplay, GenericLaneProbeMatchesToo)
     BatchedLaneOptions options;
     options.probe = true;
     std::size_t lane = replayer.addLane(spec, options);
-    EXPECT_FALSE(replayer.laneIsFlat(lane));
     replayer.replay(trace);
     const BhtInterferenceProbe *got = replayer.probe(lane);
     ASSERT_NE(got, nullptr);
@@ -341,6 +320,46 @@ TEST(BatchedReplay, EmptyTraceYieldsZeroLanes)
     ASSERT_EQ(stats.size(), 1u);
     EXPECT_EQ(stats[0].mispredicts.total(), 0u);
     EXPECT_EQ(stats[0].mispredicts.events(), 0u);
+}
+
+TEST(BatchedReplayDeath, RejectsWhatTheReferenceRejects)
+{
+    // Every spec here is refused by the reference constructors, so a
+    // lane must refuse it too rather than replay a nonsense geometry.
+    auto expectRejected = [](const PredictorSpec &spec,
+                             const char *message) {
+        EXPECT_DEATH(makePredictor(spec), message);
+        EXPECT_DEATH(BatchedReplayer().addLane(spec), message);
+    };
+
+    PredictorSpec no_pht = paperBaselineSpec();
+    no_pht.pht_entries = 0;
+    expectRejected(no_pht, "nonzero PHT");
+
+    PredictorSpec bimodal_no_bht = specOf(PredictorKind::Bimodal);
+    bimodal_no_bht.bht_entries = 0;
+    expectRejected(bimodal_no_bht, "at least 1 entry");
+
+    PredictorSpec pag_no_bht = paperBaselineSpec();
+    pag_no_bht.bht_entries = 0;
+    expectRejected(pag_no_bht, "at least 1 entry");
+
+    PredictorSpec pas_sets = parsePredictorSpec("pas");
+    pas_sets.pht_sets = 3;
+    expectRejected(pas_sets, "power of two");
+
+    expectRejected(allocatedSpec({{0x400000, 64}}, 64),
+                   "exceeds table size");
+
+    for (unsigned bits : {0u, 9u}) {
+        PredictorSpec counter = paperBaselineSpec();
+        counter.counter_bits = bits;
+        expectRejected(counter, "width must be 1\\.\\.8");
+    }
+
+    PredictorSpec no_chooser = specOf(PredictorKind::Tournament);
+    no_chooser.pht_entries = 0;
+    expectRejected(no_chooser, "nonzero chooser");
 }
 
 TEST(BatchedReplay, ReplayerIsReusableAcrossTraces)

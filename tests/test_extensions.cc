@@ -11,10 +11,12 @@
 #include "test_helpers.hh"
 
 #include "core/pipeline.hh"
-#include "predict/agree.hh"
 #include "predict/factory.hh"
-#include "predict/static_filter.hh"
-#include "predict/static_pred.hh"
+#include "reference/agree.hh"
+#include "reference/bpred_sim.hh"
+#include "reference/make_predictor.hh"
+#include "reference/static_filter.hh"
+#include "reference/static_pred.hh"
 #include "sim/cluster_analysis.hh"
 #include "trace/trace.hh"
 #include "util/random.hh"
@@ -37,6 +39,14 @@ missRate(Predictor &p,
     }
     return static_cast<double>(miss) /
            static_cast<double>(stream.size());
+}
+
+PredictorSpec
+alwaysTakenSpec()
+{
+    PredictorSpec spec;
+    spec.kind = PredictorKind::AlwaysTaken;
+    return spec;
 }
 
 } // namespace
@@ -224,7 +234,7 @@ TEST(ClusterAnalysis, CountsMissesExactly)
     for (int i = 0; i < 1000; ++i)
         trace.onBranch({0x100, 5ull * (i + 1), i % 2 == 0});
 
-    AlwaysTakenPredictor p;
+    const PredictorSpec p = alwaysTakenSpec();
     ClusterConfig config;
     ClusterReport report =
         analyzeMispredictionClustering(trace, p, config);
@@ -241,7 +251,7 @@ TEST(ClusterAnalysis, IsolatedMissesFormNoBursts)
     MemoryTrace trace;
     for (int i = 0; i < 5000; ++i)
         trace.onBranch({0x100, 5ull * (i + 1), i % 100 != 0});
-    AlwaysTakenPredictor p;
+    const PredictorSpec p = alwaysTakenSpec();
     ClusterReport report = analyzeMispredictionClustering(trace, p);
     EXPECT_EQ(report.misses, 50u);
     EXPECT_EQ(report.bursts, 0u);
@@ -258,7 +268,7 @@ TEST(ClusterAnalysis, DetectsWorkingSetShift)
     for (int i = 0; i < 4100; ++i)
         trace.onBranch({0x9000 + 8ull * (i % 20), ts += 5, true});
 
-    AlwaysTakenPredictor p;
+    const PredictorSpec p = alwaysTakenSpec();
     ClusterConfig config;
     config.window = 256;
     ClusterReport report =
@@ -273,16 +283,36 @@ TEST(ClusterAnalysis, SteadyPhaseHasNoShifts)
     std::uint64_t ts = 0;
     for (int i = 0; i < 20000; ++i)
         trace.onBranch({0x1000 + 8ull * (i % 50), ts += 5, true});
-    AlwaysTakenPredictor p;
+    const PredictorSpec p = alwaysTakenSpec();
     ClusterReport report = analyzeMispredictionClustering(trace, p);
     EXPECT_EQ(report.shifts, 0u);
+}
+
+TEST(ClusterAnalysis, MissesMatchReferenceReplay)
+{
+    // The analysis reads each record's miss off its batched lane; the
+    // totals must equal the reference predictor object's.
+    Pcg32 rng(17);
+    MemoryTrace trace;
+    for (int i = 0; i < 6000; ++i) {
+        BranchPc pc = 0x400000 + 8ull * rng.nextBounded(64);
+        trace.onBranch({pc, 5ull * (i + 1), rng.nextBool(0.7)});
+    }
+    PredictorPtr reference = makePredictor(paperBaselineSpec());
+    PredictionStats want = simulatePredictor(trace, *reference);
+    ClusterReport report =
+        analyzeMispredictionClustering(trace, paperBaselineSpec());
+    EXPECT_EQ(report.branches, want.mispredicts.total());
+    EXPECT_EQ(report.misses, want.mispredicts.events());
+    EXPECT_EQ(report.near_shift.events() + report.steady.events(),
+              report.misses);
 }
 
 TEST(ClusterAnalysisDeath, ZeroWindowPanics)
 {
     MemoryTrace trace;
     trace.onBranch({0x100, 5, true});
-    AlwaysTakenPredictor p;
+    const PredictorSpec p = alwaysTakenSpec();
     ClusterConfig config;
     config.window = 0;
     EXPECT_DEATH(analyzeMispredictionClustering(trace, p, config),

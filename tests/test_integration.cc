@@ -11,12 +11,13 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hh"
-#include "test_helpers.hh"
 #include "core/working_set.hh"
 #include "obs/phase_tracer.hh"
 #include "predict/factory.hh"
-#include "sim/bpred_sim.hh"
+#include "reference/bpred_sim.hh"
+#include "reference/make_predictor.hh"
 #include "store/block_trace.hh"
+#include "test_helpers.hh"
 #include "workload/presets.hh"
 
 using namespace bwsa;

@@ -14,9 +14,10 @@
 
 #include "core/pipeline.hh"
 #include "predict/factory.hh"
-#include "predict/index_policy.hh"
 #include "predict/interference.hh"
-#include "predict/twolevel.hh"
+#include "reference/index_policy.hh"
+#include "reference/make_predictor.hh"
+#include "reference/twolevel.hh"
 #include "test_helpers.hh"
 #include "workload/presets.hh"
 

@@ -7,12 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include "predict/bimodal.hh"
 #include "predict/factory.hh"
-#include "predict/index_policy.hh"
-#include "predict/static_pred.hh"
-#include "predict/tournament.hh"
-#include "predict/twolevel.hh"
+#include "reference/bimodal.hh"
+#include "reference/index_policy.hh"
+#include "reference/make_predictor.hh"
+#include "reference/static_pred.hh"
+#include "reference/tournament.hh"
+#include "reference/twolevel.hh"
 #include "util/random.hh"
 
 using namespace bwsa;
@@ -507,4 +508,6 @@ TEST(SpecParseDeath, MalformedSpecsAreFatal)
                 ::testing::ExitedWithCode(1), "hist");
     EXPECT_EXIT(parsePredictorSpec("pag:ctr=0"),
                 ::testing::ExitedWithCode(1), "ctr");
+    EXPECT_EXIT(parsePredictorSpec("pag:ctr=9"),
+                ::testing::ExitedWithCode(1), "ctr=9 out of range");
 }

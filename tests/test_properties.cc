@@ -16,7 +16,8 @@
 #include "core/working_set.hh"
 #include "predict/factory.hh"
 #include "profile/interleave.hh"
-#include "sim/bpred_sim.hh"
+#include "reference/bpred_sim.hh"
+#include "reference/make_predictor.hh"
 #include "trace/trace.hh"
 #include "util/random.hh"
 

@@ -6,8 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "predict/factory.hh"
-#include "predict/static_pred.hh"
-#include "sim/bpred_sim.hh"
+#include "reference/bpred_sim.hh"
+#include "reference/make_predictor.hh"
+#include "reference/static_pred.hh"
 #include "trace/trace.hh"
 #include "util/random.hh"
 

@@ -15,9 +15,10 @@
 
 #include "obs/branch_telemetry.hh"
 #include "predict/factory.hh"
-#include "predict/twolevel.hh"
 #include "profile/shard.hh"
-#include "sim/bpred_sim.hh"
+#include "reference/bpred_sim.hh"
+#include "reference/make_predictor.hh"
+#include "reference/twolevel.hh"
 #include "trace/trace.hh"
 #include "workload/presets.hh"
 

@@ -81,7 +81,7 @@ def check_metric(path, metric):
 
 
 def check_sim_counters(path, metrics):
-    """Reconcile the simulator counters (see src/sim/bpred_sim.cc):
+    """Reconcile the simulator counters (see src/sim/batched_replay.cc):
     sim.runs counts trace replays, sim.predictor_runs counts
     (predictor, replay) pairs, so every replay must account for at
     least one predictor run, and per-prediction counters (branches,
