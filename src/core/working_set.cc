@@ -1,8 +1,8 @@
 #include "core/working_set.hh"
 
 #include <algorithm>
+#include <bit>
 #include <set>
-#include <span>
 
 #include "obs/metrics.hh"
 #include "obs/phase_tracer.hh"
@@ -28,24 +28,149 @@ struct Hotter
     }
 };
 
-/** Bron-Kerbosch with pivoting over sorted id vectors. */
+bool
+testBit(const std::uint64_t *bits, NodeId r)
+{
+    return (bits[r / 64] >> (r % 64)) & 1;
+}
+
+void
+setBit(std::uint64_t *bits, NodeId r)
+{
+    bits[r / 64] |= std::uint64_t(1) << (r % 64);
+}
+
+void
+clearBit(std::uint64_t *bits, NodeId r)
+{
+    bits[r / 64] &= ~(std::uint64_t(1) << (r % 64));
+}
+
+/**
+ * The graph as bit rows in heat-rank order.  Every node with at least
+ * one edge gets a rank, the hottest rank 0, and one row of `words`
+ * 64-bit words with a bit set for each neighbour's rank.  A node
+ * without edges is a singleton set under every definition and has no
+ * row.  Memory: m * ceil(m / 64) words for m ranked nodes.
+ */
+struct RankedRows
+{
+    explicit RankedRows(const ConflictGraph &graph)
+        : order(graph.nodeCount()), rank_of(graph.nodeCount(), invalid_node)
+    {
+        for (const ConflictGraph::Edge &edge : graph.edges()) {
+            auto [a, b] = ConflictGraph::unpackEdge(edge.first);
+            rank_of[a] = rank_of[b] = 0;
+        }
+        for (NodeId v = 0; v < order.size(); ++v)
+            order[v] = v;
+        std::sort(order.begin(), order.end(), Hotter{graph});
+        for (NodeId v : order) {
+            if (rank_of[v] == invalid_node)
+                continue;
+            rank_of[v] = static_cast<NodeId>(id_of.size());
+            id_of.push_back(v);
+        }
+
+        words = (id_of.size() + 63) / 64;
+        bits.assign(id_of.size() * words, 0);
+        degree.assign(id_of.size(), 0);
+        for (const ConflictGraph::Edge &edge : graph.edges()) {
+            auto [a, b] = ConflictGraph::unpackEdge(edge.first);
+            NodeId ra = rank_of[a];
+            NodeId rb = rank_of[b];
+            setBit(bits.data() + ra * words, rb);
+            setBit(bits.data() + rb * words, ra);
+            ++degree[ra];
+            ++degree[rb];
+        }
+    }
+
+    /** Neighbour bits of rank @p r. */
+    const std::uint64_t *
+    row(NodeId r) const
+    {
+        return bits.data() + r * words;
+    }
+
+    /**
+     * Grow a clique from a seed: @p cand holds the seed's row masked
+     * to the eligible ranks.  Repeatedly take the hottest candidate
+     * (the lowest set bit, found from a word cursor that only moves
+     * forward) and keep only its neighbours, so every member taken is
+     * adjacent to all earlier ones.  @p take(rank) sees each member.
+     */
+    template <typename Take>
+    void
+    growClique(std::uint64_t *cand, Take &&take) const
+    {
+        std::size_t w = 0;
+        for (;;) {
+            while (w < words && cand[w] == 0)
+                ++w;
+            if (w == words)
+                return;
+            NodeId best =
+                static_cast<NodeId>(w * 64 + std::countr_zero(cand[w]));
+            take(best);
+            const std::uint64_t *nbrs = row(best);
+            for (std::size_t k = w; k < words; ++k)
+                cand[k] &= nbrs[k];
+        }
+    }
+
+    /** Every node id, hottest first. */
+    std::vector<NodeId> order;
+
+    /** Rank of each node id; invalid_node for a node without edges. */
+    std::vector<NodeId> rank_of;
+
+    /** Node id of each rank. */
+    std::vector<NodeId> id_of;
+
+    /** Edge count of each rank. */
+    std::vector<std::uint32_t> degree;
+
+    std::size_t words = 0;
+    std::vector<std::uint64_t> bits;
+};
+
+/**
+ * Bron-Kerbosch with pivoting, P and X as rank bitsets (the
+ * bit-parallel style of San Segundo et al., 2011).
+ */
 class CliqueEnumerator
 {
   public:
-    CliqueEnumerator(const NeighbourLists &adj,
+    CliqueEnumerator(const RankedRows &rows,
                      const WorkingSetLimits &limits,
                      WorkingSetResult &result)
-        : _adj(adj), _limits(limits), _result(result)
+        : _rows(rows), _limits(limits), _result(result)
     {}
 
     void
     run()
     {
-        std::vector<NodeId> all(_adj.nodeCount());
-        for (NodeId i = 0; i < all.size(); ++i)
-            all[i] = i;
-        std::vector<NodeId> r;
-        expand(r, std::move(all), {});
+        // A node without edges is a maximal clique of its own: one
+        // expansion each, as a search from the root would spend.
+        for (NodeId v = 0; v < _rows.rank_of.size(); ++v) {
+            if (_rows.rank_of[v] != invalid_node)
+                continue;
+            ++_result.expansions;
+            if (capped()) {
+                _result.truncated = true;
+                return;
+            }
+            _result.sets.push_back({v});
+        }
+        if (_rows.id_of.empty())
+            return;
+
+        // P holds every rank, X none.
+        std::vector<std::uint64_t> px(2 * _rows.words, 0);
+        for (NodeId r = 0; r < _rows.id_of.size(); ++r)
+            setBit(px.data(), r);
+        expand(px.data(), px.data() + _rows.words);
     }
 
   private:
@@ -58,111 +183,99 @@ class CliqueEnumerator
                 _result.expansions >= _limits.max_expansions);
     }
 
-    std::vector<NodeId>
-    intersect(const std::vector<NodeId> &sorted_set, NodeId v) const
-    {
-        std::vector<NodeId> out;
-        std::span<const NodeId> nbrs = _adj.of(v);
-        std::set_intersection(sorted_set.begin(), sorted_set.end(),
-                              nbrs.begin(), nbrs.end(),
-                              std::back_inserter(out));
-        return out;
-    }
-
+    /** Expand R = _r with candidate set @p p and excluded set @p x. */
     void
-    expand(std::vector<NodeId> &r, std::vector<NodeId> p,
-           std::vector<NodeId> x)
+    expand(std::uint64_t *p, std::uint64_t *x)
     {
         ++_result.expansions;
         if (capped()) {
             _result.truncated = true;
             return;
         }
-        if (p.empty() && x.empty()) {
-            WorkingSet set = r;
+        const std::size_t words = _rows.words;
+
+        // Pivot: the highest-degree node of P union X.  The classic
+        // pivot maximizes |P intersect N(u)| exactly, but that costs
+        // an intersection per candidate; global degree is a
+        // near-equivalent proxy on the locally dense graphs working
+        // sets produce.
+        NodeId pivot = invalid_node;
+        for (std::size_t w = 0; w < words; ++w) {
+            for (std::uint64_t word = p[w] | x[w]; word != 0;
+                 word &= word - 1) {
+                NodeId u =
+                    static_cast<NodeId>(w * 64 + std::countr_zero(word));
+                if (pivot == invalid_node ||
+                    _rows.degree[u] > _rows.degree[pivot])
+                    pivot = u;
+            }
+        }
+        if (pivot == invalid_node) {
+            WorkingSet set;
+            for (NodeId r : _r)
+                set.push_back(_rows.id_of[r]);
             std::sort(set.begin(), set.end());
             _result.sets.push_back(std::move(set));
             return;
         }
 
-        // Pivot: the highest-degree candidate from P union X.  The
-        // classic pivot maximizes |P intersect N(u)| exactly, but that
-        // costs an intersection per candidate; global degree is a
-        // near-equivalent O(|P|+|X|) proxy on the locally dense
-        // graphs working sets produce.
-        NodeId pivot = invalid_node;
-        std::size_t best_degree = 0;
-        for (const std::vector<NodeId> *set : {&p, &x}) {
-            for (NodeId u : *set) {
-                std::size_t degree = _adj.of(u).size();
-                if (pivot == invalid_node || degree > best_degree) {
-                    pivot = u;
-                    best_degree = degree;
+        // The candidates, then the child's P and X.
+        std::vector<std::uint64_t> buffer(3 * words);
+        std::uint64_t *cand = buffer.data();
+        std::uint64_t *child_p = cand + words;
+        std::uint64_t *child_x = child_p + words;
+        const std::uint64_t *pivot_row = _rows.row(pivot);
+        for (std::size_t w = 0; w < words; ++w)
+            cand[w] = p[w] & ~pivot_row[w];
+        for (std::size_t w = 0; w < words; ++w) {
+            for (std::uint64_t word = cand[w]; word != 0;
+                 word &= word - 1) {
+                if (capped()) {
+                    _result.truncated = true;
+                    return;
                 }
+                NodeId v =
+                    static_cast<NodeId>(w * 64 + std::countr_zero(word));
+                const std::uint64_t *nbrs = _rows.row(v);
+                for (std::size_t k = 0; k < words; ++k) {
+                    child_p[k] = p[k] & nbrs[k];
+                    child_x[k] = x[k] & nbrs[k];
+                }
+                _r.push_back(v);
+                expand(child_p, child_x);
+                _r.pop_back();
+                // Move v from P to X.
+                clearBit(p, v);
+                setBit(x, v);
             }
-        }
-
-        std::vector<NodeId> candidates;
-        if (pivot == invalid_node) {
-            candidates = p;
-        } else {
-            std::span<const NodeId> nbrs = _adj.of(pivot);
-            std::set_difference(p.begin(), p.end(), nbrs.begin(),
-                                nbrs.end(), std::back_inserter(candidates));
-        }
-
-        for (NodeId v : candidates) {
-            if (capped()) {
-                _result.truncated = true;
-                return;
-            }
-            r.push_back(v);
-            expand(r, intersect(p, v), intersect(x, v));
-            r.pop_back();
-            // Move v from P to X.
-            p.erase(std::lower_bound(p.begin(), p.end(), v));
-            auto pos = std::lower_bound(x.begin(), x.end(), v);
-            x.insert(pos, v);
         }
     }
 
-    const NeighbourLists &_adj;
+    const RankedRows &_rows;
     const WorkingSetLimits &_limits;
     WorkingSetResult &_result;
+
+    /** Ranks of the current clique R. */
+    std::vector<NodeId> _r;
 };
 
 WorkingSetResult
-seededCliques(const ConflictGraph &graph, const NeighbourLists &adj)
+seededCliques(const RankedRows &rows)
 {
     WorkingSetResult result;
-    Hotter hotter{graph};
     std::set<WorkingSet> seen;
-    std::vector<NodeId> candidates;
-    std::vector<NodeId> next;
-    for (NodeId seed = 0; seed < adj.nodeCount(); ++seed) {
+    std::vector<std::uint64_t> cand(rows.words);
+    for (NodeId seed = 0; seed < rows.rank_of.size(); ++seed) {
         WorkingSet set{seed};
-        std::span<const NodeId> seed_nbrs = adj.of(seed);
-        candidates.assign(seed_nbrs.begin(), seed_nbrs.end());
-
-        // Grow: repeatedly take the hottest remaining candidate and
-        // intersect the candidate set with its neighbourhood; every
-        // accepted member is adjacent to all previous members, so the
-        // final set is a maximal clique containing the seed.
-        while (!candidates.empty()) {
-            // A plain scan: std::min_element benchmarked slower here.
-            NodeId best = candidates[0];
-            for (NodeId c : candidates)
-                if (hotter(c, best))
-                    best = c;
-            set.push_back(best);
-            std::span<const NodeId> nbrs = adj.of(best);
-            next.clear();
-            std::set_intersection(candidates.begin(), candidates.end(),
-                                  nbrs.begin(), nbrs.end(),
-                                  std::back_inserter(next));
-            candidates.swap(next);
+        NodeId rank = rows.rank_of[seed];
+        if (rank != invalid_node) {
+            const std::uint64_t *nbrs = rows.row(rank);
+            std::copy(nbrs, nbrs + rows.words, cand.begin());
+            rows.growClique(cand.data(), [&](NodeId r) {
+                set.push_back(rows.id_of[r]);
+            });
+            std::sort(set.begin(), set.end());
         }
-        std::sort(set.begin(), set.end());
         if (seen.insert(set).second)
             result.sets.push_back(std::move(set));
     }
@@ -170,82 +283,70 @@ seededCliques(const ConflictGraph &graph, const NeighbourLists &adj)
 }
 
 WorkingSetResult
-greedyPartition(const ConflictGraph &graph, const NeighbourLists &adj)
+greedyPartition(const RankedRows &rows)
 {
     WorkingSetResult result;
-    std::size_t n = adj.nodeCount();
-    Hotter hotter{graph};
+    std::vector<std::uint64_t> assigned(rows.words, 0);
+    std::vector<std::uint64_t> cand(rows.words);
 
     // Hottest branches seed sets first so the dominant loop nests form
-    // coherent sets instead of being absorbed piecemeal.
-    std::vector<NodeId> order(n);
-    for (NodeId i = 0; i < n; ++i)
-        order[i] = i;
-    std::sort(order.begin(), order.end(), hotter);
-
-    std::vector<bool> assigned(n, false);
-    for (NodeId seed : order) {
-        if (assigned[seed])
-            continue;
+    // coherent sets instead of being absorbed piecemeal.  Candidates
+    // are the unassigned neighbours in heat order, and one must be
+    // adjacent to every member so far: exactly the clique growth over
+    // the seed's row masked by the unassigned ranks.
+    for (NodeId seed : rows.order) {
         WorkingSet set{seed};
-        assigned[seed] = true;
-
-        // Candidates: unassigned neighbours, hottest first; each must
-        // be adjacent to every current member (complete subgraph).
-        std::vector<NodeId> candidates;
-        for (NodeId v : adj.of(seed))
-            if (!assigned[v])
-                candidates.push_back(v);
-        std::sort(candidates.begin(), candidates.end(), hotter);
-
-        for (NodeId cand : candidates) {
-            std::span<const NodeId> nbrs = adj.of(cand);
-            bool complete = true;
-            for (NodeId member : set) {
-                if (member != seed &&
-                    !std::binary_search(nbrs.begin(), nbrs.end(),
-                                        member)) {
-                    complete = false;
-                    break;
-                }
-            }
-            if (complete) {
-                set.push_back(cand);
-                assigned[cand] = true;
-            }
+        NodeId rank = rows.rank_of[seed];
+        if (rank != invalid_node) {
+            if (testBit(assigned.data(), rank))
+                continue;
+            setBit(assigned.data(), rank);
+            const std::uint64_t *nbrs = rows.row(rank);
+            for (std::size_t w = 0; w < rows.words; ++w)
+                cand[w] = nbrs[w] & ~assigned[w];
+            rows.growClique(cand.data(), [&](NodeId r) {
+                set.push_back(rows.id_of[r]);
+                setBit(assigned.data(), r);
+            });
+            std::sort(set.begin(), set.end());
         }
-        std::sort(set.begin(), set.end());
         result.sets.push_back(std::move(set));
     }
     return result;
 }
 
 WorkingSetResult
-connectedComponents(const NeighbourLists &adj)
+connectedComponents(const RankedRows &rows)
 {
     WorkingSetResult result;
-    std::size_t n = adj.nodeCount();
-    std::vector<bool> visited(n, false);
+    std::vector<std::uint64_t> visited(rows.words, 0);
     std::vector<NodeId> stack;
 
-    for (NodeId start = 0; start < n; ++start) {
-        if (visited[start])
-            continue;
-        WorkingSet component;
-        stack.push_back(start);
-        visited[start] = true;
-        while (!stack.empty()) {
-            NodeId v = stack.back();
-            stack.pop_back();
-            component.push_back(v);
-            for (NodeId w : adj.of(v)) {
-                if (!visited[w]) {
-                    visited[w] = true;
-                    stack.push_back(w);
+    // Components in order of their smallest id, each sorted.
+    for (NodeId start = 0; start < rows.rank_of.size(); ++start) {
+        WorkingSet component{start};
+        NodeId rank = rows.rank_of[start];
+        if (rank != invalid_node) {
+            if (testBit(visited.data(), rank))
+                continue;
+            setBit(visited.data(), rank);
+            stack.push_back(rank);
+            while (!stack.empty()) {
+                const std::uint64_t *nbrs = rows.row(stack.back());
+                stack.pop_back();
+                for (std::size_t w = 0; w < rows.words; ++w) {
+                    std::uint64_t fresh = nbrs[w] & ~visited[w];
+                    visited[w] |= fresh;
+                    for (; fresh != 0; fresh &= fresh - 1) {
+                        NodeId r = static_cast<NodeId>(
+                            w * 64 + std::countr_zero(fresh));
+                        stack.push_back(r);
+                        component.push_back(rows.id_of[r]);
+                    }
                 }
             }
+            std::sort(component.begin(), component.end());
         }
-        std::sort(component.begin(), component.end());
         result.sets.push_back(std::move(component));
     }
     return result;
@@ -276,22 +377,22 @@ findWorkingSets(const ConflictGraph &graph, WorkingSetDefinition def,
     obs::PhaseTracer::Span span("ws.extract");
     span.addWork(graph.nodeCount());
 
-    const NeighbourLists adj = graph.neighbours();
+    const RankedRows rows(graph);
     WorkingSetResult result;
     switch (def) {
       case WorkingSetDefinition::MaximalClique: {
-        CliqueEnumerator enumerator(adj, limits, result);
+        CliqueEnumerator enumerator(rows, limits, result);
         enumerator.run();
         break;
       }
       case WorkingSetDefinition::SeededClique:
-        result = seededCliques(graph, adj);
+        result = seededCliques(rows);
         break;
       case WorkingSetDefinition::GreedyPartition:
-        result = greedyPartition(graph, adj);
+        result = greedyPartition(rows);
         break;
       case WorkingSetDefinition::ConnectedComponent:
-        result = connectedComponents(adj);
+        result = connectedComponents(rows);
         break;
       default:
         bwsa_panic("unknown WorkingSetDefinition ",

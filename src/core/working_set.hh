@@ -11,17 +11,22 @@
  *   thresholded conflict graph (Bron-Kerbosch with pivoting).  Sets
  *   overlap, and a graph can have more sets than nodes -- consistent
  *   with Table 2, where gcc has ~52k working sets over ~16k static
- *   branches.  Worst-case exponential; capped, and only practical on
- *   small graphs.
+ *   branches.  Worst-case exponential, so capped.
  * - SeededClique: grow one maximal clique greedily (hottest neighbour
  *   first) from every node, then deduplicate.  Overlapping like
- *   MaximalClique but at most one set per node; near-linear in
- *   practice and the default for Table 2 scale graphs.
+ *   MaximalClique but at most one set per node; one AND of bit rows
+ *   per member, and the default for Table 2 scale graphs.
  * - GreedyPartition: a disjoint clique cover built hottest-first; each
  *   branch lands in exactly one set.  This is the view the allocator
  *   reasons about.
  * - ConnectedComponent: the loosest definition, an upper bound on set
  *   sizes; used as an ablation.
+ *
+ * All four run on one view built per call: the nodes with at least
+ * one edge, relabelled by heat rank (more executions first, then the
+ * lower id), each with a row of neighbour bits -- m * ceil(m / 64)
+ * words for m such nodes.  A node without edges is a singleton set
+ * under every definition.
  */
 
 #ifndef BWSA_CORE_WORKING_SET_HH
@@ -82,10 +87,10 @@ struct WorkingSetResult
 /**
  * Extract working sets from an already-thresholded conflict graph.
  *
- * Nodes with no surviving edges form singleton sets only under
- * GreedyPartition/ConnectedComponent when they executed at all;
- * MaximalClique reports them as singleton maximal cliques too, so all
- * definitions cover every executed branch.
+ * A node with no surviving edges is a singleton set under every
+ * definition, so all definitions cover every node.  Each set is
+ * sorted by id; seeded sets come in first-seen seed order, partition
+ * sets in heat order and components in order of their smallest id.
  */
 WorkingSetResult
 findWorkingSets(const ConflictGraph &graph, WorkingSetDefinition def,

@@ -242,12 +242,6 @@ ConflictGraph::mergeRuns(const std::vector<std::span<const Edge>> &runs)
 }
 
 NeighbourLists
-ConflictGraph::neighbours() const
-{
-    return neighbourLists(_edges, nodeCount());
-}
-
-NeighbourLists
 neighbourLists(std::span<const ConflictGraph::Edge> edges,
                std::size_t node_count)
 {

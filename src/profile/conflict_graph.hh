@@ -13,9 +13,10 @@
  * key, with unique keys and no zero counts.  Every bulk writer -- the
  * interleave tracker's flush, graph and shard merges, the artifact
  * parser -- hands over sorted runs that fold in with one linear merge
- * (mergeEdges); pruning is a filter.  The working-set definitions and
- * the allocator read one neighbour-list view, NeighbourLists, built
- * from the sorted edges (or a filtered subsequence) without a sort.
+ * (mergeEdges); pruning is a filter.  The allocator reads one
+ * neighbour-list view, NeighbourLists, built from the sorted edges (or
+ * a filtered subsequence) without a sort; the working-set definitions
+ * build their own bit rows from edges().
  */
 
 #ifndef BWSA_PROFILE_CONFLICT_GRAPH_HH
@@ -179,13 +180,6 @@ class ConflictGraph
      */
     static std::vector<Edge>
     mergeRuns(const std::vector<std::span<const Edge>> &runs);
-
-    /**
-     * Neighbour lists of every node with edge counts:
-     * neighbourLists(edges(), nodeCount()).  O(V + E); build once per
-     * analysis pass.
-     */
-    NeighbourLists neighbours() const;
 
     /** Total dynamic executions over all nodes. */
     std::uint64_t totalExecutions() const { return _total_executions; }

@@ -202,6 +202,30 @@ TEST(WorkingSets, EnumerationCapTruncates)
     EXPECT_TRUE(result.truncated);
 }
 
+TEST(WorkingSets, SetCapTruncatesEnumeration)
+{
+    // 130 nodes (rows of three 64-bit words), adjacent unless equal
+    // mod 5: a complete 5-partite graph with 26^5 maximal cliques.
+    // The expansion budget is unlimited, so max_sets alone stops the
+    // search.
+    std::vector<std::tuple<NodeId, NodeId, std::uint64_t>> edges;
+    for (NodeId a = 0; a < 130; ++a)
+        for (NodeId b = a + 1; b < 130; ++b)
+            if (a % 5 != b % 5)
+                edges.emplace_back(a, b, 1);
+    ConflictGraph g = graphOf(130, edges);
+
+    WorkingSetLimits limits;
+    limits.max_sets = 25;
+    limits.max_expansions = 0;
+    WorkingSetResult result = findWorkingSets(
+        g, WorkingSetDefinition::MaximalClique, limits);
+    EXPECT_TRUE(result.truncated);
+    EXPECT_EQ(result.sets.size(), limits.max_sets);
+    for (const WorkingSet &set : result.sets)
+        EXPECT_TRUE(isClique(g, set));
+}
+
 TEST(WorkingSets, StatsComputeStaticAndDynamicAverages)
 {
     // Sets of size 3 (hot) and 1 (cold): static avg 2; dynamic avg

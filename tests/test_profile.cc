@@ -257,7 +257,7 @@ TEST(ConflictGraph, MergeAccumulatesAcrossInputs)
 TEST(ConflictGraph, AdjacencyMatchesEdges)
 {
     ConflictGraph g = profileSeq({A, B, C, A, B, C, A, D, A});
-    NeighbourLists adj = g.neighbours();
+    NeighbourLists adj = neighbourLists(g.edges(), g.nodeCount());
     ASSERT_EQ(adj.nodeCount(), g.nodeCount());
     std::size_t total = 0;
     for (NodeId v = 0; v < adj.nodeCount(); ++v) {
@@ -276,7 +276,7 @@ TEST(ConflictGraph, AdjacencyMatchesEdges)
 
 TEST(ConflictGraph, NeighboursOfEmptyGraph)
 {
-    NeighbourLists adj = ConflictGraph().neighbours();
+    NeighbourLists adj = neighbourLists({}, 0);
     EXPECT_EQ(adj.nodeCount(), 0u);
     EXPECT_EQ(adj.offsets, std::vector<std::size_t>{0});
     EXPECT_TRUE(adj.targets.empty());
@@ -289,7 +289,7 @@ TEST(ConflictGraph, NeighboursOfIsolatedNodes)
     NodeId a = g.addOrGetNode(A), b = g.addOrGetNode(B);
     NodeId c = g.addOrGetNode(C), d = g.addOrGetNode(D);
     g.addInterleave(b, d, 3);
-    NeighbourLists adj = g.neighbours();
+    NeighbourLists adj = neighbourLists(g.edges(), g.nodeCount());
     ASSERT_EQ(adj.nodeCount(), 4u);
     EXPECT_TRUE(adj.of(a).empty());
     EXPECT_TRUE(adj.of(c).empty());
@@ -318,7 +318,9 @@ TEST(ConflictGraph, NeighbourListsOfFilteredEdgesMatchPruned)
             kept.push_back(edge);
     ASSERT_LT(kept.size(), g.edgeCount());
     NeighbourLists filtered = neighbourLists(kept, g.nodeCount());
-    NeighbourLists pruned = g.pruned(threshold).neighbours();
+    ConflictGraph pruned_graph = g.pruned(threshold);
+    NeighbourLists pruned =
+        neighbourLists(pruned_graph.edges(), pruned_graph.nodeCount());
     EXPECT_EQ(filtered.offsets, pruned.offsets);
     EXPECT_EQ(filtered.targets, pruned.targets);
     EXPECT_EQ(filtered.weights, pruned.weights);

@@ -44,21 +44,29 @@ randomTrace(std::uint64_t seed, std::size_t records)
     return trace;
 }
 
-/** Random conflict graph with execution counts. */
+/**
+ * Random conflict graph with execution counts drawn from
+ * @p exec_levels values (few levels mean many ties in heat order);
+ * each node is left without edges with probability @p isolated.
+ */
 ConflictGraph
-randomGraph(std::uint64_t seed, std::size_t nodes, double density)
+randomGraph(std::uint64_t seed, std::size_t nodes, double density,
+            std::uint32_t exec_levels = 1000, double isolated = 0.0)
 {
     Pcg32 rng(seed);
     ConflictGraph g;
+    std::vector<bool> lonely(nodes, false);
     for (std::size_t i = 0; i < nodes; ++i) {
         NodeId id = g.addOrGetNode(0x1000 + 8 * i);
-        std::uint32_t execs = 1 + rng.nextBounded(1000);
+        std::uint32_t execs = 1 + rng.nextBounded(exec_levels);
         for (std::uint32_t e = 0; e < execs; ++e)
             testhelpers::recordExecution(g, id, rng.nextBool(0.6));
+        if (isolated > 0.0)
+            lonely[i] = rng.nextBool(isolated);
     }
     for (NodeId a = 0; a < nodes; ++a)
         for (NodeId b = a + 1; b < nodes; ++b)
-            if (rng.nextBool(density))
+            if (rng.nextBool(density) && !lonely[a] && !lonely[b])
                 g.addInterleave(a, b, 100 + rng.nextBounded(5000));
     return g;
 }
@@ -315,27 +323,17 @@ class ReferenceWorkingSets
         return out;
     }
 
-    /** Every maximal clique, by enumerating all node subsets. */
+    /**
+     * Every maximal clique: grow every clique in ascending id order
+     * and keep those that no other node extends.  Exponential only in
+     * the clique sizes, so sparse graphs of any node count work.
+     */
     std::set<WorkingSet>
     maximalCliques() const
     {
         std::set<WorkingSet> out;
-        for (std::uint32_t mask = 1; mask < (1u << n()); ++mask) {
-            WorkingSet set;
-            for (NodeId v = 0; v < n(); ++v)
-                if (mask & (1u << v))
-                    set.push_back(v);
-            if (!isClique(set))
-                continue;
-            bool maximal = true;
-            for (NodeId v = 0; v < n() && maximal; ++v)
-                if (!(mask & (1u << v)) &&
-                    std::all_of(set.begin(), set.end(),
-                                [&](NodeId m) { return adjacent(v, m); }))
-                    maximal = false;
-            if (maximal)
-                out.insert(set);
-        }
+        WorkingSet set;
+        growCliques(set, 0, out);
         return out;
     }
 
@@ -359,13 +357,31 @@ class ReferenceWorkingSets
     }
 
     bool
-    isClique(const WorkingSet &set) const
+    adjacentToAll(NodeId v, const WorkingSet &set) const
     {
-        for (std::size_t i = 0; i < set.size(); ++i)
-            for (std::size_t j = i + 1; j < set.size(); ++j)
-                if (!adjacent(set[i], set[j]))
-                    return false;
-        return true;
+        return std::all_of(set.begin(), set.end(),
+                           [&](NodeId m) { return adjacent(v, m); });
+    }
+
+    /** Visit every clique that extends @p set by nodes >= @p from. */
+    void
+    growCliques(WorkingSet &set, NodeId from,
+                std::set<WorkingSet> &out) const
+    {
+        bool maximal = !set.empty();
+        for (NodeId v = 0; v < n() && maximal; ++v)
+            if (std::find(set.begin(), set.end(), v) == set.end() &&
+                adjacentToAll(v, set))
+                maximal = false;
+        if (maximal)
+            out.insert(set);
+        for (NodeId v = from; v < n(); ++v) {
+            if (!adjacentToAll(v, set))
+                continue;
+            set.push_back(v);
+            growCliques(set, v + 1, out);
+            set.pop_back();
+        }
     }
 
     /** More executions first, then the lower id. */
@@ -403,6 +419,61 @@ TEST_P(WorkingSetSeeds, DefinitionsMatchReference)
     std::set<WorkingSet> got(cliques.sets.begin(), cliques.sets.end());
     EXPECT_EQ(got.size(), cliques.sets.size()) << "duplicate clique";
     EXPECT_EQ(got, ReferenceWorkingSets(small).maximalCliques());
+}
+
+TEST_P(WorkingSetSeeds, DefinitionsMatchReferenceAcrossWords)
+{
+    // Node counts at, just past and well past a 64-bit word, so a
+    // bit row spans one to four words; few execution levels, so the
+    // id tie-break decides much of the heat order; isolated nodes,
+    // which are singleton sets under every definition.
+    struct Shape
+    {
+        std::size_t nodes;
+        double density;
+        std::uint32_t exec_levels;
+        double isolated;
+    };
+    for (Shape shape : {Shape{64, 0.15, 1000, 0.0},
+                        Shape{65, 0.3, 1000, 0.0},
+                        Shape{65, 0.2, 2, 0.1},
+                        Shape{130, 0.2, 3, 0.0},
+                        Shape{130, 0.05, 1, 0.3},
+                        Shape{200, 0.1, 1000, 0.2},
+                        Shape{200, 0.4, 4, 0.05}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << shape.nodes << " nodes, density "
+                     << shape.density << ", " << shape.exec_levels
+                     << " exec levels, isolated " << shape.isolated);
+        ConflictGraph g =
+            randomGraph(GetParam() + shape.nodes, shape.nodes,
+                        shape.density, shape.exec_levels, shape.isolated);
+        ReferenceWorkingSets ref(g);
+        EXPECT_EQ(
+            findWorkingSets(g, WorkingSetDefinition::SeededClique).sets,
+            ref.seededCliques());
+        EXPECT_EQ(
+            findWorkingSets(g, WorkingSetDefinition::GreedyPartition)
+                .sets,
+            ref.greedyPartition());
+        EXPECT_EQ(
+            findWorkingSets(g, WorkingSetDefinition::ConnectedComponent)
+                .sets,
+            ref.connectedComponents());
+    }
+}
+
+TEST_P(WorkingSetSeeds, SparseMaximalCliquesMatchReference)
+{
+    // 150 nodes span three words; sparse enough that the reference
+    // can grow every clique.
+    ConflictGraph g = randomGraph(GetParam() + 400, 150, 0.04, 5, 0.1);
+    WorkingSetResult cliques =
+        findWorkingSets(g, WorkingSetDefinition::MaximalClique);
+    EXPECT_FALSE(cliques.truncated);
+    std::set<WorkingSet> got(cliques.sets.begin(), cliques.sets.end());
+    EXPECT_EQ(got.size(), cliques.sets.size()) << "duplicate clique";
+    EXPECT_EQ(got, ReferenceWorkingSets(g).maximalCliques());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WorkingSetSeeds,

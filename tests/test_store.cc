@@ -152,28 +152,61 @@ truncateFile(const std::string &path, std::uint64_t keep)
 
 TEST(BlockTrace, RoundTripsAcrossBlockSizes)
 {
-    MemoryTrace trace = makeRandomTrace(3, 1000, 200);
+    // Random traces of seeds 1, 2, 3, 42 and 999 over 5000 pcs, one
+    // over 200 pcs, and a short cyclic one.
+    std::vector<MemoryTrace> traces;
+    for (std::uint64_t seed : {1u, 2u, 3u, 42u, 999u})
+        traces.push_back(makeRandomTrace(seed, 5000, 5000));
+    traces.push_back(makeRandomTrace(3, 1000, 200));
+    MemoryTrace cyclic;
+    for (std::uint64_t i = 0; i < 100; ++i)
+        cyclic.onBranch({0x400000 + 8 * (i % 7), 5 * (i + 1), i % 3 == 0});
+    traces.push_back(cyclic);
+
     // Block sizes covering: one record per block, partial last block,
     // exact multiple, and everything in one block.
-    for (std::uint64_t block_records :
-         {std::uint64_t(1), std::uint64_t(7), std::uint64_t(250),
-          std::uint64_t(1000), std::uint64_t(100000)}) {
-        std::string path = writeV2(trace, "roundtrip", block_records);
-        BlockTraceReader reader(path);
-        EXPECT_EQ(reader.recordCount(), trace.recordCount());
-        EXPECT_EQ(reader.blockRecordsHint(),
-                  std::min<std::uint64_t>(block_records, 0xffffffffu));
+    for (std::size_t t = 0; t < traces.size(); ++t) {
+        const MemoryTrace &trace = traces[t];
+        for (std::uint64_t block_records :
+             {std::uint64_t(1), std::uint64_t(7), std::uint64_t(64),
+              std::uint64_t(250), std::uint64_t(1000),
+              std::uint64_t(100000)}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "trace " << t
+                         << " block_records=" << block_records);
+            std::string path = tempPath("roundtrip.trace");
+            std::filesystem::remove(path);
+            EXPECT_EQ(writeBlockTraceFile(path, trace, block_records),
+                      trace.recordCount());
+            BlockTraceReader reader(path);
+            EXPECT_EQ(reader.recordCount(), trace.recordCount());
+            EXPECT_EQ(reader.blockRecordsHint(),
+                      std::min<std::uint64_t>(block_records,
+                                              0xffffffffu));
 
-        RecordingSink sink;
-        reader.replay(sink);
-        ASSERT_EQ(sink.records.size(), trace.size())
-            << "block_records=" << block_records;
-        EXPECT_EQ(sink.ends, 1);
-        for (std::size_t i = 0; i < trace.size(); ++i)
-            ASSERT_TRUE(sameRecord(sink.records[i], trace[i]))
-                << "record " << i << " block_records="
-                << block_records;
-        std::filesystem::remove(path);
+            RecordingSink sink;
+            reader.replay(sink);
+            ASSERT_EQ(sink.records.size(), trace.size());
+            EXPECT_EQ(sink.ends, 1);
+            for (std::size_t i = 0; i < trace.size(); ++i)
+                ASSERT_TRUE(sameRecord(sink.records[i], trace[i]))
+                    << "record " << i;
+
+            // The generic entry point replays the same records, and
+            // again identically on a second replay.
+            auto source = openTraceReader(path);
+            EXPECT_EQ(source->recordCount(), trace.recordCount());
+            MemoryTrace first, second;
+            source->replay(first);
+            source->replay(second);
+            ASSERT_EQ(first.size(), trace.size());
+            ASSERT_EQ(second.size(), trace.size());
+            for (std::size_t i = 0; i < trace.size(); ++i) {
+                ASSERT_EQ(first[i], trace[i]) << "record " << i;
+                ASSERT_EQ(second[i], first[i]) << "record " << i;
+            }
+            std::filesystem::remove(path);
+        }
     }
 }
 
