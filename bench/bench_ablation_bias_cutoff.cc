@@ -42,7 +42,7 @@ main(int argc, char **argv)
             config.allocation.bias_cutoff = cutoff;
             AllocationPipeline pipeline(config);
             // The bias cutoff is an allocation-time knob, so all
-            // three cutoffs share one cache key: with --cache the
+            // three cutoffs share one cache key: with --store-dir the
             // second and third profile of each trace are hits.
             profileSource(pipeline, source, options,
                           run.display + "@" + fixedString(cutoff, 3),

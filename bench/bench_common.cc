@@ -76,9 +76,7 @@ commonBenchFlags()
          "re-arm margin above the threshold (default 0.2)"},
         {"phase-min-windows",
          "minimum phase length in windows (default 4)"},
-        {"store-dir", "profile artifact cache directory"},
-        {"cache", "cache profile outputs (default with --store-dir)"},
-        {"no-cache", "force the artifact cache off"},
+        {"store-dir", "cache profile outputs in this directory"},
         {"list-presets",
          "print the registered workload presets and exit"},
         {"quiet", "suppress diagnostics and the heartbeat"},
@@ -219,21 +217,13 @@ parseBenchOptions(int &argc, char **argv,
     if (options.phase_min_windows == 0)
         bwsa_fatal("--phase-min-windows must be >= 1");
 
-    // --store-dir implies --cache; --no-cache wins over both.
+    // The artifact cache is on iff --store-dir names a directory.
     options.store_dir = cli.getRequiredString("store-dir", "");
-    bool want_cache =
-        cli.getBool("cache", !options.store_dir.empty());
-    if (cli.getBool("no-cache", false))
-        want_cache = false;
-    if (want_cache) {
-        if (options.store_dir.empty())
-            options.store_dir = ".bwsa-store";
-        options.cache = true;
+    if (!options.store_dir.empty())
         artifact_cache =
             std::make_unique<store::ArtifactCache>(options.store_dir);
-    } else {
+    else
         artifact_cache.reset();
-    }
 
     if (options.timeseries) {
         auto &series = obs::TimeSeriesRegistry::global();
@@ -441,6 +431,14 @@ runBenchSweep(const BenchOptions &options,
                     schedule.rows());
 }
 
+namespace
+{
+
+/**
+ * Record a sharded profiling run's per-shard timings, merge time and
+ * stitch cost into the run report (table "profile shards: <label>").
+ * No-op without an active report or for single-shard runs.
+ */
 void
 recordShardStats(const std::string &label, const ShardRunStats &stats)
 {
@@ -468,6 +466,8 @@ recordShardStats(const std::string &label, const ShardRunStats &stats)
     report.addTable("profile shards: " + label, shard_table.headers(),
                     shard_table.rows());
 }
+
+} // namespace
 
 void
 profileSource(AllocationPipeline &pipeline, const TraceSource &source,
@@ -1080,8 +1080,12 @@ collectCellPhases(const std::string &scope,
         LanePhaseBin base_bin = binOf(0, i);
         LanePhaseBin alloc_bin =
             has_alloc ? binOf(3, i) : LanePhaseBin{};
+        // Appended, not "P" + to_string(i): GCC 12 reports a false
+        // -Wrestrict on that operator+ once it is inlined here.
+        std::string label = "P";
+        label += std::to_string(i);
         out.rows.push_back(
-            {scope, "P" + std::to_string(i),
+            {scope, label,
              withCommas(phase.start_ts),
              withCommas(phase.window_count),
              withCommas(phasePcsOf(i).size()),

@@ -58,17 +58,14 @@
  *                     another boundary may fire (default 0.2)
  *   --phase-min-windows=<n> minimum phase length in windows
  *                     (default 4)
- *   --store-dir=<dir> persistence directory for the profile artifact
- *                     cache (implies --cache)
- *   --cache           cache profile outputs (stats, selection,
- *                     conflict graph) in the store directory
- *                     (default .bwsa-store) keyed by trace identity +
- *                     profiling knobs; re-runs and sweeps that vary
- *                     only predictor geometry skip re-profiling.
+ *   --store-dir=<dir> cache profile outputs (stats, selection,
+ *                     conflict graph) in this directory, keyed by
+ *                     trace identity + profiling knobs; re-runs and
+ *                     sweeps that vary only predictor geometry skip
+ *                     re-profiling.  Without it nothing is cached.
  *                     Cached and uncached runs emit byte-identical
  *                     tables; cache hit/miss/byte counters land in
  *                     the run report (store.cache.*)
- *   --no-cache        force caching off even when --store-dir is set
  *   --quiet/--verbose log verbosity
  *
  * Unknown `--` flags are rejected (typos would otherwise silently run
@@ -138,8 +135,7 @@ struct BenchOptions
     double phase_threshold = 0.4;  ///< --phase-threshold
     double phase_hysteresis = 0.2; ///< --phase-hysteresis
     std::uint64_t phase_min_windows = 4; ///< --phase-min-windows
-    std::string store_dir;     ///< --store-dir: persistence directory
-    bool cache = false;        ///< profile artifact cache enabled
+    std::string store_dir;     ///< --store-dir: artifact cache; "" = off
 };
 
 /** The detector knobs of --phase-threshold/-hysteresis/-min-windows. */
@@ -252,7 +248,7 @@ void runBenchSweep(const BenchOptions &options,
  * oversubscribing `--threads` -- combine `--shards` with
  * `--threads=1` (or few cells) when that matters.
  *
- * When the artifact cache is enabled (`--cache`/`--store-dir`) and a
+ * When the artifact cache is enabled (`--store-dir`) and a
  * non-empty @p identity names the trace (canonically
  * "preset:input_label"), the whole profile run is served from the
  * cache on a hit (pipeline.importProfile()) and published to it
@@ -269,14 +265,6 @@ void profileSource(AllocationPipeline &pipeline,
                    const BenchOptions &options,
                    const std::string &label,
                    const std::string &identity = "");
-
-/**
- * Record a sharded profiling run's per-shard timings, merge time and
- * stitch cost into the run report (table "profile shards: <label>").
- * No-op without an active report or for single-shard runs.
- */
-void recordShardStats(const std::string &label,
-                      const ShardRunStats &stats);
 
 /**
  * Build the Table 2 working-set table: one sweep cell per benchmark

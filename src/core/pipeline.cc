@@ -131,19 +131,13 @@ ProfileSession::ProfileSession(AllocationPipeline &pipeline)
 
 ProfileSession::~ProfileSession() = default;
 
-TraceSink &
-ProfileSession::statsSink()
-{
-    if (_committed)
-        bwsa_fatal("ProfileSession: statistics input after commit()");
-    return _pipeline._stats;
-}
-
 void
 ProfileSession::addStats(const TraceSource &source)
 {
+    if (_committed)
+        bwsa_fatal("ProfileSession: statistics input after commit()");
     BWSA_SPAN("pipeline.stats_pass");
-    source.replay(statsSink());
+    source.replay(_pipeline._stats);
 }
 
 const FrequencySelection &
@@ -159,30 +153,24 @@ ProfileSession::commit()
     return _pipeline._selection;
 }
 
-TraceSink &
-ProfileSession::interleaveSink()
+void
+ProfileSession::addInterleave(const TraceSource &source)
 {
     if (!_committed)
         bwsa_fatal("ProfileSession: interleave input before commit()");
     if (_finished)
         bwsa_fatal("ProfileSession: interleave input after finish()");
     if (_sharded)
-        bwsa_fatal("ProfileSession: cannot mix streamed and sharded "
+        bwsa_fatal("ProfileSession: cannot mix serial and sharded "
                    "interleave passes in one session");
+    BWSA_SPAN("pipeline.interleave_pass");
     if (!_tracker) {
         _tracker = std::make_unique<InterleaveTracker>(
             _run_graph, _pipeline._config.interleave);
         _filter = std::make_unique<FilteredSink>(_pipeline._selection,
                                                  *_tracker);
     }
-    return *_filter;
-}
-
-void
-ProfileSession::addInterleave(const TraceSource &source)
-{
-    BWSA_SPAN("pipeline.interleave_pass");
-    source.replay(interleaveSink());
+    source.replay(*_filter);
 }
 
 ShardRunStats
@@ -196,7 +184,7 @@ ProfileSession::addInterleaveSharded(const TraceSource &source,
     if (_tracker || _sharded)
         bwsa_fatal("ProfileSession: addInterleaveSharded needs an "
                    "empty interleave phase (one sharded pass per "
-                   "session, no streamed input before it)");
+                   "session, no serial input before it)");
     _sharded = true;
 
     BWSA_SPAN("pipeline.interleave_pass");
@@ -219,10 +207,6 @@ ProfileSession::finish()
     if (_finished)
         bwsa_fatal("ProfileSession: finish() called twice");
     _finished = true;
-    // Streamed interleave input may not have ended with onEnd(); the
-    // tracker holds everything until it flushes (a no-op otherwise).
-    if (_tracker)
-        _tracker->onEnd();
 
     obs::MetricsRegistry::global().counter("pipeline.profiles").inc();
     if (_pipeline._profiles == 0)

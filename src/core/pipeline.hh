@@ -12,9 +12,9 @@
  * Profiling is driven through ProfileSession, which makes the two
  * passes of a profile run explicit: a statistics pass picks the
  * frequency-selected branch set, commit() closes it, and the
- * interleave pass (streaming, replayed, or sharded across a thread
- * pool) builds the run's conflict graph before finish() merges it
- * into the pipeline.
+ * interleave pass (serial or sharded across a thread pool) builds the
+ * run's conflict graph before finish() merges it into the pipeline.
+ * StreamingProfileSession profiles records as they arrive.
  */
 
 #ifndef BWSA_CORE_PIPELINE_HH
@@ -157,11 +157,11 @@ class AllocationPipeline
  * One profile run against an AllocationPipeline, with the two passes
  * of the analysis exposed as explicit phases:
  *
- *   1. *Statistics* -- stream records into statsSink() or replay a
- *      source with addStats(); multiple inputs accumulate.  commit()
- *      closes the phase by computing the frequency selection.
- *   2. *Interleave* -- stream records into interleaveSink(), replay
- *      a source with addInterleave(), or run the pass in parallel
+ *   1. *Statistics* -- replay sources with addStats(); multiple
+ *      inputs accumulate.  commit() closes the phase by computing the
+ *      frequency selection.
+ *   2. *Interleave* -- replay sources with addInterleave() (multiple
+ *      inputs profile as one trace), or run one pass in parallel
  *      with addInterleaveSharded().  All input is frequency-filtered
  *      through the committed selection.
  *
@@ -169,7 +169,7 @@ class AllocationPipeline
  * bumps profileCount().  A session abandoned before finish() leaves
  * the pipeline's cumulative graph untouched (the committed statistics
  * remain visible through lastStats()).  Phase misuse -- interleave
- * input before commit(), input after finish(), mixing streamed and
+ * input before commit(), input after finish(), mixing serial and
  * sharded interleave passes -- is fatal.  Drive at most one session
  * per pipeline at a time.
  */
@@ -184,22 +184,16 @@ class ProfileSession
 
     ~ProfileSession();
 
-    /** Streaming sink of the statistics phase. */
-    TraceSink &statsSink();
-
     /** Replay @p source into the statistics phase. */
     void addStats(const TraceSource &source);
 
     /**
      * Close the statistics phase: compute the frequency selection
-     * from everything streamed so far and open the interleave phase.
+     * from everything added so far and open the interleave phase.
      *
      * @return the committed selection (owned by the pipeline)
      */
     const FrequencySelection &commit();
-
-    /** Streaming sink of the interleave phase (filtered). */
-    TraceSink &interleaveSink();
 
     /** Replay @p source through the interleave phase. */
     void addInterleave(const TraceSource &source);
@@ -210,9 +204,9 @@ class ProfileSession
      * @p threads workers (0 = hardware threads), then stitch the
      * segment boundaries (see shard.hh).  The resulting run graph is
      * identical to a serial addInterleave() of the same source.
-     * Cannot be combined with streamed interleave input in one
-     * session, and @p source must tolerate concurrent replayRange()
-     * calls (MemoryTrace and store::BlockTraceReader both do).
+     * Cannot be combined with addInterleave() in one session, and
+     * @p source must tolerate concurrent replayRange() calls
+     * (MemoryTrace and store::BlockTraceReader both do).
      *
      * @return per-shard timings and stitch cost for run reports
      */

@@ -75,15 +75,6 @@ writeBlocked(const std::string &path, const MemoryTrace &trace)
     return store::writeBlockTraceFile(path, trace, 64);
 }
 
-/** Read a whole trace file back into memory. */
-MemoryTrace
-readBack(const std::string &path)
-{
-    MemoryTrace trace;
-    store::openTraceReader(path)->replay(trace);
-    return trace;
-}
-
 /** Sink that counts deliveries. */
 class CountingSink : public TraceSink
 {
@@ -256,20 +247,6 @@ TEST(FanoutSink, DoneOnlyWhenEverySinkIsDone)
 // the block container's own layout, seeking and corruption handling
 // are covered in test_store.
 
-TEST(TraceIo, RoundTripSmall)
-{
-    std::string path = tempPath("small");
-    MemoryTrace trace = makeCyclicTrace(100, 7);
-    std::uint64_t written = writeBlocked(path, trace);
-    EXPECT_EQ(written, 100u);
-
-    MemoryTrace read = readBack(path);
-    ASSERT_EQ(read.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        EXPECT_EQ(read[i], trace[i]) << "record " << i;
-    std::filesystem::remove(path);
-}
-
 class TraceIoRandom : public ::testing::TestWithParam<std::uint64_t>
 {
 };
@@ -293,22 +270,6 @@ TEST_P(TraceIoRandom, RoundTripRandomTraces)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TraceIoRandom,
                          ::testing::Values(1u, 2u, 3u, 42u, 999u));
-
-TEST(TraceIo, ReaderReplaysTwiceIdentically)
-{
-    std::string path = tempPath("twice");
-    MemoryTrace trace = makeRandomTrace(7, 1000);
-    writeBlocked(path, trace);
-
-    auto reader = store::openTraceReader(path);
-    MemoryTrace first, second;
-    reader->replay(first);
-    reader->replay(second);
-    ASSERT_EQ(first.size(), second.size());
-    for (std::size_t i = 0; i < first.size(); ++i)
-        ASSERT_EQ(first[i], second[i]);
-    std::filesystem::remove(path);
-}
 
 // ------------------------------------------------------------ trace stats
 
