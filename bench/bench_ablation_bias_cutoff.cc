@@ -31,9 +31,10 @@ main(int argc, char **argv)
 
     for (const BenchmarkRun &run : defaultRuns(options)) {
         RowScope row_scope;
-        Workload w =
-            makeWorkload(run.preset, run.input_label, options.scale);
-        WorkloadTraceSource source = w.source();
+        ResolvedWorkload w =
+            resolveWorkload(run.preset, run.input_label, options.scale);
+        std::unique_ptr<TraceSource> source_ptr = w.source();
+        const TraceSource &source = *source_ptr;
 
         for (double cutoff : {0.95, 0.99, 0.999}) {
             PipelineConfig config;

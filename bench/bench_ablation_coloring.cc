@@ -27,10 +27,9 @@ main(int argc, char **argv)
 
     for (const BenchmarkRun &run : defaultRuns(options)) {
         RowScope row_scope;
-        Workload w =
-            makeWorkload(run.preset, run.input_label, options.scale);
-        WorkloadTraceSource source = w.source();
-        ConflictGraph graph = profileTrace(source);
+        ResolvedWorkload w =
+            resolveWorkload(run.preset, run.input_label, options.scale);
+        ConflictGraph graph = profileTrace(*w.source());
 
         for (SharePolicy policy : {SharePolicy::FewestConflicts,
                                    SharePolicy::LowestDegree}) {

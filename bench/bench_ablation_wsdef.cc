@@ -29,11 +29,10 @@ main(int argc, char **argv)
 
     for (const BenchmarkRun &run : defaultRuns(options)) {
         RowScope row_scope;
-        Workload w =
-            makeWorkload(run.preset, run.input_label, options.scale);
-        WorkloadTraceSource source = w.source();
+        ResolvedWorkload w =
+            resolveWorkload(run.preset, run.input_label, options.scale);
         ConflictGraph pruned =
-            profileTrace(source).pruned(options.threshold);
+            profileTrace(*w.source()).pruned(options.threshold);
 
         for (WorkingSetDefinition def :
              {WorkingSetDefinition::MaximalClique,

@@ -611,10 +611,8 @@ buildWorkingSetTable(const BenchOptions &options)
             config.shards = options.shards;
             config.threads = options.threads;
             obs::PhaseAccumulator working_set(options.interval);
-            if (options.timeseries) {
-                config.interleave.series_scope = run.display;
+            if (options.timeseries)
                 config.interleave.phase = &working_set;
-            }
             ConflictGraph graph;
             shard_stats[cell.index] =
                 profileTraceSharded(source, graph, config);
@@ -1099,7 +1097,9 @@ collectCellPhases(const std::string &scope,
         // timestamps are retired instructions as microseconds, same
         // convention as the time-series counter tracks).
         obs::JsonValue span = obs::JsonValue::object();
-        span["name"] = scope + " phase " + std::to_string(i);
+        span["name"] = std::string(scope)
+                           .append(" phase ")
+                           .append(std::to_string(i));
         span["cat"] = "bwsa.phases";
         span["ph"] = "X";
         span["ts"] = static_cast<double>(phase.start_ts);
@@ -1188,8 +1188,6 @@ buildAllocationTables(const BenchOptions &options, bool classification)
             // accumulators into it bit-identically).  It drives both
             // phase detection and the working-set time series.
             obs::PhaseAccumulator phase_accum(options.interval);
-            if (options.timeseries)
-                config.interleave.series_scope = run.display;
             if (options.timeseries || options.phases)
                 config.interleave.phase = &phase_accum;
             AllocationPipeline pipeline(config);
@@ -1424,10 +1422,8 @@ buildGraphAllocTables(const BenchOptions &options,
             // lane totals.
             config.coverage = 1.0;
             obs::PhaseAccumulator working_set(options.interval);
-            if (options.timeseries) {
-                config.interleave.series_scope = run.display;
+            if (options.timeseries)
                 config.interleave.phase = &working_set;
-            }
             // The bins are keyed on per-branch history entropy, so
             // this bench always profiles with the telemetry map wired
             // in.  Pass an empty cache identity: a cache hit would
@@ -1445,8 +1441,8 @@ buildGraphAllocTables(const BenchOptions &options,
             // interference-free reference, probes on the first two:
             // the payoff columns compare lanes 0 and 1 per bin.
             const std::vector<PredictorSpec> specs{
-                parsePredictorSpec("pag:bht=" +
-                                   std::to_string(bht_entries)),
+                parsePredictorSpec(std::string("pag:bht=").append(
+                    std::to_string(bht_entries))),
                 pipeline.predictorSpec(bht_entries),
                 interferenceFreeSpec()};
             BatchedReplayer replayer(true);

@@ -25,11 +25,11 @@
  *                     its final flush line
  *   --timeseries      sample temporal signals (windowed misprediction
  *                     rate per predictor, working-set size and churn
- *                     per window, per-shard progress) into the run
- *                     report's "timeseries" section.  The working-set
- *                     series are published from the cell's phase
- *                     accumulator after profiling, so they cover the
- *                     whole trace under any --shards
+ *                     per window) into the run report's "timeseries"
+ *                     section.  The working-set series are published
+ *                     from the cell's phase accumulator after
+ *                     profiling, so they cover the whole trace under
+ *                     any --shards
  *   --interval=<n>    time-series window width in retired
  *                     instructions (default 65536); windows merge
  *                     pairwise when a series outgrows its budget

@@ -5,10 +5,11 @@
  * working set?
  *
  * For each benchmark we run the baseline PAg while detecting (a) miss
- * bursts and (b) working-set shifts (low Jaccard similarity between
- * consecutive trace windows), then report how much likelier a miss is
- * in a shift's aftermath than in steady state.  Amplification > 1
- * supports the paper's conjecture.
+ * bursts and (b) working-set shifts -- the phase boundaries of the
+ * --phases detector over --interval windows (--phase-threshold,
+ * --phase-hysteresis and --phase-min-windows apply) -- then report
+ * how much likelier a miss is in a shift's aftermath than in steady
+ * state.  Amplification > 1 supports the paper's conjecture.
  */
 
 #include "bench_common.hh"
@@ -23,10 +24,19 @@ using namespace bwsa::bench;
 int
 main(int argc, char **argv)
 {
-    BenchOptions options = parseBenchOptions(argc, argv, "bench_ext_clustering");
+    CliOptions cli;
+    BenchOptions options = parseBenchOptions(
+        argc, argv, "bench_ext_clustering", true, {}, &cli);
     if (options.benchmarks.empty())
         options.benchmarks = {"compress", "perl", "m88ksim", "gs",
                               "python"};
+    // Without --interval the analysis keeps its own 4096-instruction
+    // default: the common 65536-instruction window is wider than most
+    // of these programs' phases (compress shows no boundary at all).
+    ClusterConfig config;
+    if (cli.has("interval"))
+        config.interval = options.interval;
+    config.phases = phaseDetectorConfig(options);
 
     TextTable table({"benchmark", "miss %", "bursts",
                      "misses in bursts %", "avg burst len",
@@ -35,12 +45,12 @@ main(int argc, char **argv)
 
     for (const BenchmarkRun &run : defaultRuns(options)) {
         RowScope row_scope;
-        Workload w =
-            makeWorkload(run.preset, run.input_label, options.scale);
-        WorkloadTraceSource source = w.source();
+        ResolvedWorkload w =
+            resolveWorkload(run.preset, run.input_label, options.scale);
 
         ClusterReport report =
-            analyzeMispredictionClustering(source, paperBaselineSpec());
+            analyzeMispredictionClustering(*w.source(),
+                                           paperBaselineSpec(), config);
 
         double miss_pct =
             report.branches

@@ -230,10 +230,10 @@ main(int argc, char **argv)
     std::vector<std::string> labels;
     for (const BenchmarkRun &run : runs) {
         RowScope row_scope;
-        Workload w =
-            makeWorkload(run.preset, run.input_label, options.scale);
+        ResolvedWorkload w =
+            resolveWorkload(run.preset, run.input_label, options.scale);
         auto trace = std::make_unique<MemoryTrace>();
-        w.source().replay(*trace);
+        w.source()->replay(*trace);
         expected.push_back(batchArtifactBytes(trace->records()));
         expected_events.push_back(
             options.phases

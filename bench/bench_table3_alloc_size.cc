@@ -38,14 +38,13 @@ main(int argc, char **argv)
         [&](const exec::SweepCell &cell) {
             const BenchmarkRun &run = runs[cell.index];
             RowScope row_scope(0, cell.worker);
-            Workload w = makeWorkload(run.preset, run.input_label,
-                                      options.scale);
-            WorkloadTraceSource source = w.source();
+            ResolvedWorkload w = resolveWorkload(
+                run.preset, run.input_label, options.scale);
 
             PipelineConfig config;
             config.allocation.edge_threshold = options.threshold;
             AllocationPipeline pipeline(config);
-            profileSource(pipeline, source, options, run.display,
+            profileSource(pipeline, *w.source(), options, run.display,
                           run.preset + ":" + run.input_label);
 
             RequiredSizeResult req = pipeline.requiredSize(1024);

@@ -240,8 +240,8 @@ struct StreamingSessionConfig
      * Analysis knobs.  A streaming session sees each record exactly
      * once, so the two-pass frequency reduction is unavailable:
      * coverage must be 1.0 and max_static 0 (the ctor checks), and
-     * the interleave config must carry no telemetry map or series
-     * scope.  The allocation half of the config drives snapshot-time
+     * the interleave config must carry no telemetry map.  The
+     * allocation half of the config drives snapshot-time
      * allocations.
      */
     PipelineConfig pipeline;
@@ -427,7 +427,6 @@ class StreamingProfileSession
     /** Online phase detection (null unless phase_interval > 0). */
     std::unique_ptr<obs::PhaseAccumulator> _phase_accum;
     std::unique_ptr<obs::PhaseDetector> _phase_detector;
-    std::size_t _phase_windows_seen = 0;
     std::vector<StreamingPhaseEvent> _phase_events;
 };
 

@@ -22,10 +22,9 @@ StreamingProfileSession::StreamingProfileSession(
                    "two-pass frequency reduction is unavailable: "
                    "coverage must be 1.0 and max_static 0 (got ",
                    pipeline.coverage, ", ", pipeline.max_static, ")");
-    if (pipeline.interleave.telemetry ||
-        !pipeline.interleave.series_scope.empty())
+    if (pipeline.interleave.telemetry)
         bwsa_fatal("streaming sessions do not support per-branch "
-                   "telemetry or time-series scopes");
+                   "telemetry");
     if (pipeline.interleave.phase)
         bwsa_fatal("streaming sessions own their phase accumulator; "
                    "set phase_interval instead of an external "
@@ -153,10 +152,13 @@ StreamingProfileSession::mergedGraph()
                                        spillKey(e));
         if (!epoch)
             throw std::runtime_error(
-                "streaming session '" + _config.spill_scope +
-                "': spilled epoch " + std::to_string(e) +
-                " was evicted from the artifact cache; raise the "
-                "cache cap or the resident bound");
+                std::string("streaming session '")
+                    .append(_config.spill_scope)
+                    .append("': spilled epoch ")
+                    .append(std::to_string(e))
+                    .append(" was evicted from the artifact cache; "
+                            "raise the cache cap or the resident "
+                            "bound"));
         if (e == 0)
             merged = std::move(epoch->graph);
         else
@@ -191,26 +193,17 @@ StreamingProfileSession::drainPhaseWindows()
 {
     if (!_phase_accum)
         return;
-    // Closed windows are immutable (prefix-stable), so the detector
-    // consumes exactly the windows new since the last drain; the
-    // timeline over any block partitioning is the serial timeline.
-    const std::vector<obs::PhaseWindowStat> &windows =
-        _phase_accum->windows();
-    for (; _phase_windows_seen < windows.size();
-         ++_phase_windows_seen) {
-        const obs::PhaseWindowStat &stat =
-            windows[_phase_windows_seen];
-        if (_phase_detector->observe(stat)) {
-            const std::vector<obs::Phase> &phases =
-                _phase_detector->phases();
-            StreamingPhaseEvent event;
-            event.index = phases.size() - 1;
-            event.start_ts = phases.back().start_ts;
-            event.prev_start_ts =
-                phases[phases.size() - 2].start_ts;
-            event.similarity = phases.back().boundary_similarity;
-            _phase_events.push_back(event);
-        }
+    // The timeline over any block partitioning is the serial one; the
+    // phases the drain opened are the last `opened` of phases().
+    const std::size_t opened = _phase_detector->observeNew(*_phase_accum);
+    const std::vector<obs::Phase> &phases = _phase_detector->phases();
+    for (std::size_t k = phases.size() - opened; k < phases.size(); ++k) {
+        StreamingPhaseEvent event;
+        event.index = k;
+        event.start_ts = phases[k].start_ts;
+        event.prev_start_ts = phases[k - 1].start_ts;
+        event.similarity = phases[k].boundary_similarity;
+        _phase_events.push_back(event);
     }
 }
 

@@ -223,6 +223,19 @@ PhaseDetector::observe(const PhaseWindowStat &stat)
     return boundary;
 }
 
+std::size_t
+PhaseDetector::observeNew(const PhaseAccumulator &accumulator)
+{
+    if (accumulator.interval() != _interval)
+        bwsa_panic("PhaseDetector::observeNew interval mismatch (",
+                   accumulator.interval(), " vs ", _interval, ")");
+    const std::vector<PhaseWindowStat> &windows = accumulator.windows();
+    std::size_t opened = 0;
+    while (_observed < windows.size())
+        opened += observe(windows[_observed]);
+    return opened;
+}
+
 PhaseTimeline
 PhaseDetector::timeline() const
 {
@@ -238,8 +251,7 @@ detectPhases(const PhaseAccumulator &accumulator,
              const PhaseDetectorConfig &config)
 {
     PhaseDetector detector(accumulator.interval(), config);
-    for (const PhaseWindowStat &stat : accumulator.windows())
-        detector.observe(stat);
+    detector.observeNew(accumulator);
     return detector.timeline();
 }
 

@@ -5,9 +5,11 @@
  * The paper's central claim is that branch working sets are small and
  * stable *within* execution regions but shift between them -- yet a
  * whole-trace aggregate cannot tell a phase-local aliasing storm from
- * a uniform low-grade problem.  This header promotes the one-shot
- * shift detector of sim/cluster_analysis.hh into a reusable,
- * mergeable observability component with two halves:
+ * a uniform low-grade problem.  This header is the repository's one
+ * definition of a working-set shift -- --phases, the --timeseries
+ * working-set series, the serve daemon's live PhaseEvents and the
+ * misprediction-clustering analysis (sim/cluster_analysis.hh) all
+ * read it -- as a mergeable component with two halves:
  *
  *   * PhaseAccumulator consumes the (pc, timestamp) stream and folds
  *     it into fixed-width instruction windows, each carrying the
@@ -198,8 +200,10 @@ struct PhaseTimeline
  * Deterministic left-to-right phase segmenter.
  *
  * observe() consumes closed windows in stream order and returns true
- * when the window opened a new phase -- the hook the streaming
- * service uses to push a live PhaseEvent the moment a boundary lands.
+ * when the window opened a new phase.  observeNew() is the one online
+ * drain over a growing accumulator: the streaming service, the
+ * misprediction-clustering analysis and detectPhases() all call it,
+ * so a boundary fires at the same window whichever consumer asks.
  * The timeline over any prefix of the window stream equals the same
  * prefix of the serial timeline (only the final open phase grows).
  */
@@ -212,6 +216,18 @@ class PhaseDetector
 
     /** Consume the next window; true if it opened a new phase. */
     bool observe(const PhaseWindowStat &stat);
+
+    /**
+     * Observe every closed window of @p accumulator this detector has
+     * not seen yet, using windowsObserved() as the cursor (closed
+     * windows are prefix-stable, so draining after each batch of
+     * samples yields the serial timeline).  Feed one accumulator per
+     * detector, with a matching interval.
+     *
+     * @return the number of phases the drained windows opened; they
+     *         are the last that many entries of phases()
+     */
+    std::size_t observeNew(const PhaseAccumulator &accumulator);
 
     const PhaseDetectorConfig &config() const { return _config; }
 

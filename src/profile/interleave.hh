@@ -47,7 +47,6 @@
 #define BWSA_PROFILE_INTERLEAVE_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "profile/conflict_graph.hh"
@@ -71,14 +70,6 @@ struct InterleaveConfig
      * (the paper's exact semantics; fine for small traces).
      */
     std::size_t max_window = 4096;
-
-    /**
-     * Time-series name prefix of the sharded engine's per-shard
-     * progress series ("<scope>/shard<i>/progress", see shard.hh).
-     * The tracker itself publishes no series: the temporal
-     * working-set signal comes from the phase accumulator below.
-     */
-    std::string series_scope;
 
     /**
      * Per-branch telemetry accumulator fed one record per dynamic

@@ -9,7 +9,6 @@
 #include "obs/metrics.hh"
 #include "obs/phase_detect.hh"
 #include "obs/phase_tracer.hh"
-#include "obs/timeseries.hh"
 #include "profile/stitch.hh"
 #include "util/logging.hh"
 
@@ -44,26 +43,18 @@ replayFiltered(const TraceSource &segment,
 }
 
 /**
- * Pass-through sink publishing shard progress: one unit sample per
- * record at its trace timestamp, so the series' window *weights* show
- * how many records each instruction window contributed to this shard
- * (a throughput-over-trace-position signal per worker).  It holds
- * back the end of stream: the shard tracker flushes only after its
- * boundary stitch has added the carried-over increments.
+ * Pass-through sink that holds back the end of stream: the shard
+ * tracker flushes only after its boundary stitch has added the
+ * carried-over increments.
  */
 class ShardProgressSink : public TraceSink
 {
   public:
-    ShardProgressSink(TraceSink &inner, obs::TimeSeries *series)
-        : _inner(inner), _series(series)
-    {
-    }
+    explicit ShardProgressSink(TraceSink &inner) : _inner(inner) {}
 
     void
     onBranch(const BranchRecord &record) override
     {
-        if (_series)
-            _series->record(record.timestamp, 1.0);
         _inner.onBranch(record);
     }
 
@@ -73,7 +64,6 @@ class ShardProgressSink : public TraceSink
 
   private:
     TraceSink &_inner;
-    obs::TimeSeries *_series;
 };
 
 /** State of one shard between the passes. */
@@ -220,15 +210,7 @@ profileTraceSharded(const TraceSource &source, ConflictGraph &graph,
             span.addWork(segments[i].recordCount());
             Clock::time_point start = Clock::now();
 
-            // Scope this shard's progress series under its index:
-            // each shard writes only its own series (single-writer
-            // contract).
             InterleaveConfig shard_config = config.interleave;
-            obs::TimeSeries *progress = nullptr;
-            if (!shard_config.series_scope.empty())
-                progress = obs::TimeSeriesRegistry::global().series(
-                    shard_config.series_scope + "/shard" +
-                    std::to_string(i) + "/progress");
             if (telemetry) {
                 shard_maps[i] =
                     std::make_unique<obs::BranchTelemetryMap>(
@@ -243,7 +225,7 @@ profileTraceSharded(const TraceSource &source, ConflictGraph &graph,
             }
             results[i].tracker = std::make_unique<InterleaveTracker>(
                 graph, shard_config);
-            ShardProgressSink sink(*results[i].tracker, progress);
+            ShardProgressSink sink(*results[i].tracker);
             replayFiltered(segments[i], config.selection, sink);
 
             ShardTiming &timing = stats.timings[i];

@@ -170,9 +170,10 @@ ProfileService::handleHello(const Frame &request)
     if (version != store::block_trace_version)
         return errorFrame(
             request, FrameStatus::BadVersion,
-            "client speaks block-trace v" + std::to_string(version) +
-                ", server speaks v" +
-                std::to_string(store::block_trace_version));
+            std::string("client speaks block-trace v")
+                .append(std::to_string(version))
+                .append(", server speaks v")
+                .append(std::to_string(store::block_trace_version)));
     std::string payload;
     appendU32(payload, store::block_trace_version);
     return okFrame(request, std::move(payload));
@@ -200,7 +201,6 @@ ProfileService::handleBegin(std::uint64_t tenant, const Frame &request)
     session_config.pipeline.coverage = 1.0;
     session_config.pipeline.max_static = 0;
     session_config.pipeline.interleave.telemetry = nullptr;
-    session_config.pipeline.interleave.series_scope.clear();
     session_config.pipeline.interleave.phase = nullptr;
     if (max_window != 0)
         session_config.pipeline.interleave.max_window =
@@ -213,8 +213,10 @@ ProfileService::handleBegin(std::uint64_t tenant, const Frame &request)
         session_config.max_resident_bytes = _config.max_session_bytes;
         session_config.spill_cache = _config.spill_cache;
         session_config.spill_scope =
-            "tenant" + std::to_string(tenant) + "/session" +
-            std::to_string(request.session);
+            std::string("tenant")
+                .append(std::to_string(tenant))
+                .append("/session")
+                .append(std::to_string(request.session));
     }
 
     {
@@ -222,9 +224,9 @@ ProfileService::handleBegin(std::uint64_t tenant, const Frame &request)
         SessionKey key{tenant, request.session};
         if (_sessions.count(key) != 0)
             return errorFrame(request, FrameStatus::DuplicateSession,
-                              "session " +
-                                  std::to_string(request.session) +
-                                  " is already open");
+                              std::string("session ")
+                                  .append(std::to_string(request.session))
+                                  .append(" is already open"));
         auto state = std::make_shared<SessionState>();
         state->session = std::make_unique<StreamingProfileSession>(
             std::move(session_config));
@@ -244,8 +246,8 @@ ProfileService::handleAppend(std::uint64_t tenant,
         findSession(tenant, request.session);
     if (!state)
         return errorFrame(request, FrameStatus::UnknownSession,
-                          "no open session " +
-                              std::to_string(request.session));
+                          std::string("no open session ")
+                              .append(std::to_string(request.session)));
 
     std::vector<BranchRecord> records;
     std::string error;
@@ -264,8 +266,9 @@ ProfileService::handleAppend(std::uint64_t tenant,
             records[i].timestamp <= prev)
             return errorFrame(
                 request, FrameStatus::OutOfOrder,
-                "timestamps must strictly ascend (record " +
-                    std::to_string(i) + " of this block)");
+                std::string("timestamps must strictly ascend (record ")
+                    .append(std::to_string(i))
+                    .append(" of this block)"));
         prev = records[i].timestamp;
     }
 
@@ -290,8 +293,8 @@ ProfileService::handleSnapshot(std::uint64_t tenant,
         findSession(tenant, request.session);
     if (!state)
         return errorFrame(request, FrameStatus::UnknownSession,
-                          "no open session " +
-                              std::to_string(request.session));
+                          std::string("no open session ")
+                              .append(std::to_string(request.session)));
 
     std::string payload;
     {

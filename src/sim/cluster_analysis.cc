@@ -1,11 +1,6 @@
 #include "sim/cluster_analysis.hh"
 
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
-
 #include "sim/batched_replay.hh"
-#include "util/logging.hh"
 
 namespace bwsa
 {
@@ -14,15 +9,16 @@ namespace
 {
 
 /**
- * Streaming sink combining prediction, burst detection, and
- * windowed working-set shift detection in one pass.
+ * Streaming sink combining prediction, burst detection, and phase
+ * boundary (working-set shift) detection in one pass.
  */
 class ClusterSink : public TraceSink
 {
   public:
     ClusterSink(const PredictorSpec &spec, const ClusterConfig &config,
                 ClusterReport &report)
-        : _config(config), _report(report)
+        : _config(config), _report(report), _windows(config.interval),
+          _detector(config.interval, config.phases)
     {
         _replayer.addLane(spec);
     }
@@ -38,6 +34,11 @@ class ClusterSink : public TraceSink
         ++_report.branches;
         if (miss)
             ++_report.misses;
+
+        // --- shift detection: a record past the open window closes
+        // it, so a boundary window's aftermath starts at this record.
+        _windows.sample(record.pc, record.timestamp);
+        drainShifts();
 
         // --- shift proximity accounting.
         if (_since_shift < _config.aftermath) {
@@ -58,18 +59,14 @@ class ClusterSink : public TraceSink
             if (_gap > _config.burst_gap)
                 closeRun();
         }
-
-        // --- working-set window tracking.
-        _window.insert(record.pc);
-        if (++_in_window >= _config.window) {
-            closeWindow();
-            _in_window = 0;
-        }
     }
 
     void
     onEnd() override
     {
+        // The tail window's boundary counts; its aftermath is empty.
+        _windows.finish();
+        drainShifts();
         closeRun();
         if (_report.bursts > 0)
             _report.avg_burst_length =
@@ -90,37 +87,11 @@ class ClusterSink : public TraceSink
     }
 
     void
-    closeWindow()
+    drainShifts()
     {
-        // Novelty: share of this window's distinct branches that the
-        // resident set (union of recent windows) has not seen.
-        if (!_resident_counts.empty() || !_history.empty()) {
-            std::size_t fresh = 0;
-            for (BranchPc pc : _window)
-                fresh += (_resident_counts.count(pc) == 0);
-            double novelty =
-                _window.empty()
-                    ? 0.0
-                    : static_cast<double>(fresh) /
-                          static_cast<double>(_window.size());
-            if (novelty > _config.shift_novelty) {
-                ++_report.shifts;
-                _since_shift = 0;
-            }
-        }
-
-        // Roll the window into the resident set.
-        for (BranchPc pc : _window)
-            ++_resident_counts[pc];
-        _history.push_back(std::move(_window));
-        _window.clear();
-        if (_history.size() > _config.resident_windows) {
-            for (BranchPc pc : _history.front()) {
-                auto it = _resident_counts.find(pc);
-                if (--it->second == 0)
-                    _resident_counts.erase(it);
-            }
-            _history.pop_front();
+        if (std::size_t opened = _detector.observeNew(_windows)) {
+            _report.shifts += opened;
+            _since_shift = 0;
         }
     }
 
@@ -131,10 +102,8 @@ class ClusterSink : public TraceSink
     std::size_t _run_misses = 0;   ///< misses in the open run
     std::size_t _gap = 0;          ///< correct branches since a miss
 
-    std::unordered_set<BranchPc> _window;
-    std::deque<std::unordered_set<BranchPc>> _history;
-    std::unordered_map<BranchPc, int> _resident_counts;
-    std::size_t _in_window = 0;
+    obs::PhaseAccumulator _windows;
+    obs::PhaseDetector _detector;
     std::size_t _since_shift = ~std::size_t(0) / 2; ///< start steady
 };
 
@@ -145,8 +114,6 @@ analyzeMispredictionClustering(const TraceSource &source,
                                const PredictorSpec &spec,
                                const ClusterConfig &config)
 {
-    if (config.window == 0)
-        bwsa_panic("ClusterConfig window must be nonzero");
     ClusterReport report;
     ClusterSink sink(spec, config, report);
     source.replay(sink);

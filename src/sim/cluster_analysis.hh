@@ -8,11 +8,13 @@
  * This analysis replays a predictor over a trace while simultaneously
  * (a) grouping mispredictions into bursts (maximal runs of misses
  * separated by fewer than a gap of correctly predicted branches) and
- * (b) detecting working-set shifts as low Jaccard similarity between
- * the distinct-branch populations of consecutive trace windows.  It
- * then contrasts the miss rate in the aftermath of a shift against
- * the steady-state miss rate, quantifying how much of the clustering
- * is attributable to working-set change.
+ * (b) counting working-set shifts as the phase boundaries of the one
+ * phase engine (obs/phase_detect.hh) over the same trace: low Jaccard
+ * similarity between the branch populations of consecutive
+ * instruction windows.  It then contrasts the miss rate in the
+ * aftermath of a shift against the steady-state miss rate,
+ * quantifying how much of the clustering is attributable to
+ * working-set change.
  */
 
 #ifndef BWSA_SIM_CLUSTER_ANALYSIS_HH
@@ -20,6 +22,7 @@
 
 #include <cstdint>
 
+#include "obs/phase_detect.hh"
 #include "predict/factory.hh"
 #include "trace/trace.hh"
 #include "util/stats.hh"
@@ -30,23 +33,14 @@ namespace bwsa
 /** Knobs of the clustering analysis. */
 struct ClusterConfig
 {
-    /** Dynamic branches per working-set observation window. */
-    std::size_t window = 512;
-
     /**
-     * Number of preceding windows whose union forms the "resident"
-     * branch set a new window is compared against.  Comparing against
-     * the union (not just the previous window) keeps the detector
-     * quiet while a phase's procedures interleave and loud only when
-     * genuinely new code arrives.
+     * Working-set window width in retired instructions (the phase
+     * accumulator's interval); each phase boundary is one shift.
      */
-    std::size_t resident_windows = 4;
+    std::uint64_t interval = 4096;
 
-    /**
-     * Fraction of a window's distinct branches that must be absent
-     * from the resident set to declare a working-set shift.
-     */
-    double shift_novelty = 0.45;
+    /** Phase-boundary rule applied to the windows. */
+    obs::PhaseDetectorConfig phases;
 
     /** Misses separated by fewer correct branches fuse into a burst. */
     std::size_t burst_gap = 8;
@@ -54,7 +48,10 @@ struct ClusterConfig
     /** Minimum misses for a run to count as a burst. */
     std::size_t burst_min = 4;
 
-    /** Branches after a shift considered "near" the shift. */
+    /**
+     * Branches considered "near" a shift, counted from the record
+     * that closes the boundary window.
+     */
     std::size_t aftermath = 512;
 };
 
@@ -68,7 +65,7 @@ struct ClusterReport
     std::uint64_t burst_misses = 0;  ///< misses inside bursts
     double avg_burst_length = 0.0;   ///< mean misses per burst
 
-    std::uint64_t shifts = 0;        ///< working-set shifts observed
+    std::uint64_t shifts = 0;        ///< phase boundaries observed
 
     /** Miss ratio within `aftermath` branches of a shift. */
     RatioStat near_shift;

@@ -11,6 +11,7 @@
 #include "test_helpers.hh"
 
 #include "core/pipeline.hh"
+#include "obs/phase_detect.hh"
 #include "predict/factory.hh"
 #include "reference/agree.hh"
 #include "reference/bpred_sim.hh"
@@ -270,11 +271,45 @@ TEST(ClusterAnalysis, DetectsWorkingSetShift)
 
     const PredictorSpec p = alwaysTakenSpec();
     ClusterConfig config;
-    config.window = 256;
+    config.interval = 1024;
     ClusterReport report =
         analyzeMispredictionClustering(trace, p, config);
     EXPECT_GE(report.shifts, 1u);
     EXPECT_LE(report.shifts, 2u);
+}
+
+TEST(ClusterAnalysis, ShiftsAreTheDetectedPhaseBoundaries)
+{
+    // Five phases over disjoint branch sets of different sizes and
+    // lengths: the shift count must be exactly the boundary count of
+    // the phase engine over the same interval and detector config.
+    MemoryTrace trace;
+    std::uint64_t ts = 0;
+    const int lengths[] = {6000, 3500, 8000, 2600, 5000};
+    const int widths[] = {20, 35, 12, 40, 25};
+    for (int phase = 0; phase < 5; ++phase)
+        for (int i = 0; i < lengths[phase]; ++i)
+            trace.onBranch({0x10000ull * (phase + 1) +
+                                8ull * (i % widths[phase]),
+                            ts += 3, i % 3 != 0});
+
+    ClusterConfig config;
+    config.interval = 2048;
+    config.phases.threshold = 0.5;
+    config.phases.hysteresis = 0.1;
+    config.phases.min_windows = 3;
+    ClusterReport report =
+        analyzeMispredictionClustering(trace, paperBaselineSpec(), config);
+
+    obs::PhaseAccumulator windows(config.interval);
+    for (const BranchRecord &record : trace.records())
+        windows.sample(record.pc, record.timestamp);
+    windows.finish();
+    obs::PhaseTimeline timeline = obs::detectPhases(windows, config.phases);
+    ASSERT_EQ(timeline.phases.size(), 5u);
+    EXPECT_EQ(report.shifts, timeline.phases.size() - 1);
+    // Every boundary opens a full aftermath (phases outlast it).
+    EXPECT_EQ(report.near_shift.total(), 4u * config.aftermath);
 }
 
 TEST(ClusterAnalysis, SteadyPhaseHasNoShifts)
@@ -314,7 +349,7 @@ TEST(ClusterAnalysisDeath, ZeroWindowPanics)
     trace.onBranch({0x100, 5, true});
     const PredictorSpec p = alwaysTakenSpec();
     ClusterConfig config;
-    config.window = 0;
+    config.interval = 0;
     EXPECT_DEATH(analyzeMispredictionClustering(trace, p, config),
-                 "window");
+                 "interval");
 }

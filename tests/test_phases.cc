@@ -128,8 +128,8 @@ window(std::uint64_t start, double similarity, bool has_similarity)
 
 /**
  * Drive a PhaseDetector the way the streaming service does: after
- * each block of records lands in the accumulator, feed it only the
- * windows that closed since the last block.
+ * each block of records lands in the accumulator, drain the windows
+ * that closed since the last block (observeNew()).
  */
 PhaseTimeline
 streamedTimeline(const std::vector<BranchRecord> &records,
@@ -139,18 +139,15 @@ streamedTimeline(const std::vector<BranchRecord> &records,
 {
     PhaseAccumulator accumulator(interval);
     PhaseDetector detector(interval, config);
-    std::size_t fed = 0;
     for (std::size_t off = 0; off < records.size(); off += block) {
         std::size_t n = std::min(block, records.size() - off);
         for (std::size_t i = off; i < off + n; ++i)
             accumulator.sample(records[i].pc,
                                records[i].timestamp);
-        while (fed < accumulator.windows().size())
-            detector.observe(accumulator.windows()[fed++]);
+        detector.observeNew(accumulator);
     }
     accumulator.finish();
-    while (fed < accumulator.windows().size())
-        detector.observe(accumulator.windows()[fed++]);
+    detector.observeNew(accumulator);
     return detector.timeline();
 }
 
@@ -428,6 +425,33 @@ TEST(PhaseDetector, HysteresisGatesRearm)
     EXPECT_FALSE(detector.observe(window(40, 0.7, true))); // re-arms
     EXPECT_TRUE(detector.observe(window(50, 0.1, true)));  // fires
     EXPECT_EQ(detector.phaseCount(), 3u);
+}
+
+TEST(PhaseDetector, ObserveNewDrainsOnlyUnseenWindows)
+{
+    PhaseDetectorConfig config;
+    config.min_windows = 1;
+    PhaseAccumulator accumulator(10);
+    PhaseDetector detector(10, config);
+    accumulator.sample(0xA, 0);
+    accumulator.sample(0xA, 10);
+    accumulator.sample(0xB, 20); // closes [0,10) and [10,20): {A}
+    EXPECT_EQ(detector.observeNew(accumulator), 0u);
+    EXPECT_EQ(detector.windowsObserved(), 2u);
+    accumulator.sample(0xB, 30); // closes [20,30): {B}, full turnover
+    EXPECT_EQ(detector.observeNew(accumulator), 1u);
+    EXPECT_EQ(detector.observeNew(accumulator), 0u);
+    accumulator.finish();
+    EXPECT_EQ(detector.observeNew(accumulator), 0u);
+    EXPECT_EQ(detector.windowsObserved(), 4u);
+    EXPECT_EQ(detector.timeline(), detectPhases(accumulator, config));
+}
+
+TEST(PhaseDetectorDeath, ObserveNewRejectsOtherInterval)
+{
+    PhaseAccumulator accumulator(10);
+    PhaseDetector detector(20);
+    EXPECT_DEATH(detector.observeNew(accumulator), "interval mismatch");
 }
 
 TEST(PhaseDetector, TimelineInvariantsHold)

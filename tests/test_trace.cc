@@ -240,37 +240,6 @@ TEST(FanoutSink, DoneOnlyWhenEverySinkIsDone)
     EXPECT_EQ(delivered.branches, 61);
 }
 
-// ---------------------------------------------------------------- file IO
-//
-// The trace-file entry points (store::writeBlockTraceFile +
-// store::openTraceReader) as the generic TraceSource the analyses see;
-// the block container's own layout, seeking and corruption handling
-// are covered in test_store.
-
-class TraceIoRandom : public ::testing::TestWithParam<std::uint64_t>
-{
-};
-
-TEST_P(TraceIoRandom, RoundTripRandomTraces)
-{
-    std::string path =
-        tempPath("rand" + std::to_string(GetParam()));
-    MemoryTrace trace = makeRandomTrace(GetParam(), 5000);
-    writeBlocked(path, trace);
-
-    auto reader = store::openTraceReader(path);
-    EXPECT_EQ(reader->recordCount(), 5000u);
-    MemoryTrace read;
-    reader->replay(read);
-    ASSERT_EQ(read.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i)
-        ASSERT_EQ(read[i], trace[i]) << "record " << i;
-    std::filesystem::remove(path);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, TraceIoRandom,
-                         ::testing::Values(1u, 2u, 3u, 42u, 999u));
-
 // ------------------------------------------------------------ trace stats
 
 TEST(TraceStats, CountsPerBranch)
