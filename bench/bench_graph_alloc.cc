@@ -45,8 +45,9 @@ main(int argc, char **argv)
 
     bwsa::bench::GraphAllocTables tables =
         bwsa::bench::buildGraphAllocTables(options, bht);
-    bwsa::bench::emitTable("graph allocation summary (bht=" +
-                               std::to_string(bht) + ")",
+    bwsa::bench::emitTable(std::string("graph allocation summary (bht=")
+                               .append(std::to_string(bht))
+                               .append(")"),
                            tables.summary, options);
     bwsa::bench::emitTable("graph allocation payoff vs. predictability",
                            tables.payoff, options);

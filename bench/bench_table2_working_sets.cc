@@ -31,8 +31,10 @@ main(int argc, char **argv)
 
     TextTable table = buildWorkingSetTable(options);
 
-    emitTable("Table 2: the sizes of branch working sets (threshold " +
-                  std::to_string(options.threshold) + ")",
+    emitTable(std::string("Table 2: the sizes of branch working sets "
+                          "(threshold ")
+                  .append(std::to_string(options.threshold))
+                  .append(")"),
               table, options);
     return finishBench(options);
 }

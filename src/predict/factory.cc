@@ -102,9 +102,12 @@ validatePredictorSpec(const PredictorSpec &spec)
 std::string
 predictorName(const PredictorSpec &spec)
 {
-    const std::string hist = "-h" + std::to_string(spec.history_bits);
+    const std::string hist =
+        std::string("-h").append(std::to_string(spec.history_bits));
     const std::string bht = std::to_string(spec.bht_entries);
-    const std::string pht = ",pht=" + std::to_string(spec.pht_entries) + ")";
+    const std::string pht = std::string(",pht=")
+                                .append(std::to_string(spec.pht_entries))
+                                .append(")");
     switch (spec.kind) {
       case PredictorKind::AlwaysTaken:
       case PredictorKind::AlwaysNotTaken:
@@ -125,17 +128,22 @@ predictorName(const PredictorSpec &spec)
       case PredictorKind::PAgIdeal:
         return "PAg(ideal,bht=inf" + pht;
       case PredictorKind::PAs:
-        return "PAs(pc-mod-" + bht +
-               ",sets=" + std::to_string(spec.pht_sets) + ")";
+        return std::string("PAs(pc-mod-")
+            .append(bht)
+            .append(",sets=")
+            .append(std::to_string(spec.pht_sets))
+            .append(")");
       case PredictorKind::Tournament: {
         std::vector<PredictorSpec> parts = componentSpecs(spec);
         return "tournament(" + predictorName(parts[0]) + "," +
                predictorName(parts[1]) + ")";
       }
       case PredictorKind::StaticFilteredPAg:
-        return "static-filter(" +
-               std::to_string(spec.static_directions.size()) + "," +
-               predictorName(componentSpecs(spec)[0]) + ")";
+        return std::string("static-filter(")
+            .append(std::to_string(spec.static_directions.size()))
+            .append(",")
+            .append(predictorName(componentSpecs(spec)[0]))
+            .append(")");
     }
     bwsa_panic("unknown PredictorKind ", static_cast<int>(spec.kind));
 }

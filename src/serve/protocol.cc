@@ -97,10 +97,12 @@ FrameReader::feed(const char *data, std::size_t size)
         std::uint32_t version = 0;
         fields.getU32(version);
         if (version != store::serve_protocol_version)
-            return fail("unsupported protocol version " +
-                        std::to_string(version) + " (this build speaks " +
-                        std::to_string(store::serve_protocol_version) +
-                        ")");
+            return fail(
+                std::string("unsupported protocol version ")
+                    .append(std::to_string(version))
+                    .append(" (this build speaks ")
+                    .append(std::to_string(store::serve_protocol_version))
+                    .append(")"));
 
         const unsigned char type =
             static_cast<unsigned char>(_buffer[8]);
@@ -113,11 +115,12 @@ FrameReader::feed(const char *data, std::size_t size)
         tail.getU64(session);
         tail.getU32(payload_len);
         if (payload_len > max_payload_bytes)
-            return fail("oversized payload length " +
-                        std::to_string(payload_len));
+            return fail(std::string("oversized payload length ")
+                            .append(std::to_string(payload_len)));
         if (type < static_cast<unsigned char>(FrameType::Hello) ||
             type > static_cast<unsigned char>(FrameType::PhaseEvent))
-            return fail("unknown frame type " + std::to_string(type));
+            return fail(std::string("unknown frame type ")
+                            .append(std::to_string(type)));
 
         const std::size_t total =
             frame_header_bytes + payload_len + 4;
@@ -181,7 +184,8 @@ decodeAppendPayload(const std::string &payload,
     if (count > max_payload_bytes) {
         // Two varint bytes minimum per record; a count beyond the
         // payload cap can never be honest.
-        error = "implausible record count " + std::to_string(count);
+        error = std::string("implausible record count ")
+                    .append(std::to_string(count));
         return false;
     }
     return store::decodeBlockPayload(payload.data() + 8,
@@ -206,8 +210,8 @@ decodePhaseEventPayload(const std::string &payload,
                         PhaseEventInfo &out, std::string &error)
 {
     if (payload.size() != 32) {
-        error = "phase-event payload must be 32 bytes, got " +
-                std::to_string(payload.size());
+        error = std::string("phase-event payload must be 32 bytes, got ")
+                    .append(std::to_string(payload.size()));
         return false;
     }
     ByteCursor cur(payload);

@@ -5,13 +5,24 @@
  *
  * Each predictor configuration becomes a *lane* whose tables live in
  * packed flat arrays owned by the replayer (histories as `uint32_t`
- * patterns, saturating counters as raw `uint8_t` values), and the
- * record loop steps every lane through a kind switch -- no virtual
- * dispatch, no per-entry objects.  Every PredictorKind is a flat
- * lane: composite kinds are lanes built from lanes (a tournament is a
- * bimodal and a gshare sub-lane plus a chooser table; a
- * static-filtered PAg is a static-direction map in front of a PAg
- * sub-lane), so no step arithmetic is duplicated.
+ * patterns, saturating counters as raw `uint8_t` values).  Every
+ * PredictorKind is a flat lane: composite kinds are lanes built from
+ * lanes (a tournament is a bimodal and a gshare sub-lane plus a
+ * chooser table; a static-filtered PAg is a static-direction map in
+ * front of a PAg sub-lane), so no step arithmetic is duplicated.
+ *
+ * The record loop is lane-major.  onBranch() interns the pc into a
+ * dense *slot* (one open-addressed lookup per record, slots in
+ * first-occurrence order) and appends the record to a block of at most
+ * block_records records.  When the block is full -- or ends early at
+ * a phase boundary or at onEnd() -- each lane runs its kind's block
+ * loop once over the whole block, writing one miss bit per record.
+ * Per-branch side tables (PAg BHT indices, agree bias bits, static
+ * directions) are slot-indexed arrays that a lane fills the first time
+ * it sees a slot, so the sparse maps behind them are read once per
+ * branch, not once per record.  Per-branch ratios, the miss-rate
+ * series, phase bins and foldMisses() callbacks are folds over a
+ * block's miss bits.
  *
  * Lanes are described by PredictorSpec (predict/factory.hh), which
  * also validates them and names them.  The predictor objects under
@@ -22,6 +33,8 @@
 #ifndef BWSA_SIM_BATCHED_REPLAY_HH
 #define BWSA_SIM_BATCHED_REPLAY_HH
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -95,16 +108,37 @@ struct BatchedLaneOptions
     std::string series_scope;
 };
 
+/** The records of one replayed block, in trace order. */
+struct ReplayBlock
+{
+    std::size_t size = 0;
+    const BranchPc *pc = nullptr;
+    const std::uint64_t *timestamp = nullptr;
+};
+
 /**
- * TraceSink stepping N packed predictor lanes per record.
+ * A fold over one lane's misses: called once per replayed block with
+ * the block's records and the lane's per-record miss bits
+ * (1 = mispredicted).
+ */
+using LaneMissFold =
+    std::function<void(const ReplayBlock &block, const std::uint8_t *miss)>;
+
+/**
+ * TraceSink replaying N packed predictor lanes, block by block.
  *
  * Usage: addLane() every configuration, replay() the trace, read
- * stats()/probe() per lane.  A replayer is single-use: lanes must be
- * added before the first record arrives.
+ * stats()/probe() per lane.  Lanes must be added before the first
+ * record arrives.  Lane statistics and probes are exact after onEnd()
+ * (which replay() delivers); between records they lag by the open
+ * block.
  */
 class BatchedReplayer : public TraceSink
 {
   public:
+    /** Records per block: the unit every lane's loop runs over. */
+    static constexpr std::size_t block_records = 4096;
+
     /** @param per_branch also collect per-static-branch ratios */
     explicit BatchedReplayer(bool per_branch = false);
     ~BatchedReplayer() override;
@@ -129,8 +163,17 @@ class BatchedReplayer : public TraceSink
 
     void onBranch(const BranchRecord &record) override;
 
-    /** Flush whole-replay totals (delta) into the metrics registry. */
+    /**
+     * Replay the open block, then flush whole-replay totals (delta)
+     * into the metrics registry.
+     */
     void onEnd() override;
+
+    /**
+     * Run @p fold over @p lane's miss bits after every block the lane
+     * replays.  Must be called before the first record.
+     */
+    void foldMisses(std::size_t lane, LaneMissFold fold);
 
     std::size_t laneCount() const { return _lanes.size(); }
 
@@ -151,8 +194,9 @@ class BatchedReplayer : public TraceSink
      * must stay alive through the replay).  Each record lands in the
      * phase whose [start_ts, next start_ts) range holds its
      * timestamp; per-lane executed/miss counts bin per phase, probe
-     * destructive counters are snapshotted at each boundary crossing,
-     * and the distinct-PC population of every phase is collected.
+     * destructive counters are snapshotted at each boundary crossing
+     * (a block ends there), and the distinct-PC population of every
+     * phase is collected.
      * Must be called before the first record.
      */
     void setPhaseTimeline(const obs::PhaseTimeline *timeline);
@@ -174,17 +218,40 @@ class BatchedReplayer : public TraceSink
 
   private:
     struct Lane;
+    struct Block;
 
+    static constexpr std::uint32_t npos = ~std::uint32_t(0);
+
+    /** pc -> slot table entry; slot == npos marks an empty entry. */
+    struct SlotEntry
+    {
+        BranchPc pc = 0;
+        std::uint32_t slot = npos;
+    };
+
+    void seal();
+    std::uint32_t slotFor(BranchPc pc);
+    void growSlotTable();
+    void replayBlock();
     void advancePhase();
 
     bool _per_branch;
     bool _sealed = false; ///< records seen; no more addLane()
     std::vector<std::unique_ptr<Lane>> _lanes;
 
+    /** Dense branch slots, in first-occurrence order. */
+    std::vector<SlotEntry> _slot_table; ///< power-of-two capacity
+    std::vector<BranchPc> _slot_pcs;    ///< slot -> pc
+
+    std::unique_ptr<Block> _block; ///< the open block
+
     /** Phase attribution (null timeline = disabled). */
     const obs::PhaseTimeline *_timeline = nullptr;
+    bool _attribute = false; ///< a nonempty timeline is set
     std::size_t _phase_index = 0;
     std::vector<std::unordered_set<BranchPc>> _phase_pcs;
+    /** Per slot: 1 + the last phase whose population holds it. */
+    std::vector<std::size_t> _slot_phase;
 };
 
 /**

@@ -9,60 +9,57 @@ namespace
 {
 
 /**
- * Streaming sink combining prediction, burst detection, and phase
- * boundary (working-set shift) detection in one pass.
+ * Fold over one predictor lane's miss bits, combining burst detection
+ * and phase-boundary (working-set shift) detection in one pass.
  */
-class ClusterSink : public TraceSink
+class ClusterFold
 {
   public:
-    ClusterSink(const PredictorSpec &spec, const ClusterConfig &config,
-                ClusterReport &report)
+    ClusterFold(const ClusterConfig &config, ClusterReport &report)
         : _config(config), _report(report), _windows(config.interval),
           _detector(config.interval, config.phases)
     {
-        _replayer.addLane(spec);
     }
 
     void
-    onBranch(const BranchRecord &record) override
+    onBlock(const ReplayBlock &block, const std::uint8_t *miss_bits)
     {
-        // The record missed when the lane's miss count moved.
-        _replayer.onBranch(record);
-        bool miss = _replayer.stats(0).mispredicts.events() !=
-                    _report.misses;
+        for (std::size_t i = 0; i < block.size; ++i) {
+            const bool miss = miss_bits[i] != 0;
+            ++_report.branches;
+            if (miss)
+                ++_report.misses;
 
-        ++_report.branches;
-        if (miss)
-            ++_report.misses;
+            // --- shift detection: a record past the open window
+            // closes it, so a boundary window's aftermath starts at
+            // this record.
+            _windows.sample(block.pc[i], block.timestamp[i]);
+            drainShifts();
 
-        // --- shift detection: a record past the open window closes
-        // it, so a boundary window's aftermath starts at this record.
-        _windows.sample(record.pc, record.timestamp);
-        drainShifts();
+            // --- shift proximity accounting.
+            if (_since_shift < _config.aftermath) {
+                _report.near_shift.record(miss);
+                ++_since_shift;
+            } else {
+                _report.steady.record(miss);
+            }
 
-        // --- shift proximity accounting.
-        if (_since_shift < _config.aftermath) {
-            _report.near_shift.record(miss);
-            ++_since_shift;
-        } else {
-            _report.steady.record(miss);
-        }
-
-        // --- burst detection.
-        if (miss) {
-            if (_gap > _config.burst_gap && _run_misses > 0)
-                closeRun();
-            ++_run_misses;
-            _gap = 0;
-        } else if (_run_misses > 0) {
-            ++_gap;
-            if (_gap > _config.burst_gap)
-                closeRun();
+            // --- burst detection.
+            if (miss) {
+                if (_gap > _config.burst_gap && _run_misses > 0)
+                    closeRun();
+                ++_run_misses;
+                _gap = 0;
+            } else if (_run_misses > 0) {
+                ++_gap;
+                if (_gap > _config.burst_gap)
+                    closeRun();
+            }
         }
     }
 
     void
-    onEnd() override
+    finish()
     {
         // The tail window's boundary counts; its aftermath is empty.
         _windows.finish();
@@ -95,7 +92,6 @@ class ClusterSink : public TraceSink
         }
     }
 
-    BatchedReplayer _replayer;
     const ClusterConfig &_config;
     ClusterReport &_report;
 
@@ -115,8 +111,15 @@ analyzeMispredictionClustering(const TraceSource &source,
                                const ClusterConfig &config)
 {
     ClusterReport report;
-    ClusterSink sink(spec, config, report);
-    source.replay(sink);
+    ClusterFold fold(config, report);
+    BatchedReplayer replayer;
+    replayer.addLane(spec);
+    replayer.foldMisses(0, [&fold](const ReplayBlock &block,
+                                   const std::uint8_t *miss) {
+        fold.onBlock(block, miss);
+    });
+    replayer.replay(source);
+    fold.finish();
     return report;
 }
 

@@ -97,7 +97,8 @@ struct ClusterReport
 
 /**
  * Run the clustering analysis over one trace with the predictor
- * @p spec describes (replayed as one batched lane).
+ * @p spec describes: one batched replay of one lane, whose miss bits
+ * are folded block by block.
  */
 ClusterReport
 analyzeMispredictionClustering(const TraceSource &source,

@@ -396,8 +396,9 @@ GeneratorImpl::generate()
     Program program;
     program.addProcedure("main", std::move(main_body));
     for (std::size_t i = 1; i < n; ++i)
-        program.addProcedure("proc" + std::to_string(i),
-                             std::move(bodies[i]));
+        program.addProcedure(
+            std::string("proc").append(std::to_string(i)),
+            std::move(bodies[i]));
     program.finalize();
 
     GeneratedProgram out;

@@ -12,12 +12,16 @@
  *    victim/aggressor attribution;
  *  - lanes reject exactly the specs the reference constructors do;
  *  - replay() maintains the sim.runs / sim.predictor_runs counter
- *    contract: one trace replay, laneCount() predictor replays.
+ *    contract: one trace replay, laneCount() predictor replays;
+ *  - block and slot boundaries are invisible: full blocks, a partial
+ *    tail block, a slot table that grows mid-block and blocks cut at
+ *    phase boundaries all replay exactly like the reference.
  */
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.hh"
+#include "obs/phase_detect.hh"
 #include "predict/factory.hh"
 #include "reference/bpred_sim.hh"
 #include "reference/make_predictor.hh"
@@ -31,6 +35,26 @@ using namespace bwsa;
 namespace
 {
 
+/**
+ * Outcome of record @p i at @p pc: per-site behavior mix, some
+ * strongly biased, some pattern-driven, some noisy -- enough to
+ * exercise histories.
+ */
+bool
+siteOutcome(BranchPc pc, std::size_t i, Pcg32 &rng)
+{
+    switch ((pc >> 3) % 4) {
+      case 0:
+        return true;
+      case 1:
+        return (i % 3) != 0;
+      case 2:
+        return rng.nextBool(0.5);
+      default:
+        return rng.nextBool(0.85);
+    }
+}
+
 /** Random trace over @p distinct branch sites. */
 MemoryTrace
 makeTrace(std::size_t n, std::uint64_t seed,
@@ -40,24 +64,30 @@ makeTrace(std::size_t n, std::uint64_t seed,
     MemoryTrace trace;
     for (std::size_t i = 0; i < n; ++i) {
         std::uint64_t pc = 0x400000 + 8ull * rng.nextBounded(distinct);
-        // Per-site behavior mix: some strongly biased, some
-        // pattern-driven, some noisy -- enough to exercise histories.
-        bool taken;
-        switch ((pc >> 3) % 4) {
-          case 0:
-            taken = true;
-            break;
-          case 1:
-            taken = (i % 3) != 0;
-            break;
-          case 2:
-            taken = rng.nextBool(0.5);
-            break;
-          default:
-            taken = rng.nextBool(0.85);
-            break;
-        }
-        trace.onBranch({pc, 5ull * (i + 1), taken});
+        trace.onBranch({pc, 5ull * (i + 1), siteOutcome(pc, i, rng)});
+    }
+    return trace;
+}
+
+/**
+ * Three full blocks plus a 17-record tail over a widening branch
+ * population: new sites arrive in every block (40 at first, ~350 at
+ * the end) and the tail runs 5 sites never seen before, so the slot
+ * table grows past 64, 128 and 256 slots mid-block and the last,
+ * partial block still opens slots.
+ */
+MemoryTrace
+makeWideningTrace(std::uint64_t seed)
+{
+    const std::size_t n = 3 * BatchedReplayer::block_records + 17;
+    Pcg32 rng(seed);
+    MemoryTrace trace;
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto sites = static_cast<std::uint32_t>(40 + i / 40);
+        std::uint64_t pc = i + 17 >= n
+                               ? 0x900000 + 8ull * (i % 5)
+                               : 0x400000 + 8ull * rng.nextBounded(sites);
+        trace.onBranch({pc, 5ull * (i + 1), siteOutcome(pc, i, rng)});
     }
     return trace;
 }
@@ -158,6 +188,40 @@ expectSameStats(const PredictionStats &batched,
             << batched.predictor_name << " pc " << pc;
         EXPECT_EQ(it->second.total(), ratio.total())
             << batched.predictor_name << " pc " << pc;
+    }
+}
+
+/** Fresh reference predictor for @p spec; probed when it is a PAg. */
+PredictorPtr
+probedReference(const PredictorSpec &spec)
+{
+    PredictorPtr built = makePredictor(spec);
+    if (auto *pag = dynamic_cast<PAgPredictor *>(built.get()))
+        pag->enableInterferenceProbe();
+    return built;
+}
+
+void
+expectSameProbe(const BhtInterferenceProbe &got,
+                const BhtInterferenceProbe &want, const std::string &name)
+{
+    EXPECT_EQ(got.counters().predictions, want.counters().predictions)
+        << name;
+    EXPECT_EQ(got.counters().agree, want.counters().agree) << name;
+    EXPECT_EQ(got.counters().neutral, want.counters().neutral) << name;
+    EXPECT_EQ(got.counters().constructive,
+              want.counters().constructive)
+        << name;
+    EXPECT_EQ(got.counters().destructive, want.counters().destructive)
+        << name;
+    EXPECT_EQ(got.shadowedBranches(), want.shadowedBranches()) << name;
+    ASSERT_EQ(got.branchAliasing().size(), want.branchAliasing().size())
+        << name;
+    for (const auto &[pc, aliasing] : want.branchAliasing()) {
+        auto it = got.branchAliasing().find(pc);
+        ASSERT_NE(it, got.branchAliasing().end()) << name << " pc " << pc;
+        EXPECT_EQ(it->second.victim, aliasing.victim) << name;
+        EXPECT_EQ(it->second.aggressor, aliasing.aggressor) << name;
     }
 }
 
@@ -377,4 +441,129 @@ TEST(BatchedReplay, ReplayerIsReusableAcrossTraces)
     EXPECT_EQ(after_a, a.size());
     EXPECT_EQ(replayer.stats(lane).mispredicts.total(),
               a.size() + b.size());
+}
+
+TEST(BatchedReplay, BlockBoundariesMatchReference)
+{
+    // Every kind, per-branch ratios on and the probe on every lane
+    // (honoured by the PAg lanes), over full blocks, a partial tail
+    // block and a slot table that grows mid-block.  The static
+    // filters cover both sub-lane index modes: allocated (zoo) and
+    // modulo (no assignment).
+    MemoryTrace trace = makeWideningTrace(71);
+    ASSERT_EQ(trace.size() % BatchedReplayer::block_records, 17u);
+    std::vector<PredictorSpec> specs = zooSpecs();
+    PredictorSpec filtered_modulo = specOf(PredictorKind::StaticFilteredPAg);
+    filtered_modulo.static_directions = makeDirections();
+    specs.push_back(filtered_modulo);
+
+    std::vector<PredictorPtr> owned;
+    std::vector<Predictor *> raw;
+    for (const PredictorSpec &spec : specs) {
+        owned.push_back(probedReference(spec));
+        raw.push_back(owned.back().get());
+    }
+    std::vector<PredictionStats> want =
+        comparePredictors(trace, raw, true);
+
+    BatchedReplayer replayer(true);
+    BatchedLaneOptions options;
+    options.probe = true;
+    for (const PredictorSpec &spec : specs)
+        replayer.addLane(spec, options);
+    replayer.replay(trace);
+
+    std::size_t probed = 0;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        const PredictionStats &got = replayer.stats(i);
+        EXPECT_EQ(got.mispredicts.total(), trace.size());
+        EXPECT_EQ(got.per_branch.size(), want[i].per_branch.size());
+        expectSameStats(got, want[i]);
+        auto *pag = dynamic_cast<PAgPredictor *>(owned[i].get());
+        const BhtInterferenceProbe *got_probe = replayer.probe(i);
+        ASSERT_EQ(got_probe != nullptr, pag != nullptr)
+            << got.predictor_name;
+        if (pag) {
+            expectSameProbe(*got_probe, *pag->interferenceProbe(),
+                            got.predictor_name);
+            ++probed;
+        }
+    }
+    EXPECT_EQ(probed, 5u); // modulo x2, allocated, ideal, wide history
+}
+
+TEST(BatchedReplay, PhaseBinsMatchPerPhaseReference)
+{
+    // Three phases.  The first boundary falls inside the second block,
+    // which it cuts short; the second lands exactly where the next
+    // block fills up, so that block ends on the boundary.
+    MemoryTrace trace = makeWideningTrace(83);
+    const std::vector<BranchRecord> &records = trace.records();
+    const std::size_t cut1 = BatchedReplayer::block_records + 1000;
+    const std::size_t cut2 = cut1 + BatchedReplayer::block_records;
+    obs::PhaseTimeline timeline;
+    timeline.phases.resize(3);
+    timeline.phases[0].start_ts = records[0].timestamp;
+    timeline.phases[1].start_ts = records[cut1].timestamp;
+    timeline.phases[2].start_ts = records[cut2].timestamp;
+    auto phaseOf = [&](std::size_t i) -> std::size_t {
+        return i < cut1 ? 0 : i < cut2 ? 1 : 2;
+    };
+
+    // Small shared tables, so every phase has destructive events to
+    // bin; the interference-free lane has none.
+    const std::vector<PredictorSpec> specs{
+        parsePredictorSpec("pag:bht=32"),
+        allocatedSpec(makeAssignment(64), 64), interferenceFreeSpec(),
+        parsePredictorSpec("gshare")};
+    BatchedReplayer replayer;
+    BatchedLaneOptions options;
+    options.probe = true;
+    for (const PredictorSpec &spec : specs)
+        replayer.addLane(spec, options);
+    replayer.setPhaseTimeline(&timeline);
+    replayer.replay(trace);
+
+    // Reference: each predictor stepped record by record, its probe's
+    // destructive count read after every record.
+    for (std::size_t lane = 0; lane < specs.size(); ++lane) {
+        PredictorPtr reference = probedReference(specs[lane]);
+        auto *pag = dynamic_cast<PAgPredictor *>(reference.get());
+        std::vector<LanePhaseBin> want(3);
+        std::uint64_t destructive = 0;
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            const BranchRecord &record = records[i];
+            bool predicted = reference->predict(record.pc);
+            reference->update(record.pc, record.taken);
+            LanePhaseBin &bin = want[phaseOf(i)];
+            ++bin.executed;
+            if (predicted != record.taken)
+                ++bin.mispredicted;
+            if (pag) {
+                std::uint64_t now =
+                    pag->interferenceProbe()->counters().destructive;
+                bin.destructive += now - destructive;
+                destructive = now;
+            }
+        }
+        const std::vector<LanePhaseBin> &got = replayer.phaseBins(lane);
+        ASSERT_EQ(got.size(), 3u);
+        for (std::size_t p = 0; p < 3; ++p) {
+            EXPECT_EQ(got[p].executed, want[p].executed)
+                << "lane " << lane << " phase " << p;
+            EXPECT_EQ(got[p].mispredicted, want[p].mispredicted)
+                << "lane " << lane << " phase " << p;
+            EXPECT_EQ(got[p].destructive, want[p].destructive)
+                << "lane " << lane << " phase " << p;
+        }
+        if (lane < 2) {
+            for (const LanePhaseBin &bin : want)
+                EXPECT_GT(bin.destructive, 0u) << "lane " << lane;
+        }
+    }
+
+    std::vector<std::unordered_set<BranchPc>> want_pcs(3);
+    for (std::size_t i = 0; i < records.size(); ++i)
+        want_pcs[phaseOf(i)].insert(records[i].pc);
+    EXPECT_EQ(replayer.phasePcs(), want_pcs);
 }

@@ -11,6 +11,7 @@
 #include "test_helpers.hh"
 
 #include "core/pipeline.hh"
+#include "obs/metrics.hh"
 #include "obs/phase_detect.hh"
 #include "predict/factory.hh"
 #include "reference/agree.hh"
@@ -18,6 +19,7 @@
 #include "reference/make_predictor.hh"
 #include "reference/static_filter.hh"
 #include "reference/static_pred.hh"
+#include "sim/batched_replay.hh"
 #include "sim/cluster_analysis.hh"
 #include "trace/trace.hh"
 #include "util/random.hh"
@@ -341,6 +343,38 @@ TEST(ClusterAnalysis, MissesMatchReferenceReplay)
     EXPECT_EQ(report.misses, want.mispredicts.events());
     EXPECT_EQ(report.near_shift.events() + report.steady.events(),
               report.misses);
+}
+
+TEST(ClusterAnalysis, MissesMatchBatchedReplay)
+{
+    // The analysis folds its lane's miss bits block by block; a trace
+    // that ends in a partial block must still count every record, and
+    // the analysis counts as one batched replay run.
+    Pcg32 rng(29);
+    MemoryTrace trace;
+    const std::size_t n = 2 * BatchedReplayer::block_records + 1234;
+    for (std::size_t i = 0; i < n; ++i) {
+        BranchPc pc = 0x400000 + 8ull * rng.nextBounded(200);
+        trace.onBranch({pc, 5ull * (i + 1), rng.nextBool(0.7)});
+    }
+    const std::vector<PredictionStats> plain =
+        replayBatched(trace, {paperBaselineSpec()});
+
+    obs::MetricsRegistry &registry = obs::MetricsRegistry::global();
+    const obs::MetricsSnapshot before = registry.snapshot();
+    ClusterReport report =
+        analyzeMispredictionClustering(trace, paperBaselineSpec());
+    const obs::MetricsSnapshot after = registry.snapshot();
+
+    EXPECT_EQ(report.branches, n);
+    EXPECT_EQ(report.misses, plain[0].mispredicts.events());
+    EXPECT_EQ(report.near_shift.total() + report.steady.total(), n);
+    EXPECT_EQ(after.counterValue("sim.runs"),
+              before.counterValue("sim.runs") + 1);
+    EXPECT_EQ(after.counterValue("sim.predictor_runs"),
+              before.counterValue("sim.predictor_runs") + 1);
+    EXPECT_EQ(after.counterValue("sim.branches"),
+              before.counterValue("sim.branches") + n);
 }
 
 TEST(ClusterAnalysisDeath, ZeroWindowPanics)
