@@ -11,7 +11,7 @@
 
 #include "core/pipeline.hh"
 #include "core/working_set.hh"
-#include "profile/interleave.hh"
+#include "profile/shard.hh"
 #include "util/strutil.hh"
 
 using namespace bwsa;

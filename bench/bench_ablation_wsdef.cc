@@ -10,7 +10,7 @@
 #include "bench_common.hh"
 
 #include "core/working_set.hh"
-#include "profile/interleave.hh"
+#include "profile/shard.hh"
 #include "util/strutil.hh"
 
 using namespace bwsa;

@@ -532,13 +532,8 @@ profileSource(AllocationPipeline &pipeline, const TraceSource &source,
     ProfileSession session(pipeline);
     session.addStats(source);
     session.commit();
-    if (options.shards > 1) {
-        ShardRunStats stats = session.addInterleaveSharded(
-            source, options.shards, options.threads);
-        recordShardStats(label, stats);
-    } else {
-        session.addInterleave(source);
-    }
+    recordShardStats(label, session.addInterleave(source, options.shards,
+                                                  options.threads));
     session.finish();
 
     if (cacheable && capturable) {
@@ -669,6 +664,34 @@ struct CellPhases
     std::vector<obs::JsonValue> trace_events;
 };
 
+/**
+ * One cell's run report entries.  The cell fills them on its worker
+ * and the input-order merge emits them, so the interference,
+ * branches and execution_phases sections list cells in sweep-input
+ * order whatever order the cells completed in.
+ */
+struct CellReport
+{
+    std::vector<obs::JsonValue> interference;
+    obs::JsonValue branches;
+    obs::JsonValue phases;
+
+    /** Append the entries to the run report, when one is active. */
+    void
+    emit()
+    {
+        auto &report = obs::RunReport::global();
+        if (!report.active())
+            return;
+        for (obs::JsonValue &entry : interference)
+            report.addInterference(std::move(entry));
+        if (!branches.isNull())
+            report.addBranchTelemetry(std::move(branches));
+        if (!phases.isNull())
+            report.addPhaseScope(std::move(phases));
+    }
+};
+
 using PcSet = std::unordered_set<std::uint64_t>;
 
 std::string
@@ -695,24 +718,23 @@ branchMissPercent(const PredictionStats &stats, std::uint64_t pc)
 }
 
 /**
- * Append the interference reports of the baseline (lane 0) and
- * allocated (@p alloc_lane) probes to the run report.  Returns false
+ * Collect the interference reports of the baseline (lane 0) and
+ * allocated (@p alloc_lane) probes into @p report.  Returns false
  * when either lane runs without a probe.
  */
 bool
-reportInterference(const std::string &scope,
-                   const BatchedReplayer &replayer,
-                   std::size_t alloc_lane)
+collectInterference(const std::string &scope,
+                    const BatchedReplayer &replayer,
+                    std::size_t alloc_lane, CellReport &report)
 {
     const BhtInterferenceProbe *base = replayer.probe(0);
     const BhtInterferenceProbe *alloc = replayer.probe(alloc_lane);
     if (!base || !alloc)
         return false;
-    auto &report = obs::RunReport::global();
-    if (report.active()) {
-        report.addInterference(
+    if (obs::RunReport::global().active()) {
+        report.interference.push_back(
             base->reportJson(scope, replayer.laneName(0)));
-        report.addInterference(
+        report.interference.push_back(
             alloc->reportJson(scope, replayer.laneName(alloc_lane)));
     }
     return true;
@@ -720,13 +742,13 @@ reportInterference(const std::string &scope,
 
 /**
  * Assemble one cell's per-branch telemetry: the run report "branches"
- * scope entry (every branch, pc-ascending, with per-predictor
- * misprediction counts, probe victim/aggressor attribution and the
- * profiled predictability/lifetime fields) plus the cell's top-N
- * hot / hard / victim table rows.  Lane 0 of @p replayer is the
- * baseline; its probe and the one on @p alloc_lane supply the
- * aliasing attribution.  Everything ranks on exact counts, so the
- * output is deterministic for any thread/shard count.
+ * scope entry, into @p report (every branch, pc-ascending, with
+ * per-predictor misprediction counts, probe victim/aggressor
+ * attribution and the profiled predictability/lifetime fields), plus
+ * the cell's top-N hot / hard / victim table rows.  Lane 0 of
+ * @p replayer is the baseline; its probe and the one on @p alloc_lane
+ * supply the aliasing attribution.  Everything ranks on exact counts,
+ * so the output is deterministic for any thread/shard count.
  */
 void
 collectCellTelemetry(const std::string &scope,
@@ -734,7 +756,7 @@ collectCellTelemetry(const std::string &scope,
                      const BatchedReplayer &replayer,
                      const std::vector<PredictionStats> &results,
                      std::size_t top_n, CellTelemetry &out,
-                     std::size_t alloc_lane = 3,
+                     CellReport &report, std::size_t alloc_lane = 3,
                      std::size_t ideal_lane = 4)
 {
     const std::size_t probed_lanes[] = {0, alloc_lane};
@@ -829,9 +851,7 @@ collectCellTelemetry(const std::string &scope,
         branches.push(std::move(b));
     }
 
-    auto &report = obs::RunReport::global();
-    if (report.active())
-        report.addBranchTelemetry(std::move(entry));
+    report.branches = std::move(entry);
 
     // Hot: most dynamic executions first.
     out.valid = true;
@@ -911,9 +931,9 @@ collectCellTelemetry(const std::string &scope,
 
 /**
  * Assemble one cell's phase attribution: the run report
- * "execution_phases" scope entry (per-phase per-lane totals,
- * born/died working-set overlap, the Jaccard similarity matrix and
- * its row-stochastic normalization), the whole-trace vs per-phase
+ * "execution_phases" scope entry, into @p report (per-phase per-lane
+ * totals, born/died working-set overlap, the Jaccard similarity matrix
+ * and its row-stochastic normalization), the whole-trace vs per-phase
  * table rows, and Chrome trace phase spans + working-set counters.
  * The timeline folds bit-identically across shard counts and the
  * replay is serial within a cell, so all of it is deterministic for
@@ -924,7 +944,7 @@ collectCellPhases(const std::string &scope,
                   const obs::PhaseTimeline &timeline,
                   const BatchedReplayer &replayer,
                   const std::vector<PredictionStats> &results,
-                  CellPhases &out)
+                  CellPhases &out, CellReport &report)
 {
     const std::vector<obs::Phase> &phases = timeline.phases;
     const std::vector<PcSet> &pcs = replayer.phasePcs();
@@ -1045,9 +1065,7 @@ collectCellPhases(const std::string &scope,
     entry["similarity_matrix"] = std::move(sim_matrix);
     entry["transition_matrix"] = std::move(trans_matrix);
 
-    auto &report = obs::RunReport::global();
-    if (report.active())
-        report.addPhaseScope(std::move(entry));
+    report.phases = std::move(entry);
 
     // Table rows: the whole-trace aggregate first, then each phase,
     // so a phase-local aliasing storm is readable against the flat
@@ -1165,6 +1183,7 @@ buildAllocationTables(const BenchOptions &options, bool classification)
     std::vector<CellAliasing> aliasing(runs.size());
     std::vector<CellTelemetry> telemetry_rows(runs.size());
     std::vector<CellPhases> phase_cells(runs.size());
+    std::vector<CellReport> reports(runs.size());
     runBenchSweep(
         options, classification ? "fig4" : "fig3", labels,
         [&](const exec::SweepCell &cell) {
@@ -1224,7 +1243,8 @@ buildAllocationTables(const BenchOptions &options, bool classification)
             const std::vector<PredictionStats> results =
                 replayer.allStats();
 
-            if (reportInterference(run.display, replayer, 3)) {
+            CellReport &report = reports[cell.index];
+            if (collectInterference(run.display, replayer, 3, report)) {
                 CellAliasing &slot = aliasing[cell.index];
                 slot.valid = true;
                 slot.base = replayer.probe(0)->counters();
@@ -1234,11 +1254,12 @@ buildAllocationTables(const BenchOptions &options, bool classification)
             if (options.branch_telemetry)
                 collectCellTelemetry(run.display, cell_map, replayer,
                                      results, options.top_branches,
-                                     telemetry_rows[cell.index]);
+                                     telemetry_rows[cell.index], report);
 
             if (options.phases)
                 collectCellPhases(run.display, timeline, replayer,
-                                  results, phase_cells[cell.index]);
+                                  results, phase_cells[cell.index],
+                                  report);
 
             double base_rate = results[0].mispredictPercent();
             double alloc1024_rate = results[3].mispredictPercent();
@@ -1259,6 +1280,7 @@ buildAllocationTables(const BenchOptions &options, bool classification)
     // input order whatever the parallel completion order was.
     std::vector<RunningStat> columns(6);
     for (std::size_t r = 0; r < runs.size(); ++r) {
+        reports[r].emit();
         const std::vector<double> &values = row_values[r];
         for (std::size_t i = 0; i < values.size(); ++i)
             columns[i].add(values[i]);
@@ -1359,6 +1381,7 @@ struct CellGraphAlloc
     std::vector<GraphAllocBinRow> rows; ///< bins then the "all" row
     double ideal_percent = 0.0;         ///< interference-free lane
     CellTelemetry telemetry;            ///< --branch-telemetry tables
+    CellReport report;                  ///< run report entries
 };
 
 } // namespace
@@ -1456,7 +1479,8 @@ buildGraphAllocTables(const BenchOptions &options,
             replayer.replay(source);
             const std::vector<PredictionStats> results =
                 replayer.allStats();
-            reportInterference(run.display, replayer, 1);
+            CellGraphAlloc &slot = cells[cell.index];
+            collectInterference(run.display, replayer, 1, slot.report);
 
             // Fold every profiled branch into its predictability bin;
             // the trailing "all" row is the merge of every bin, which
@@ -1490,7 +1514,6 @@ buildGraphAllocTables(const BenchOptions &options,
                 bin.alloc_victims += victimsOf(1, pc);
             }
 
-            CellGraphAlloc &slot = cells[cell.index];
             slot.ideal_percent = results[2].mispredictPercent();
             obs::PredictabilityBinStats all;
             for (std::size_t i = 0; i < bins.size(); ++i) {
@@ -1504,7 +1527,7 @@ buildGraphAllocTables(const BenchOptions &options,
             if (options.branch_telemetry)
                 collectCellTelemetry(run.display, cell_map, replayer,
                                      results, options.top_branches,
-                                     slot.telemetry, 1, 2);
+                                     slot.telemetry, slot.report, 1, 2);
 
             std::cout << "." << std::flush; // progress
         });
@@ -1513,6 +1536,7 @@ buildGraphAllocTables(const BenchOptions &options,
     // Deterministic merge in input order.
     for (std::size_t r = 0; r < runs.size(); ++r) {
         CellGraphAlloc &cell = cells[r];
+        cell.report.emit();
         const obs::PredictabilityBinStats &all =
             cell.rows.back().stats;
         // Whole-workload summary row; miss rates here are per-branch

@@ -80,19 +80,16 @@ main(int argc, char **argv)
                     pipeline.lastStats().staticBranches(),
                     percentString(pipeline.lastSelection().coverage())
                         .c_str());
-        if (shards > 1) {
-            ShardRunStats shard_stats =
-                session.addInterleaveSharded(source, shards);
+        ShardRunStats shard_stats = session.addInterleave(source, shards);
+        if (shard_stats.shards > 1)
             std::printf("  interleave pass: %u shards on %u threads, "
-                        "%.1f ms (stitch %.1f ms over %s records)\n",
+                        "%.1f ms (stitch %.1f ms, %s pair "
+                        "increments)\n",
                         shard_stats.shards, shard_stats.threads,
                         shard_stats.total_millis,
                         shard_stats.stitch.millis,
-                        withCommas(shard_stats.stitch.records_scanned)
+                        withCommas(shard_stats.stitch.pair_increments)
                             .c_str());
-        } else {
-            session.addInterleave(source);
-        }
         session.finish();
     }
 

@@ -110,8 +110,8 @@ main(int argc, char **argv)
     // --- 2. Profile: time-stamp interleave analysis -> conflict graph.
     // A ProfileSession makes the two passes explicit: statistics
     // (frequency selection), commit, then the interleave pass over
-    // the selected branches.  addInterleaveSharded() would run the
-    // second pass in parallel; this trace is small enough serially.
+    // the selected branches.  addInterleave(source, shards) would run
+    // the second pass in parallel; this trace is small enough serially.
     PipelineConfig pipe_config;
     pipe_config.allocation.edge_threshold = 100;
     AllocationPipeline pipeline(pipe_config);

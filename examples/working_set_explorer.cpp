@@ -53,8 +53,7 @@ main(int argc, char **argv)
 
     ShardConfig shard_config;
     shard_config.shards = shards;
-    ConflictGraph graph =
-        profileTraceShardedGraph(source, shard_config);
+    ConflictGraph graph = profileTrace(source, shard_config);
     ConflictGraph pruned = graph.pruned(threshold);
     std::printf("%s: %zu static branches, %s dynamic; conflict graph "
                 "%zu edges (%zu above threshold %llu)\n",

@@ -129,8 +129,6 @@ ProfileSession::ProfileSession(AllocationPipeline &pipeline)
     _pipeline._stats.clear();
 }
 
-ProfileSession::~ProfileSession() = default;
-
 void
 ProfileSession::addStats(const TraceSource &source)
 {
@@ -153,39 +151,18 @@ ProfileSession::commit()
     return _pipeline._selection;
 }
 
-void
-ProfileSession::addInterleave(const TraceSource &source)
-{
-    if (!_committed)
-        bwsa_fatal("ProfileSession: interleave input before commit()");
-    if (_finished)
-        bwsa_fatal("ProfileSession: interleave input after finish()");
-    if (_sharded)
-        bwsa_fatal("ProfileSession: cannot mix serial and sharded "
-                   "interleave passes in one session");
-    BWSA_SPAN("pipeline.interleave_pass");
-    if (!_tracker) {
-        _tracker = std::make_unique<InterleaveTracker>(
-            _run_graph, _pipeline._config.interleave);
-        _filter = std::make_unique<FilteredSink>(_pipeline._selection,
-                                                 *_tracker);
-    }
-    source.replay(*_filter);
-}
-
 ShardRunStats
-ProfileSession::addInterleaveSharded(const TraceSource &source,
-                                     unsigned shards, unsigned threads)
+ProfileSession::addInterleave(const TraceSource &source,
+                              unsigned shards, unsigned threads)
 {
     if (!_committed)
         bwsa_fatal("ProfileSession: interleave input before commit()");
     if (_finished)
         bwsa_fatal("ProfileSession: interleave input after finish()");
-    if (_tracker || _sharded)
-        bwsa_fatal("ProfileSession: addInterleaveSharded needs an "
-                   "empty interleave phase (one sharded pass per "
-                   "session, no serial input before it)");
-    _sharded = true;
+    if (_interleaved)
+        bwsa_fatal("ProfileSession: second interleave pass (one "
+                   "addInterleave() per session)");
+    _interleaved = true;
 
     BWSA_SPAN("pipeline.interleave_pass");
     ShardConfig config;
@@ -193,9 +170,6 @@ ProfileSession::addInterleaveSharded(const TraceSource &source,
     config.threads = threads;
     config.interleave = _pipeline._config.interleave;
     config.selection = &_pipeline._selection;
-    // record_count stays 0: the statistics phase may have accumulated
-    // several sources, so only @p source itself can say how long it
-    // is (O(1) for MemoryTrace and trace files).
     return profileTraceSharded(source, _run_graph, config);
 }
 

@@ -11,9 +11,10 @@
  *
  * Profiling is driven through ProfileSession, which makes the two
  * passes of a profile run explicit: a statistics pass picks the
- * frequency-selected branch set, commit() closes it, and the
- * interleave pass (serial or sharded across a thread pool) builds the
- * run's conflict graph before finish() merges it into the pipeline.
+ * frequency-selected branch set, commit() closes it, and one
+ * interleave pass (serial, or sharded across a thread pool) builds
+ * the run's conflict graph before finish() merges it into the
+ * pipeline.
  * StreamingProfileSession profiles records as they arrive.
  */
 
@@ -160,18 +161,17 @@ class AllocationPipeline
  *   1. *Statistics* -- replay sources with addStats(); multiple
  *      inputs accumulate.  commit() closes the phase by computing the
  *      frequency selection.
- *   2. *Interleave* -- replay sources with addInterleave() (multiple
- *      inputs profile as one trace), or run one pass in parallel
- *      with addInterleaveSharded().  All input is frequency-filtered
- *      through the committed selection.
+ *   2. *Interleave* -- one addInterleave() pass over one source,
+ *      frequency-filtered through the committed selection and
+ *      optionally sharded across a thread pool.
  *
  * finish() merges the run's conflict graph into the pipeline and
  * bumps profileCount().  A session abandoned before finish() leaves
  * the pipeline's cumulative graph untouched (the committed statistics
  * remain visible through lastStats()).  Phase misuse -- interleave
- * input before commit(), input after finish(), mixing serial and
- * sharded interleave passes -- is fatal.  Drive at most one session
- * per pipeline at a time.
+ * input before commit(), a second interleave pass, input after
+ * finish() -- is fatal.  Drive at most one session per pipeline at a
+ * time.
  */
 class ProfileSession
 {
@@ -181,8 +181,6 @@ class ProfileSession
 
     ProfileSession(const ProfileSession &) = delete;
     ProfileSession &operator=(const ProfileSession &) = delete;
-
-    ~ProfileSession();
 
     /** Replay @p source into the statistics phase. */
     void addStats(const TraceSource &source);
@@ -195,24 +193,21 @@ class ProfileSession
      */
     const FrequencySelection &commit();
 
-    /** Replay @p source through the interleave phase. */
-    void addInterleave(const TraceSource &source);
-
     /**
-     * Run the interleave pass sharded: split @p source into
-     * @p shards contiguous segments profiled in parallel on
-     * @p threads workers (0 = hardware threads), then stitch the
-     * segment boundaries (see shard.hh).  The resulting run graph is
-     * identical to a serial addInterleave() of the same source.
-     * Cannot be combined with addInterleave() in one session, and
-     * @p source must tolerate concurrent replayRange() calls
-     * (MemoryTrace and store::BlockTraceReader both do).
+     * The session's one interleave pass (profileTraceSharded): split
+     * @p source into @p shards contiguous segments profiled in
+     * parallel on @p threads workers (0 = hardware threads), then
+     * stitch the segment boundaries (see shard.hh).  One shard is the
+     * plain serial pass; the run graph is identical for any shard
+     * count.  With more than one shard, @p source must tolerate
+     * concurrent replayRange() calls (MemoryTrace and
+     * store::BlockTraceReader both do).
      *
      * @return per-shard timings and stitch cost for run reports
      */
-    ShardRunStats addInterleaveSharded(const TraceSource &source,
-                                       unsigned shards,
-                                       unsigned threads = 0);
+    ShardRunStats addInterleave(const TraceSource &source,
+                                unsigned shards = 1,
+                                unsigned threads = 0);
 
     /** Merge the run graph into the pipeline; closes the session. */
     void finish();
@@ -226,25 +221,22 @@ class ProfileSession
   private:
     AllocationPipeline &_pipeline;
     ConflictGraph _run_graph;
-    std::unique_ptr<InterleaveTracker> _tracker;
-    std::unique_ptr<FilteredSink> _filter;
     bool _committed = false;
+    bool _interleaved = false;
     bool _finished = false;
-    bool _sharded = false;
 };
 
 /** Knobs of one incremental streaming session. */
 struct StreamingSessionConfig
 {
     /**
-     * Analysis knobs.  A streaming session sees each record exactly
-     * once, so the two-pass frequency reduction is unavailable:
-     * coverage must be 1.0 and max_static 0 (the ctor checks), and
-     * the interleave config must carry no telemetry map.  The
-     * allocation half of the config drives snapshot-time
-     * allocations.
+     * Interleave window bound (InterleaveConfig::max_window; 0 =
+     * unbounded), the one analysis value a stream uses.  A session
+     * sees each record exactly once, so the frequency reduction is
+     * absent (its snapshot selection keeps every branch), and it owns
+     * its phase accumulator (phase_interval below).
      */
-    PipelineConfig pipeline;
+    std::size_t max_window = InterleaveConfig{}.max_window;
 
     /**
      * Approximate resident-state bound, in bytes; an append that
@@ -274,8 +266,7 @@ struct StreamingSessionConfig
     /**
      * Working-set window width of the online phase detector, in
      * timestamp units; 0 disables phase detection.  The session owns
-     * its accumulator/detector pair (the interleave config must not
-     * carry an external one) and feeds it continuously, so the
+     * its accumulator/detector pair and feeds it continuously, so the
      * timeline over any block partitioning is the serial timeline.
      */
     std::uint64_t phase_interval = 0;
@@ -305,9 +296,9 @@ struct StreamingPhaseEvent
  * Incremental profiling session: the batch ProfileSession redesigned
  * around block arrival.  Records stream in as v2-framed blocks
  * (appendBlock), the conflict graph updates as each block lands, and
- * snapshot() serves the full profile -- statistics, selection, graph,
- * and through allocate() an allocation map -- at any point without
- * ending the session.
+ * snapshot() serves the full profile -- statistics, selection and
+ * graph, ready for allocateBranches() -- at any point without ending
+ * the session.
  *
  * Exactness: the session feeds every record to one warm
  * InterleaveTracker -- the serial tracker -- and flushes it into the
@@ -355,16 +346,13 @@ class StreamingProfileSession
 
     /**
      * The profile over everything appended so far, identical to what
-     * a batch ProfileSession (same config) would produce from the
-     * same records.  Does not end the session; spilled epochs are
-     * folded back without disturbing resident state.  Throws
-     * std::runtime_error when a spilled epoch was evicted from the
-     * cache.
+     * a batch ProfileSession (same window, coverage 1.0) would
+     * produce from the same records.  Does not end the session;
+     * spilled epochs are folded back without disturbing resident
+     * state.  Throws std::runtime_error when a spilled epoch was
+     * evicted from the cache.
      */
     store::ProfileArtifact snapshot();
-
-    /** Allocation map of the current snapshot graph. */
-    AllocationResult allocate(std::uint64_t table_size);
 
     /**
      * Final snapshot; closes the session and drops its spilled

@@ -11,24 +11,24 @@
 namespace bwsa
 {
 
+namespace
+{
+
+InterleaveConfig
+windowConfig(std::size_t max_window)
+{
+    InterleaveConfig config;
+    config.max_window = max_window;
+    return config;
+}
+
+} // namespace
+
 StreamingProfileSession::StreamingProfileSession(
     StreamingSessionConfig config)
     : _config(std::move(config)),
-      _tracker(_graph, _config.pipeline.interleave)
+      _tracker(_graph, windowConfig(_config.max_window))
 {
-    const PipelineConfig &pipeline = _config.pipeline;
-    if (pipeline.coverage != 1.0 || pipeline.max_static != 0)
-        bwsa_fatal("streaming sessions see each record once, so the "
-                   "two-pass frequency reduction is unavailable: "
-                   "coverage must be 1.0 and max_static 0 (got ",
-                   pipeline.coverage, ", ", pipeline.max_static, ")");
-    if (pipeline.interleave.telemetry)
-        bwsa_fatal("streaming sessions do not support per-branch "
-                   "telemetry");
-    if (pipeline.interleave.phase)
-        bwsa_fatal("streaming sessions own their phase accumulator; "
-                   "set phase_interval instead of an external "
-                   "InterleaveConfig::phase");
     if (_config.phase_interval != 0) {
         _phase_accum = std::make_unique<obs::PhaseAccumulator>(
             _config.phase_interval);
@@ -178,14 +178,6 @@ StreamingProfileSession::snapshot()
     artifact.selection = selectByFrequency(_stats, 1.0, 0);
     artifact.graph = mergedGraph();
     return artifact;
-}
-
-AllocationResult
-StreamingProfileSession::allocate(std::uint64_t table_size)
-{
-    ConflictGraph merged = mergedGraph();
-    return allocateBranches(merged, table_size,
-                            _config.pipeline.allocation);
 }
 
 void

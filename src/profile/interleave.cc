@@ -352,13 +352,4 @@ InterleaveTracker::onEnd()
         .set(static_cast<double>(_graph.edgeCount()));
 }
 
-ConflictGraph
-profileTrace(const TraceSource &source, const InterleaveConfig &config)
-{
-    ConflictGraph graph;
-    InterleaveTracker tracker(graph, config);
-    source.replay(tracker);
-    return graph;
-}
-
 } // namespace bwsa

@@ -258,12 +258,6 @@ class InterleaveTracker : public TraceSink
     std::uint64_t _flushed_evictions = 0;
 };
 
-/**
- * Convenience: profile a whole trace source into a conflict graph.
- */
-ConflictGraph profileTrace(const TraceSource &source,
-                           const InterleaveConfig &config = {});
-
 } // namespace bwsa
 
 #endif // BWSA_PROFILE_INTERLEAVE_HH

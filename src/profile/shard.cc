@@ -29,17 +29,22 @@ millisSince(Clock::time_point start)
 }
 
 
-/** Replay @p segment into @p sink, through the optional filter. */
-void
+/**
+ * Replay @p segment into @p sink, through the optional filter.
+ *
+ * @return records the filter dropped (0 without a selection)
+ */
+std::uint64_t
 replayFiltered(const TraceSource &segment,
                const FrequencySelection *selection, TraceSink &sink)
 {
-    if (selection) {
-        FilteredSink filter(*selection, sink);
-        segment.replay(filter);
-    } else {
+    if (!selection) {
         segment.replay(sink);
+        return 0;
     }
+    FilteredSink filter(*selection, sink);
+    segment.replay(filter);
+    return filter.dropped();
 }
 
 /**
@@ -139,12 +144,16 @@ profileSerial(const TraceSource &source, ConflictGraph &graph,
     stats.threads = 1;
     Clock::time_point start = Clock::now();
     InterleaveTracker tracker(graph, config.interleave);
-    replayFiltered(source, config.selection, tracker);
+    const std::uint64_t dropped =
+        replayFiltered(source, config.selection, tracker);
 
     ShardTiming timing;
     timing.index = 0;
     timing.worker = 0;
-    timing.records = config.record_count;
+    // The tracker flushed every record it kept into the empty graph
+    // and the filter counted the rest: the raw count, with no second
+    // pass over the source.
+    timing.records = graph.totalExecutions() + dropped;
     timing.increments = tracker.pairIncrements();
     timing.millis = millisSince(start);
     stats.timings.push_back(timing);
@@ -166,8 +175,7 @@ profileTraceSharded(const TraceSource &source, ConflictGraph &graph,
     Clock::time_point run_start = Clock::now();
     BWSA_SPAN("profile.sharded");
 
-    std::vector<TraceSegment> segments =
-        source.segments(config.shards, config.record_count);
+    std::vector<TraceSegment> segments = source.segments(config.shards);
     std::size_t count = segments.size();
     if (count <= 1)
         return profileSerial(source, graph, config);
@@ -326,8 +334,7 @@ profileTraceSharded(const TraceSource &source, ConflictGraph &graph,
 }
 
 ConflictGraph
-profileTraceShardedGraph(const TraceSource &source,
-                         const ShardConfig &config)
+profileTrace(const TraceSource &source, const ShardConfig &config)
 {
     ConflictGraph graph;
     profileTraceSharded(source, graph, config);

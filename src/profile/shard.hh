@@ -76,13 +76,6 @@ struct ShardConfig
      * filtered profiling.  Not owned; must outlive the run.
      */
     const FrequencySelection *selection = nullptr;
-
-    /**
-     * Total records of the *raw* source when already known (e.g. from
-     * a statistics pass); 0 means ask TraceSource::recordCount(),
-     * which may cost one extra replay on non-seekable sources.
-     */
-    std::uint64_t record_count = 0;
 };
 
 /** Wall time and volume of one shard of the parallel pass. */
@@ -123,7 +116,9 @@ struct ShardRunStats
 /**
  * Profile @p source into @p graph across config.shards segments.
  * The graph must be empty; after the call it is identical to the
- * graph a serial InterleaveTracker pass would produce.
+ * graph a serial InterleaveTracker pass would produce.  One shard
+ * (or a stream too short to split) runs that serial pass: one
+ * tracker behind the optional frequency filter, flushed once.
  *
  * @return per-shard timings and stitch cost for run reports
  */
@@ -131,9 +126,9 @@ ShardRunStats profileTraceSharded(const TraceSource &source,
                                   ConflictGraph &graph,
                                   const ShardConfig &config = {});
 
-/** Convenience: sharded profileTrace() returning the graph. */
-ConflictGraph profileTraceShardedGraph(const TraceSource &source,
-                                       const ShardConfig &config = {});
+/** Convenience: profileTraceSharded() into a fresh graph. */
+ConflictGraph profileTrace(const TraceSource &source,
+                           const ShardConfig &config = {});
 
 } // namespace bwsa
 

@@ -197,14 +197,9 @@ ProfileService::handleBegin(std::uint64_t tenant, const Frame &request)
     }
 
     StreamingSessionConfig session_config;
-    session_config.pipeline = _config.pipeline;
-    session_config.pipeline.coverage = 1.0;
-    session_config.pipeline.max_static = 0;
-    session_config.pipeline.interleave.telemetry = nullptr;
-    session_config.pipeline.interleave.phase = nullptr;
-    if (max_window != 0)
-        session_config.pipeline.interleave.max_window =
-            static_cast<std::size_t>(max_window);
+    session_config.max_window =
+        max_window != 0 ? static_cast<std::size_t>(max_window)
+                        : _config.max_window;
     if (phase_interval != 0) {
         session_config.phase_interval = phase_interval;
         session_config.phase_config = _config.phase_config;

@@ -52,12 +52,10 @@ namespace bwsa::serve
 struct ServiceConfig
 {
     /**
-     * Analysis knobs applied to every session.  coverage/max_static
-     * are forced to the streaming-legal values (1.0, 0) regardless of
-     * what they are set to here; a Begin frame may override
-     * interleave.max_window per session.
+     * Interleave window bound of every session (0 = unbounded); a
+     * Begin frame may override it per session.
      */
-    PipelineConfig pipeline;
+    std::size_t max_window = StreamingSessionConfig{}.max_window;
 
     /**
      * Per-session resident bound in bytes; sessions beyond it spill

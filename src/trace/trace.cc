@@ -37,12 +37,11 @@ TraceSource::recordCount() const
 }
 
 std::vector<TraceSegment>
-TraceSource::segments(unsigned k, std::uint64_t record_count) const
+TraceSource::segments(unsigned k) const
 {
     if (k == 0)
         k = 1;
-    std::uint64_t total =
-        record_count != 0 ? record_count : recordCount();
+    std::uint64_t total = recordCount();
 
     std::vector<TraceSegment> out;
     std::uint64_t count =

@@ -82,8 +82,7 @@ class TraceSource
      * Total records one replay() delivers.  The default implementation
      * counts by replaying into a null sink -- O(stream); sources that
      * know their length (in-memory buffers, trace file headers)
-     * override it.  Callers that already know the length (e.g. from a
-     * statistics pass) should pass it to segments() instead.
+     * override it.
      */
     virtual std::uint64_t recordCount() const;
 
@@ -94,13 +93,9 @@ class TraceSource
      * counts per segment differ by at most one.  Fewer than @p k
      * segments are returned when the stream is shorter than @p k.
      *
-     * @param k            number of segments requested (>= 1)
-     * @param record_count total records when already known (e.g. from
-     *                     a prior statistics pass); 0 = recordCount()
+     * @param k number of segments requested (>= 1)
      */
-    std::vector<TraceSegment> segments(unsigned k,
-                                       std::uint64_t record_count = 0)
-        const;
+    std::vector<TraceSegment> segments(unsigned k) const;
 };
 
 /**

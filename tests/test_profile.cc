@@ -17,6 +17,7 @@
 
 #include "profile/conflict_graph.hh"
 #include "profile/interleave.hh"
+#include "profile/shard.hh"
 #include "trace/trace.hh"
 #include "util/random.hh"
 
@@ -44,8 +45,8 @@ constexpr BranchPc A = 0x1000, B = 0x1008, C = 0x1010, D = 0x1018;
 ConflictGraph
 profileSeq(const std::vector<BranchPc> &pcs, std::size_t window = 0)
 {
-    InterleaveConfig config;
-    config.max_window = window;
+    ShardConfig config;
+    config.interleave.max_window = window;
     return profileTrace(traceOf(pcs), config);
 }
 
@@ -463,8 +464,8 @@ TEST_P(TrackerOracle, MatchesBruteForceDefinition)
 {
     auto [seed, window] = GetParam();
     std::vector<BranchRecord> records = oracleTrace(seed, 6000, 300);
-    InterleaveConfig config;
-    config.max_window = window;
+    ShardConfig config;
+    config.interleave.max_window = window;
     expectMatchesOracle(profileTrace(memoryTraceOf(records), config),
                         bruteForceProfile(records, window));
 }

@@ -16,6 +16,7 @@
 #include "core/working_set.hh"
 #include "predict/factory.hh"
 #include "profile/interleave.hh"
+#include "profile/shard.hh"
 #include "reference/bpred_sim.hh"
 #include "reference/make_predictor.hh"
 #include "trace/trace.hh"

@@ -143,9 +143,7 @@ TEST(StreamingSession, ByteIdenticalAcrossBlockSizes)
     for (std::size_t block : {std::size_t(1), std::size_t(7),
                               std::size_t(64), std::size_t(999),
                               records.size()}) {
-        StreamingSessionConfig config;
-        config.pipeline = streamingConfig();
-        EXPECT_EQ(streamedBytes(records, config, block), expected)
+        EXPECT_EQ(streamedBytes(records, {}, block), expected)
             << "block size " << block;
     }
 }
@@ -158,7 +156,7 @@ TEST(StreamingSession, ByteIdenticalWithBoundedWindow)
         std::string expected =
             batchBytes(records, streamingConfig(window));
         StreamingSessionConfig config;
-        config.pipeline = streamingConfig(window);
+        config.max_window = window;
         EXPECT_EQ(streamedBytes(records, config, 123), expected)
             << "window " << window;
     }
@@ -167,9 +165,7 @@ TEST(StreamingSession, ByteIdenticalWithBoundedWindow)
 TEST(StreamingSession, MidStreamSnapshotEqualsBatchPrefix)
 {
     std::vector<BranchRecord> records = makeRecords(13, 3000);
-    StreamingSessionConfig config;
-    config.pipeline = streamingConfig();
-    StreamingProfileSession session(config);
+    StreamingProfileSession session(StreamingSessionConfig{});
 
     const std::size_t block = 700;
     std::size_t streamed = 0;
@@ -190,9 +186,8 @@ TEST(StreamingSession, MidStreamSnapshotEqualsBatchPrefix)
 TEST(StreamingSession, AllocationMapMatchesBatch)
 {
     std::vector<BranchRecord> records = makeRecords(17, 6000, 600);
-    PipelineConfig pipeline_config = streamingConfig();
 
-    AllocationPipeline pipeline(pipeline_config);
+    AllocationPipeline pipeline(streamingConfig());
     ProfileSession batch(pipeline);
     MemoryTrace trace;
     for (const BranchRecord &r : records)
@@ -204,11 +199,10 @@ TEST(StreamingSession, AllocationMapMatchesBatch)
     batch.finish();
     AllocationResult expected = pipeline.allocate(128);
 
-    StreamingSessionConfig config;
-    config.pipeline = pipeline_config;
-    StreamingProfileSession session(config);
+    StreamingProfileSession session(StreamingSessionConfig{});
     session.appendBlock(records);
-    AllocationResult got = session.allocate(128);
+    AllocationResult got =
+        allocateBranches(session.snapshot().graph, 128, {});
 
     EXPECT_EQ(got.assignment, expected.assignment);
     EXPECT_EQ(got.residual_conflict, expected.residual_conflict);
@@ -224,7 +218,6 @@ TEST(StreamingSession, SpillingPreservesExactness)
     store::ArtifactCache cache(dir.string());
 
     StreamingSessionConfig config;
-    config.pipeline = streamingConfig();
     config.max_resident_bytes = 16 * 1024; // force frequent spills
     config.spill_cache = &cache;
     config.spill_scope = "t0/s0";
@@ -252,7 +245,7 @@ TEST(StreamingSession, SpillingPreservesExactness)
                                     std::uint64_t(4 * 1024),
                                     std::uint64_t(32 * 1024)}) {
             StreamingSessionConfig matrix;
-            matrix.pipeline = pipeline;
+            matrix.max_window = window;
             if (bound != 0) {
                 matrix.max_resident_bytes = bound;
                 matrix.spill_cache = &cache;
@@ -295,7 +288,6 @@ TEST(StreamingSession, ResidentBytesStayWithinBound)
     store::ArtifactCache cache(dir.string());
 
     StreamingSessionConfig config;
-    config.pipeline = streamingConfig();
     config.max_resident_bytes = 512 * 1024;
     config.spill_cache = &cache;
     config.spill_scope = "t0/bound";
@@ -320,7 +312,6 @@ TEST(StreamingSession, AbandonedSessionCleansUpSpills)
     {
         store::ArtifactCache cache(dir.string());
         StreamingSessionConfig config;
-        config.pipeline = streamingConfig();
         config.max_resident_bytes = 8 * 1024;
         config.spill_cache = &cache;
         config.spill_scope = "t0/s1";
@@ -883,7 +874,6 @@ TEST(ProfileService, LivePhaseEventsMatchSerialDetector)
 {
     const std::uint64_t interval = 128;
     serve::ServiceConfig service_config;
-    service_config.pipeline = streamingConfig();
     obs::PhaseDetectorConfig phase_config =
         service_config.phase_config;
 

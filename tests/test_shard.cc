@@ -147,7 +147,7 @@ TEST(ShardedProfile, EqualsSerialWithBoundedWindow)
         serial_config.max_window = window;
         ConflictGraph serial = serialReference(trace, serial_config);
         for (unsigned shards : {2u, 3u, 5u, 8u, 16u}) {
-            ConflictGraph sharded = profileTraceShardedGraph(
+            ConflictGraph sharded = profileTrace(
                 trace, shardConfig(shards, window));
             EXPECT_TRUE(graphsIdentical(serial, sharded))
                 << "window=" << window << " shards=" << shards;
@@ -163,7 +163,7 @@ TEST(ShardedProfile, EqualsSerialWithUnboundedWindow)
     ConflictGraph serial = serialReference(trace, serial_config);
     for (unsigned shards : {2u, 7u}) {
         ConflictGraph sharded =
-            profileTraceShardedGraph(trace, shardConfig(shards, 0));
+            profileTrace(trace, shardConfig(shards, 0));
         EXPECT_TRUE(graphsIdentical(serial, sharded))
             << "shards=" << shards;
     }
@@ -182,7 +182,7 @@ TEST(ShardedProfile, EqualsSerialUnderFrequencySelection)
     serial_config.max_window = 32;
     ConflictGraph serial =
         serialReference(trace, serial_config, &selection);
-    ConflictGraph sharded = profileTraceShardedGraph(
+    ConflictGraph sharded = profileTrace(
         trace, shardConfig(6, 32, &selection));
     EXPECT_TRUE(graphsIdentical(serial, sharded));
 }
@@ -198,7 +198,7 @@ TEST(ShardedProfile, AllDistinctPcsStitchWorstCase)
         InterleaveConfig serial_config;
         serial_config.max_window = window;
         ConflictGraph serial = serialReference(trace, serial_config);
-        ConflictGraph sharded = profileTraceShardedGraph(
+        ConflictGraph sharded = profileTrace(
             trace, shardConfig(4, window));
         EXPECT_TRUE(graphsIdentical(serial, sharded))
             << "window=" << window;
@@ -212,7 +212,7 @@ TEST(ShardedProfile, SinglePcTrace)
     serial_config.max_window = 8;
     ConflictGraph serial = serialReference(trace, serial_config);
     ConflictGraph sharded =
-        profileTraceShardedGraph(trace, shardConfig(5, 8));
+        profileTrace(trace, shardConfig(5, 8));
     EXPECT_TRUE(graphsIdentical(serial, sharded));
     EXPECT_EQ(sharded.nodeCount(), 1u);
     EXPECT_EQ(sharded.edgeCount(), 0u);
@@ -222,12 +222,12 @@ TEST(ShardedProfile, TinyAndEmptyTraces)
 {
     MemoryTrace empty;
     ConflictGraph g_empty =
-        profileTraceShardedGraph(empty, shardConfig(4, 16));
+        profileTrace(empty, shardConfig(4, 16));
     EXPECT_EQ(g_empty.nodeCount(), 0u);
 
     MemoryTrace one = makeRandomTrace(19, 1, 5);
     ConflictGraph g_one =
-        profileTraceShardedGraph(one, shardConfig(4, 16));
+        profileTrace(one, shardConfig(4, 16));
     EXPECT_EQ(g_one.nodeCount(), 1u);
 
     // More shards than records degrades gracefully.
@@ -236,7 +236,7 @@ TEST(ShardedProfile, TinyAndEmptyTraces)
     serial_config.max_window = 16;
     EXPECT_TRUE(graphsIdentical(
         serialReference(three, serial_config),
-        profileTraceShardedGraph(three, shardConfig(16, 16))));
+        profileTrace(three, shardConfig(16, 16))));
 }
 
 TEST(ShardedProfile, WorkloadTraceEqualsSerial)
@@ -247,7 +247,7 @@ TEST(ShardedProfile, WorkloadTraceEqualsSerial)
 
     InterleaveConfig serial_config; // default bounded window
     ConflictGraph serial = serialReference(trace, serial_config);
-    ConflictGraph sharded = profileTraceShardedGraph(
+    ConflictGraph sharded = profileTrace(
         trace, shardConfig(4, serial_config.max_window));
     EXPECT_TRUE(graphsIdentical(serial, sharded));
     EXPECT_GT(sharded.edgeCount(), 0u);
@@ -266,7 +266,7 @@ TEST(ShardedProfile, GraphTraceEqualsSerial)
     InterleaveConfig serial_config; // default bounded window
     ConflictGraph serial = serialReference(trace, serial_config);
     for (unsigned shards : {2u, 5u}) {
-        ConflictGraph sharded = profileTraceShardedGraph(
+        ConflictGraph sharded = profileTrace(
             trace, shardConfig(shards, serial_config.max_window));
         EXPECT_TRUE(graphsIdentical(serial, sharded)) << shards;
     }
@@ -298,15 +298,26 @@ TEST(ShardedProfile, RunStatsAccountForEveryShard)
 TEST(ShardedProfile, SerialPathForOneShard)
 {
     MemoryTrace trace = makeRandomTrace(31, 500, 40);
-    ConflictGraph graph;
-    ShardConfig config = shardConfig(1, 16);
-    ShardRunStats stats = profileTraceSharded(trace, graph, config);
-    EXPECT_EQ(stats.shards, 1u);
-    EXPECT_EQ(stats.stitch.boundaries, 0u);
+    TraceStatsCollector trace_stats;
+    trace.replay(trace_stats);
+    FrequencySelection selection = selectByFrequency(trace_stats, 0.8);
+    ASSERT_LT(selection.analyzed_dynamic, trace.recordCount());
+
     InterleaveConfig serial_config;
     serial_config.max_window = 16;
-    EXPECT_TRUE(
-        graphsIdentical(serialReference(trace, serial_config), graph));
+    const FrequencySelection *filters[] = {nullptr, &selection};
+    for (const FrequencySelection *filter : filters) {
+        ConflictGraph graph;
+        ShardRunStats stats = profileTraceSharded(
+            trace, graph, shardConfig(1, 16, filter));
+        EXPECT_EQ(stats.shards, 1u);
+        EXPECT_EQ(stats.stitch.boundaries, 0u);
+        // The one timing counts the raw records, filtered or not.
+        ASSERT_EQ(stats.timings.size(), 1u);
+        EXPECT_EQ(stats.timings[0].records, trace.recordCount());
+        EXPECT_TRUE(graphsIdentical(
+            serialReference(trace, serial_config, filter), graph));
+    }
 }
 
 TEST(ShardedProfile, RequiresEmptyGraph)
@@ -755,18 +766,24 @@ TEST(ProfileSession, ShardedInterleaveMatchesSerial)
     AllocationPipeline serial;
     testhelpers::profileRun(serial, trace);
 
-    AllocationPipeline sharded;
-    {
-        ProfileSession session(sharded);
-        session.addStats(trace);
-        session.commit();
-        ShardRunStats stats =
-            session.addInterleaveSharded(trace, 4, 2);
-        EXPECT_EQ(stats.shards, 4u);
-        session.finish();
+    for (unsigned shards : {1u, 2u, 4u}) {
+        AllocationPipeline sharded;
+        {
+            ProfileSession session(sharded);
+            session.addStats(trace);
+            session.commit();
+            ShardRunStats stats =
+                session.addInterleave(trace, shards, 2);
+            EXPECT_EQ(stats.shards, shards);
+            std::uint64_t records = 0;
+            for (const ShardTiming &timing : stats.timings)
+                records += timing.records;
+            EXPECT_EQ(records, trace.recordCount()) << shards;
+            session.finish();
+        }
+        EXPECT_TRUE(graphsIdentical(serial.graph(), sharded.graph()))
+            << "shards=" << shards;
     }
-
-    EXPECT_TRUE(graphsIdentical(serial.graph(), sharded.graph()));
 }
 
 TEST(ProfileSession, SelectionVisibleAfterCommit)
@@ -797,11 +814,8 @@ TEST(ProfileSession, MultiInputStatisticsAccumulate)
     session.commit();
     EXPECT_EQ(pipeline.lastStats().dynamicBranches(),
               a.recordCount() + b.recordCount());
-    session.addInterleave(a);
-    session.addInterleave(b);
-    session.finish();
-    EXPECT_EQ(pipeline.profileCount(), 1u);
-    EXPECT_GT(pipeline.graph().edgeCount(), 0u);
+    EXPECT_EQ(pipeline.lastSelection().total_dynamic,
+              a.recordCount() + b.recordCount());
 }
 
 TEST(ProfileSession, GuardsAgainstPhaseMisuse)
@@ -853,9 +867,9 @@ TEST(ProfileSession, GuardsAgainstPhaseMisuse)
             s.addStats(trace);
             s.commit();
             s.addInterleave(trace);
-            s.addInterleaveSharded(trace, 2); // mixing
+            s.addInterleave(trace, 2); // a second pass
         },
-        ::testing::ExitedWithCode(1), "empty interleave phase");
+        ::testing::ExitedWithCode(1), "second interleave pass");
     EXPECT_EXIT(
         {
             AllocationPipeline p;
@@ -956,7 +970,7 @@ TEST(ShardedFileTrace, V2ShardedProfileSeeksAndMatchesSerial)
     serial_config.max_window = 16;
     ConflictGraph serial = serialReference(trace, serial_config);
     ConflictGraph sharded =
-        profileTraceShardedGraph(reader, shardConfig(shards, 16));
+        profileTrace(reader, shardConfig(shards, 16));
     EXPECT_TRUE(graphsIdentical(serial, sharded));
 
     // Shard pass: N + at most one block prefix per shard.  Stitch

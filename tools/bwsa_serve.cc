@@ -86,7 +86,7 @@ main(int argc, char **argv)
         options.getUint("max-session-bytes", 0);
     std::uint64_t max_window = options.getUint("max-window", 0);
     if (max_window != 0)
-        service_config.pipeline.interleave.max_window =
+        service_config.max_window =
             static_cast<std::size_t>(max_window);
     service_config.phase_config.threshold =
         options.getDouble("phase-threshold", 0.4);

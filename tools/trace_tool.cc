@@ -119,11 +119,10 @@ runAnalyze(const CliOptions &options)
 
     ShardConfig shard_config;
     shard_config.shards = shards;
-    shard_config.record_count = reader->recordCount();
     ConflictGraph graph;
     ShardRunStats shard_stats =
         profileTraceSharded(*reader, graph, shard_config);
-    if (shards > 1)
+    if (shard_stats.shards > 1)
         std::printf("profiled in %.1f ms across %u shards on %u "
                     "threads (stitch %.1f ms)\n",
                     shard_stats.total_millis, shard_stats.shards,
@@ -159,10 +158,7 @@ runSimulate(const CliOptions &options)
     ProfileSession session(pipeline);
     session.addStats(*reader);
     session.commit();
-    if (shards > 1)
-        session.addInterleaveSharded(*reader, shards);
-    else
-        session.addInterleave(*reader);
+    session.addInterleave(*reader, shards);
     session.finish();
 
     std::vector<PredictionStats> results = replayBatched(
