@@ -240,11 +240,11 @@ struct StreamingSessionConfig
 
     /**
      * Approximate resident-state bound, in bytes; an append that
-     * leaves the session above it spills the epoch graph into
-     * @p spill_cache, and accumulation continues into an empty graph
-     * (the tracker stays warm).  The statistics and the tracker
-     * window are never spilled, so the bound holds only while they
-     * fit under it.  0 = unbounded.
+     * leaves the session above it drains the tracker's counts into
+     * one epoch graph in @p spill_cache, and accumulation continues
+     * (the tracker's window stays warm).  The statistics and the
+     * tracker's slots and window are never spilled, so the bound
+     * holds only while they fit under it.  0 = unbounded.
      */
     std::uint64_t max_resident_bytes = 0;
 
@@ -295,25 +295,28 @@ struct StreamingPhaseEvent
 /**
  * Incremental profiling session: the batch ProfileSession redesigned
  * around block arrival.  Records stream in as v2-framed blocks
- * (appendBlock), the conflict graph updates as each block lands, and
- * snapshot() serves the full profile -- statistics, selection and
- * graph, ready for allocateBranches() -- at any point without ending
- * the session.
+ * (appendBlock), and snapshot() serves the full profile --
+ * statistics, selection and graph, ready for allocateBranches() -- at
+ * any point without ending the session.
  *
  * Exactness: the session feeds every record to one warm
- * InterleaveTracker -- the serial tracker -- and flushes it into the
- * epoch graph after each block (InterleaveTracker::onEnd() may
- * repeat; the window persists).  The graph after any appendBlock() is
- * therefore byte-identical to a batch ProfileSession over the records
- * seen so far, for any block partitioning (asserted by
+ * InterleaveTracker -- the serial tracker -- and never flushes it per
+ * block: the counts stay in the tracker's rows, and the graph is
+ * built only when something reads it.  snapshot() takes the
+ * tracker's non-draining InterleaveTracker::pendingGraph(); finish()
+ * flushes it once.  The profile at any point is therefore
+ * byte-identical to a batch ProfileSession over the records seen so
+ * far, for any block partitioning and snapshot cadence (asserted by
  * tests/test_serve.cc).
  *
- * Bounded memory: with max_resident_bytes set, an append that leaves
- * the session over its bound spills the epoch graph into the
- * artifact cache, and snapshot() folds the epochs back in arrival
- * order.  Only the statistics and the tracker window stay resident
- * across a spill; the next flush restores every tracker slot into the
- * fresh graph in slot order, so the fold keeps serial node ids.
+ * Bounded memory: residentBytes() charges the tracker's counter rows
+ * and the statistics.  With max_resident_bytes set, an append that
+ * leaves the session over its bound flushes the tracker into a
+ * staging graph and spills that into the artifact cache as one
+ * epoch; snapshot() folds the epochs back in arrival order.  The
+ * statistics, the tracker's slots and its window stay resident across
+ * a spill; the next flush restores every tracker slot in slot order,
+ * so the fold keeps serial node ids.
  *
  * Misuse (input after finish(), non-ascending timestamps) is fatal;
  * validating untrusted input is the service layer's job
@@ -371,7 +374,11 @@ class StreamingProfileSession
     /** Epochs spilled into the cache so far. */
     std::uint64_t spilledEpochs() const { return _epochs; }
 
-    /** Rough resident footprint driving the spill decision. */
+    /**
+     * Rough resident footprint driving the spill decision: the
+     * tracker's counter rows, slot table and window, plus the
+     * statistics.  O(slots).
+     */
     std::uint64_t residentBytes() const;
 
     bool finished() const { return _finished; }
@@ -396,15 +403,25 @@ class StreamingProfileSession
     obs::PhaseTimeline phaseTimeline() const;
 
   private:
-    ConflictGraph mergedGraph();
+    /** The spilled epochs folded in arrival order (empty if none). */
+    ConflictGraph spilledGraph() const;
+
+    /** The profile artifact of @p spilled followed by @p live. */
+    store::ProfileArtifact profile(ConflictGraph spilled,
+                                   ConflictGraph live) const;
+
     void spillEpoch();
     void drainPhaseWindows();
     std::string spillKey(std::uint64_t epoch) const;
 
     StreamingSessionConfig _config;
     TraceStatsCollector _stats;
-    ConflictGraph _graph; ///< current epoch's graph
-    /** The session's one tracker, flushing into _graph per block. */
+    /**
+     * Staging graph: the tracker flushes into it on a spill or at
+     * finish(), and it is emptied straight after.
+     */
+    ConflictGraph _graph;
+    /** The session's one tracker: every count since the last spill. */
     InterleaveTracker _tracker;
     std::uint64_t _records = 0;
     std::uint64_t _blocks = 0;

@@ -78,8 +78,9 @@ StreamingProfileSession::appendBlock(const BranchRecord *records,
 
     BWSA_SPAN("stream.append");
     // One warm tracker serves the whole session, so the stream is
-    // profiled exactly as a serial pass; flushing every block keeps
-    // the graph (and so residentBytes()) current.
+    // profiled exactly as a serial pass.  Nothing flushes here: the
+    // graph is built when something reads it (snapshot, finish, or a
+    // spill), so ingest costs grow with records, not with blocks.
     std::uint64_t last_ts = _last_timestamp;
     for (std::size_t i = 0; i < count; ++i) {
         const BranchRecord &record = records[i];
@@ -92,7 +93,6 @@ StreamingProfileSession::appendBlock(const BranchRecord *records,
         if (_phase_accum)
             _phase_accum->sample(record.pc, record.timestamp);
     }
-    _tracker.onEnd();
     drainPhaseWindows();
     _last_timestamp = last_ts;
     _records += count;
@@ -102,9 +102,8 @@ StreamingProfileSession::appendBlock(const BranchRecord *records,
     registry.counter("stream.blocks").inc();
     registry.counter("stream.records").inc(count);
 
-    if (_config.max_resident_bytes != 0 &&
-        residentBytes() > _config.max_resident_bytes &&
-        _graph.nodeCount() != 0)
+    if (_config.max_resident_bytes != 0 && _tracker.pending() &&
+        residentBytes() > _config.max_resident_bytes)
         spillEpoch();
 }
 
@@ -113,22 +112,21 @@ StreamingProfileSession::residentBytes() const
 {
     // Rough accounting of the dominant containers; precise to within
     // allocator overhead, which is all the spill threshold needs.
-    std::uint64_t bytes = 0;
-    bytes += _graph.nodeCount() * (sizeof(ConflictNode) + 48);
-    bytes += _graph.edges().capacity() * sizeof(ConflictGraph::Edge);
-    bytes += _stats.table().size() * 64;
-    bytes += _tracker.windowSize() * sizeof(BranchPc);
-    return bytes;
+    // _graph is empty outside spillEpoch() and finish(), so the
+    // tracker's counter rows and the statistics are all there is.
+    return _tracker.residentBytes() + _stats.table().size() * 64;
 }
 
 void
 StreamingProfileSession::spillEpoch()
 {
     BWSA_SPAN("stream.spill");
-    // Only the graph spills; statistics and the tracker window stay
-    // resident (both bounded by the static branch population).  The
-    // next flush restores every tracker slot into the fresh graph in
-    // slot order, so the epochs still fold in first-occurrence order.
+    // The tracker's counts drain into the staging graph, which is
+    // stored and reset; statistics, slots and the window stay
+    // resident (all bounded by the static branch population).  The
+    // next flush restores every tracker slot in slot order, so the
+    // epochs still fold in first-occurrence order.
+    _tracker.onEnd();
     store::ProfileArtifact epoch;
     epoch.graph = std::move(_graph);
     store::storeProfileArtifact(*_config.spill_cache,
@@ -139,10 +137,8 @@ StreamingProfileSession::spillEpoch()
 }
 
 ConflictGraph
-StreamingProfileSession::mergedGraph()
+StreamingProfileSession::spilledGraph() const
 {
-    if (_epochs == 0)
-        return _graph;
     // Epoch order is arrival order, so node ids land in global
     // first-occurrence order -- identical to a serial pass.
     ConflictGraph merged;
@@ -164,8 +160,23 @@ StreamingProfileSession::mergedGraph()
         else
             merged.mergeFrom(epoch->graph);
     }
-    merged.mergeFrom(_graph);
     return merged;
+}
+
+store::ProfileArtifact
+StreamingProfileSession::profile(ConflictGraph spilled,
+                                 ConflictGraph live) const
+{
+    store::ProfileArtifact artifact;
+    artifact.stats = _stats;
+    artifact.selection = selectByFrequency(_stats, 1.0, 0);
+    if (_epochs == 0) {
+        artifact.graph = std::move(live);
+    } else {
+        spilled.mergeFrom(live);
+        artifact.graph = std::move(spilled);
+    }
+    return artifact;
 }
 
 store::ProfileArtifact
@@ -173,11 +184,8 @@ StreamingProfileSession::snapshot()
 {
     BWSA_SPAN("stream.snapshot");
     obs::MetricsRegistry::global().counter("stream.snapshots").inc();
-    store::ProfileArtifact artifact;
-    artifact.stats = _stats;
-    artifact.selection = selectByFrequency(_stats, 1.0, 0);
-    artifact.graph = mergedGraph();
-    return artifact;
+    ConflictGraph spilled = spilledGraph();
+    return profile(std::move(spilled), _tracker.pendingGraph());
 }
 
 void
@@ -221,9 +229,13 @@ StreamingProfileSession::finish()
 {
     if (_finished)
         bwsa_panic("StreamingProfileSession: finish() called twice");
-    // Snapshot first: if an evicted epoch makes it throw, the session
-    // is left untouched.
-    store::ProfileArtifact artifact = snapshot();
+    // Fold the spilled epochs first: if an evicted one makes it
+    // throw, the session is left untouched.  Then the one destructive
+    // flush of the session's tail.
+    ConflictGraph spilled = spilledGraph();
+    _tracker.onEnd();
+    store::ProfileArtifact artifact =
+        profile(std::move(spilled), std::move(_graph));
     if (_phase_accum) {
         // Flush the tail partial window so the trace's final phase is
         // visible in the timeline and its boundary (if any) is

@@ -195,8 +195,8 @@ TimeSeriesRegistry::toJson() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
     JsonValue list = JsonValue::array();
-    for (const auto &series : _series)
-        list.push(series->toJson());
+    for (const auto &[name, index] : _index)
+        list.push(_series[index]->toJson());
     return list;
 }
 
@@ -205,7 +205,8 @@ TimeSeriesRegistry::chromeCounterEvents() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
     JsonValue events = JsonValue::array();
-    for (const auto &series : _series) {
+    for (const auto &[name, index] : _index) {
+        const TimeSeries *series = _series[index].get();
         for (const SeriesPoint &p : series->points()) {
             JsonValue entry = JsonValue::object();
             entry["name"] = series->name();

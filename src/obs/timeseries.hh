@@ -30,10 +30,10 @@
 #define BWSA_OBS_TIMESERIES_HH
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/json.hh"
@@ -167,14 +167,18 @@ class TimeSeriesRegistry
     /** Drop every series (and keep the enabled flag as-is). */
     void clear();
 
-    /** All series as a JSON array, in creation order. */
+    /**
+     * All series as a JSON array, sorted by name: sweep workers
+     * register series in racing order, so creation order would not
+     * repeat from run to run.
+     */
     JsonValue toJson() const;
 
     /**
-     * Chrome trace_event counter events ("ph":"C") for every series,
-     * one event per window carrying the window mean, so the series
-     * render as counter tracks in chrome://tracing / Perfetto.
-     * Timestamps are retired instructions re-interpreted as
+     * Chrome trace_event counter events ("ph":"C") for every series
+     * in name order, one event per window carrying the window mean,
+     * so the series render as counter tracks in chrome://tracing /
+     * Perfetto.  Timestamps are retired instructions re-interpreted as
      * microseconds (the trace has no wall-clock axis for them).
      */
     JsonValue chromeCounterEvents() const;
@@ -185,7 +189,8 @@ class TimeSeriesRegistry
     std::uint64_t _default_width = 65536;
     std::size_t _default_max_points = 512;
     std::vector<std::unique_ptr<TimeSeries>> _series;
-    std::unordered_map<std::string, std::size_t> _index;
+    /** Name -> index into _series; ordered, so output is by name. */
+    std::map<std::string, std::size_t> _index;
 };
 
 } // namespace bwsa::obs

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <type_traits>
 
 #include "obs/branch_telemetry.hh"
 #include "obs/metrics.hh"
@@ -227,10 +228,11 @@ InterleaveTracker::flushNodes()
     return ids;
 }
 
+template <typename Rows>
 std::vector<ConflictGraph::Edge>
-InterleaveTracker::drainEdges(const std::vector<NodeId> &ids)
+InterleaveTracker::rowEdges(Rows &rows, const std::vector<NodeId> &ids)
 {
-    const std::size_t n = _rows.size();
+    const std::size_t n = rows.size();
     if (ids.size() != n)
         bwsa_panic("drainEdges: ", ids.size(), " ids for ", n,
                    " slots");
@@ -247,8 +249,8 @@ InterleaveTracker::drainEdges(const std::vector<NodeId> &ids)
     for (Slot r = 0; r < n; ++r)
         rank[order[r]] = r;
 
-    auto visit = [this](Slot s, auto &&fn) {
-        const CounterRow &row = _rows[s];
+    auto visit = [&rows](Slot s, auto &&fn) {
+        const CounterRow &row = rows[s];
         if (!row.dense.empty())
             row.dense.forEach(fn);
         else
@@ -291,7 +293,7 @@ InterleaveTracker::drainEdges(const std::vector<NodeId> &ids)
     edges.reserve(upper_cells + lower.size());
     std::vector<Cell> upper;
     for (Slot ra = 0; ra < n; ++ra) {
-        CounterRow &row = _rows[order[ra]];
+        auto &row = rows[order[ra]];
         upper.clear();
         if (!row.dense.empty()) {
             for (Slot rb = ra + 1; rb < n; ++rb)
@@ -307,7 +309,8 @@ InterleaveTracker::drainEdges(const std::vector<NodeId> &ids)
                           return x.rank < y.rank;
                       });
         }
-        row = CounterRow{}; // release the buffers
+        if constexpr (!std::is_const_v<Rows>)
+            row = CounterRow{}; // release the buffers
 
         auto u = upper.begin();
         const Cell *l = lower.data() + start[ra];
@@ -330,6 +333,42 @@ InterleaveTracker::drainEdges(const std::vector<NodeId> &ids)
         }
     }
     return edges;
+}
+
+std::vector<ConflictGraph::Edge>
+InterleaveTracker::drainEdges(const std::vector<NodeId> &ids)
+{
+    return rowEdges(_rows, ids);
+}
+
+ConflictGraph
+InterleaveTracker::pendingGraph() const
+{
+    ConflictGraph graph;
+    if (!_unflushed)
+        return graph;
+    std::vector<NodeId> ids(_pcs.size());
+    for (Slot s = 0; s < _pcs.size(); ++s)
+        ids[s] = graph.restoreNode(_pcs[s], _counts[s].executed,
+                                   _counts[s].taken);
+    std::vector<std::vector<ConflictGraph::Edge>> runs;
+    runs.push_back(rowEdges(_rows, ids));
+    graph.mergeEdges(std::move(runs));
+    return graph;
+}
+
+std::uint64_t
+InterleaveTracker::residentBytes() const
+{
+    std::uint64_t bytes = _table.capacity() * sizeof(TableEntry) +
+                          _pcs.capacity() * sizeof(BranchPc) +
+                          _counts.capacity() * sizeof(SlotCounts) +
+                          _rows.capacity() * sizeof(CounterRow) +
+                          _pos.capacity() * sizeof(Slot) +
+                          _window.capacity() * sizeof(Slot);
+    for (const CounterRow &row : _rows)
+        bytes += row.sparse.bytes() + row.dense.bytes();
+    return bytes;
 }
 
 void

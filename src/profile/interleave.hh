@@ -24,7 +24,8 @@
  * while bounding both time and memory on adversarial traces.
  *
  * The tracker owns all of its counters and touches the conflict graph
- * only in onEnd().  Branches get tracker-local *slots* in
+ * only in onEnd(); pendingGraph() builds the same graph on the side
+ * without draining anything.  Branches get tracker-local *slots* in
  * first-occurrence order (an open-addressed pc -> slot table), so a
  * flush into an empty graph assigns node ids equal to the slots.
  * Each slot keeps its executed/taken counts and one directional
@@ -122,9 +123,29 @@ class InterleaveTracker : public TraceSink
      * stream; nothing of the stream is visible in the graph before
      * this runs.  May repeat (each call adds only the new counts; the
      * window persists), and is a no-op when nothing was counted since
-     * the last flush.
+     * the last flush.  Destructive: the counts are zeroed and the
+     * counter rows freed.  A streaming session flushes only when it
+     * spills or finishes and reads pendingGraph() in between.
      */
     void onEnd() override;
+
+    /**
+     * The graph one onEnd() into an empty graph would produce now
+     * (node ids = slots), built on the side: the counts and rows stay
+     * as they are, so a later read or flush still sees them.  Empty
+     * when nothing was counted since the last flush.
+     */
+    ConflictGraph pendingGraph() const;
+
+    /** True when counts arrived since the last flush. */
+    bool pending() const { return _unflushed; }
+
+    /**
+     * Heap bytes held by the counter rows (sparse, dense and spilled
+     * cells, by capacity), the pc -> slot table, the per-slot arrays
+     * and the window.  O(slots): one size read per row, no cell walk.
+     */
+    std::uint64_t residentBytes() const;
 
     /**
      * First half of onEnd(), for callers that merge several trackers'
@@ -230,6 +251,16 @@ class InterleaveTracker : public TraceSink
 
     void growTable();
     void evictHead();
+
+    /**
+     * The row walk behind drainEdges() and pendingGraph(): @p rows as
+     * one run of undirected edges keyed by @p ids and sorted by key.
+     * A mutable @p rows has each row's buffers freed once walked; a
+     * const one is left as it was.
+     */
+    template <typename Rows>
+    static std::vector<ConflictGraph::Edge>
+    rowEdges(Rows &rows, const std::vector<NodeId> &ids);
 
     ConflictGraph &_graph;
     InterleaveConfig _config;

@@ -83,6 +83,14 @@ class FlatCounterMap
 
     bool empty() const { return _size == 0; }
 
+    /** Heap bytes the table holds (keys and values, by capacity). */
+    std::size_t
+    bytes() const
+    {
+        return _keys.capacity() * sizeof(std::uint32_t) +
+               _values.capacity() * sizeof(std::uint64_t);
+    }
+
     /** Visit every (key, count) pair. */
     template <typename Fn>
     void
@@ -209,6 +217,14 @@ class DenseCounterRow
 
     /** True until the first adopt() or beginPass(). */
     bool empty() const { return _cells.empty(); }
+
+    /** Heap bytes the row holds (cells and spill area, by capacity). */
+    std::size_t
+    bytes() const
+    {
+        return _cells.capacity() * sizeof(std::uint32_t) +
+               _wide.capacity() * sizeof(std::uint64_t);
+    }
 
     /** True when a pass over @p keys keys needs no reallocation. */
     bool fits(std::size_t keys) const { return keys <= _cells.capacity(); }

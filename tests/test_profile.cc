@@ -8,6 +8,7 @@
 #include <map>
 #include <set>
 #include <span>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 
@@ -493,6 +494,77 @@ TEST_P(TrackerOracle, FlushBetweenReplaysMatchesConcatenation)
     std::vector<BranchRecord> both = first;
     both.insert(both.end(), second.begin(), second.end());
     expectMatchesOracle(g, bruteForceProfile(both, window));
+}
+
+namespace
+{
+
+void
+expectSameGraph(const ConflictGraph &got, const ConflictGraph &want)
+{
+    ASSERT_EQ(got.nodeCount(), want.nodeCount());
+    for (NodeId v = 0; v < got.nodeCount(); ++v) {
+        EXPECT_EQ(got.node(v).pc, want.node(v).pc) << "node " << v;
+        EXPECT_EQ(got.node(v).executed, want.node(v).executed)
+            << "node " << v;
+        EXPECT_EQ(got.node(v).taken, want.node(v).taken) << "node " << v;
+    }
+    EXPECT_EQ(got.edges(), want.edges());
+}
+
+} // namespace
+
+TEST_P(TrackerOracle, PendingGraphDoesNotDrain)
+{
+    // Two identical trackers over one trace; only the first is read
+    // with pendingGraph() along the way.  Each read must be what a
+    // flush of the prefix would give, and the reads must leave the
+    // first tracker's final flush unchanged.  The trace's hot loop
+    // keeps some rows sparse while the uniform draws turn others
+    // dense; window 24 over 300 branches evicts.
+    auto [seed, window] = GetParam();
+    std::vector<BranchRecord> records = oracleTrace(seed + 300, 5000, 300);
+    InterleaveConfig config;
+    config.max_window = window;
+    ConflictGraph read_graph, plain_graph;
+    InterleaveTracker read(read_graph, config);
+    InterleaveTracker plain(plain_graph, config);
+
+    EXPECT_EQ(read.pendingGraph().nodeCount(), 0u);
+    const std::size_t cuts[] = {1, 2, 17, 400, 401, 2600, records.size()};
+    std::size_t fed = 0;
+    for (std::size_t cut : cuts) {
+        for (; fed < cut; ++fed) {
+            read.onBranch(records[fed]);
+            plain.onBranch(records[fed]);
+        }
+        ConflictGraph prefix_graph;
+        InterleaveTracker prefix(prefix_graph, config);
+        for (std::size_t i = 0; i < cut; ++i)
+            prefix.onBranch(records[i]);
+        prefix.onEnd();
+
+        SCOPED_TRACE("cut " + std::to_string(cut));
+        EXPECT_TRUE(read.pending());
+        expectSameGraph(read.pendingGraph(), prefix_graph);
+        // A second read sees the same counts: the first drained none.
+        expectSameGraph(read.pendingGraph(), prefix_graph);
+        EXPECT_EQ(read_graph.nodeCount(), 0u);
+    }
+    if (window != 0) {
+        EXPECT_GT(read.evictedReentries(), 0u);
+    }
+
+    const std::uint64_t resident = read.residentBytes();
+    read.onEnd();
+    plain.onEnd();
+    expectSameGraph(read_graph, plain_graph);
+    expectMatchesOracle(read_graph, bruteForceProfile(records, window));
+    // The flush drained the rows: nothing is pending any more, and
+    // the freed row buffers leave residentBytes().
+    EXPECT_FALSE(read.pending());
+    EXPECT_LT(read.residentBytes(), resident);
+    EXPECT_EQ(read.pendingGraph().nodeCount(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

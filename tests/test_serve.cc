@@ -281,6 +281,57 @@ TEST(StreamingSession, SpillingPreservesExactness)
     std::filesystem::remove_all(dir);
 }
 
+TEST(StreamingSession, SnapshotCadenceCannotChangeAByte)
+{
+    // The graph is built only when read, so when (and whether) it is
+    // read must not show in any artifact: snapshots after every
+    // block, every 4th block, or never, spilling or not.
+    std::vector<BranchRecord> records = makeRecords(29, 7000, 600);
+    const std::string expected = batchBytes(records, streamingConfig());
+    auto dir = tempDir("cadence");
+    store::ArtifactCache cache(dir.string());
+
+    for (std::size_t every : {std::size_t(1), std::size_t(4),
+                              std::size_t(0)}) {
+        for (std::uint64_t bound : {std::uint64_t(0),
+                                    std::uint64_t(4 * 1024),
+                                    std::uint64_t(32 * 1024)}) {
+            SCOPED_TRACE("snapshot every " + std::to_string(every) +
+                         " blocks, bound " + std::to_string(bound));
+            StreamingSessionConfig config;
+            if (bound != 0) {
+                config.max_resident_bytes = bound;
+                config.spill_cache = &cache;
+                config.spill_scope = "t0/e" + std::to_string(every) +
+                                     "b" + std::to_string(bound);
+            }
+            StreamingProfileSession session(config);
+            std::size_t blocks = 0;
+            for (std::size_t off = 0; off < records.size(); off += 500) {
+                session.appendBlock(
+                    records.data() + off,
+                    std::min(std::size_t(500), records.size() - off));
+                if (every == 0 || ++blocks % every != 0)
+                    continue;
+                std::string first =
+                    store::serializeProfileArtifact(session.snapshot());
+                EXPECT_EQ(store::serializeProfileArtifact(
+                              session.snapshot()),
+                          first)
+                    << "back-to-back snapshots after " << blocks
+                    << " blocks";
+            }
+            if (bound == 4 * 1024) {
+                EXPECT_GT(session.spilledEpochs(), 1u);
+            }
+            EXPECT_EQ(store::serializeProfileArtifact(session.finish()),
+                      expected);
+        }
+    }
+    EXPECT_EQ(cache.entryCount(), 0u);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(StreamingSession, ResidentBytesStayWithinBound)
 {
     std::vector<BranchRecord> records = makeRecords(37, 60000, 800);
@@ -304,6 +355,19 @@ TEST(StreamingSession, ResidentBytesStayWithinBound)
     EXPECT_EQ(store::serializeProfileArtifact(session.finish()),
               batchBytes(records, streamingConfig()));
     std::filesystem::remove_all(dir);
+
+    // Unbounded, with no snapshot: the counts stay in the tracker's
+    // rows between reads, and residentBytes() charges them.  The
+    // statistics, slot table and per-slot arrays of 800 branches are
+    // well under the bound above, so only the rows can push the
+    // session past it.
+    StreamingProfileSession unbounded(StreamingSessionConfig{});
+    unbounded.appendBlock(records.data(), 1024);
+    const std::uint64_t first = unbounded.residentBytes();
+    for (std::size_t off = 1024; off < 8 * 1024; off += 1024)
+        unbounded.appendBlock(records.data() + off, 1024);
+    EXPECT_GT(unbounded.residentBytes(), first);
+    EXPECT_GT(unbounded.residentBytes(), config.max_resident_bytes);
 }
 
 TEST(StreamingSession, AbandonedSessionCleansUpSpills)

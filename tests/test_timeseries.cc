@@ -206,3 +206,25 @@ TEST(TimeSeriesRegistry, ChromeCounterEventsOnePerWindow)
     EXPECT_DOUBLE_EQ(first.find("args")->find("mean")->asDouble(),
                      1.0);
 }
+
+TEST(TimeSeriesRegistry, SeriesAreListedByName)
+{
+    // Sweep workers register series in racing order; the report and
+    // the counter tracks list them by name, so two runs agree.
+    TimeSeriesRegistry registry;
+    registry.configureDefaults(100, 16);
+    registry.setEnabled(true);
+    for (const char *name : {"li/miss", "compress/miss", "gcc/miss"})
+        registry.series(name)->record(0, 1.0);
+
+    const std::vector<std::string> sorted{"compress/miss", "gcc/miss",
+                                          "li/miss"};
+    JsonValue list = registry.toJson();
+    ASSERT_EQ(list.size(), sorted.size());
+    JsonValue events = registry.chromeCounterEvents();
+    ASSERT_EQ(events.size(), sorted.size());
+    for (std::size_t i = 0; i < sorted.size(); ++i) {
+        EXPECT_EQ(list.at(i).find("name")->asString(), sorted[i]);
+        EXPECT_EQ(events.at(i).find("name")->asString(), sorted[i]);
+    }
+}
