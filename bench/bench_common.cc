@@ -21,6 +21,8 @@
 #include "util/logging.hh"
 #include "util/stats.hh"
 #include "util/strutil.hh"
+#include "workload/executor.hh"
+#include "workload/graph/kernels.hh"
 
 namespace bwsa::bench
 {
@@ -467,6 +469,28 @@ recordShardStats(const std::string &label, const ShardRunStats &stats)
                     shard_table.rows());
 }
 
+/**
+ * Add what fixes @p source's record stream to a profile cache key.  A
+ * synthetic or graph workload is fixed by its identity and scale
+ * (already in the key) plus the executor's input seed and instruction
+ * budget, so it is keyed by those without running it.  Any other
+ * source is keyed by its record count (a trace file reads it from
+ * its trailer).
+ */
+void
+addStreamKey(store::CacheKeyBuilder &builder, const TraceSource &source)
+{
+    if (const auto *w = dynamic_cast<const WorkloadTraceSource *>(&source))
+        builder.add("input_seed", w->config().input_seed)
+            .add("max_instructions", w->config().max_instructions);
+    else if (const auto *g =
+                 dynamic_cast<const graph::GraphTraceSource *>(&source))
+        builder.add("input_seed", g->config().input_seed)
+            .add("max_instructions", g->config().max_instructions);
+    else
+        builder.add("records", source.recordCount());
+}
+
 } // namespace
 
 void
@@ -502,9 +526,9 @@ profileSource(AllocationPipeline &pipeline, const TraceSource &source,
         builder
             .add("schema", static_cast<std::uint64_t>(
                                store::profile_artifact_schema))
-            .add("trace", identity)
-            .add("records", source.recordCount())
-            .add("scale", options.scale)
+            .add("trace", identity);
+        addStreamKey(builder, source);
+        builder.add("scale", options.scale)
             .add("window", static_cast<std::uint64_t>(
                                config.interleave.max_window))
             .add("coverage", config.coverage)

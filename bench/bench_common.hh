@@ -252,8 +252,10 @@ void runBenchSweep(const BenchOptions &options,
  * non-empty @p identity names the trace (canonically
  * "preset:input_label"), the whole profile run is served from the
  * cache on a hit (pipeline.importProfile()) and published to it
- * after a miss.  The cache key folds in the trace identity, record
- * count, scale, and every profiling knob of the pipeline config
+ * after a miss.  The cache key folds in the trace identity, what
+ * fixes the source's stream without running it (a workload's input
+ * seed and instruction budget; any other source's record count),
+ * scale, and every profiling knob of the pipeline config
  * (interleave window, coverage, static cap) -- but not the edge
  * threshold (the graph is cached unpruned; thresholding happens at
  * allocation time) and not the shard count (sharded == serial by

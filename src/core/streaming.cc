@@ -83,16 +83,17 @@ StreamingProfileSession::appendBlock(const BranchRecord *records,
     // spill), so ingest costs grow with records, not with blocks.
     std::uint64_t last_ts = _last_timestamp;
     for (std::size_t i = 0; i < count; ++i) {
-        const BranchRecord &record = records[i];
-        if (_records + i != 0 && record.timestamp <= last_ts)
+        if (_records + i != 0 && records[i].timestamp <= last_ts)
             bwsa_panic("StreamingProfileSession: timestamps must "
                        "strictly ascend across the session");
-        last_ts = record.timestamp;
-        _stats.onBranch(record);
-        _tracker.onBranch(record);
-        if (_phase_accum)
-            _phase_accum->sample(record.pc, record.timestamp);
+        last_ts = records[i].timestamp;
     }
+    const std::span<const BranchRecord> block(records, count);
+    _stats.onBlock(block);
+    _tracker.onBlock(block);
+    if (_phase_accum)
+        for (const BranchRecord &record : block)
+            _phase_accum->sample(record.pc, record.timestamp);
     drainPhaseWindows();
     _last_timestamp = last_ts;
     _records += count;

@@ -93,20 +93,43 @@ InterleaveTracker::evictHead()
 void
 InterleaveTracker::onBranch(const BranchRecord &record)
 {
-    const std::size_t known = _pcs.size();
-    Slot id = slotFor(record.pc);
-    ++_counts[id].executed;
-    if (record.taken)
-        ++_counts[id].taken;
-    _unflushed = true;
-    if (_config.telemetry)
-        _config.telemetry->record(record.pc, record.taken,
-                                  record.timestamp);
-    if (_config.phase)
-        _config.phase->sample(record.pc, record.timestamp);
+    InterleaveTracker::onBlock({&record, 1});
+}
 
-    const Slot pos = _pos[id];
-    if (pos != npos) {
+void
+InterleaveTracker::onBlock(std::span<const BranchRecord> records)
+{
+    if (records.empty())
+        return;
+    _unflushed = true;
+    obs::BranchTelemetryMap *const telemetry = _config.telemetry;
+    obs::PhaseAccumulator *const phase = _config.phase;
+    for (const BranchRecord &record : records) {
+        const std::size_t known = _pcs.size();
+        const Slot id = slotFor(record.pc);
+        ++_counts[id].executed;
+        _counts[id].taken += record.taken;
+        if (telemetry)
+            telemetry->record(record.pc, record.taken,
+                              record.timestamp);
+        if (phase)
+            phase->sample(record.pc, record.timestamp);
+
+        const Slot pos = _pos[id];
+        if (pos == npos) {
+            // Fresh occurrence: first sight, or evicted from the
+            // window (its true interleave set spans more than
+            // max_window distinct branches).
+            if (id < known)
+                ++_evicted_reentries;
+            _pos[id] = static_cast<Slot>(_window.size());
+            _window.push_back(id);
+            if (_config.max_window != 0 &&
+                windowSize() > _config.max_window)
+                evictHead();
+            continue;
+        }
+
         // Every branch after this one's position last ran after its
         // previous instance: record each interleaving while shifting
         // the suffix down over the vacated position.
@@ -118,8 +141,8 @@ InterleaveTracker::onBranch(const BranchRecord &record)
         if (!row.dense.empty() && !row.dense.fits(live) &&
             row.dense.nonzero() * 4 < live) {
             // Density rule again before widening: a row that fell
-            // below it goes back to sparse, so no row ever costs more
-            // than its hash form would.
+            // below it goes back to sparse, so no row ever costs
+            // more than its hash form would.
             row.dense.forEach([&](std::uint32_t key, std::uint64_t n) {
                 row.sparse.increment(key, n);
             });
@@ -150,18 +173,7 @@ InterleaveTracker::onBranch(const BranchRecord &record)
         _pair_increments += end - 1 - pos;
         window[end - 1] = id;
         slot_pos[id] = static_cast<Slot>(end - 1);
-        return;
     }
-
-    // Fresh occurrence: first sight, or evicted from the window (its
-    // true interleave set spans more than max_window distinct
-    // branches).
-    if (id < known)
-        ++_evicted_reentries;
-    _pos[id] = static_cast<Slot>(_window.size());
-    _window.push_back(id);
-    if (_config.max_window != 0 && windowSize() > _config.max_window)
-        evictHead();
 }
 
 std::vector<BranchPc>
@@ -180,7 +192,7 @@ InterleaveTracker::addInterleavings(Slot slot, Slot prefix,
 {
     CounterRow &row = _rows[slot];
     const std::size_t live = _pcs.size();
-    // Same density rule as onBranch(), applied to the row as it will
+    // Same density rule as onBlock(), applied to the row as it will
     // be after this pass.
     if (row.dense.empty() &&
         (row.sparse.size() + prefix + others.size()) * 4 >= live) {
@@ -215,7 +227,7 @@ InterleaveTracker::flushNodes()
         _counts[s] = SlotCounts{};
     }
 
-    // Whole-stream analysis totals; onBranch() stays uninstrumented
+    // Whole-stream analysis totals; onBlock() stays uninstrumented
     // (profiling is a hot path).
     auto &registry = obs::MetricsRegistry::global();
     registry.counter("profile.flushes").inc();

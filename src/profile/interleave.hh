@@ -114,7 +114,11 @@ class InterleaveTracker : public TraceSink
     explicit InterleaveTracker(ConflictGraph &graph,
                                const InterleaveConfig &config = {});
 
+    /** One-record block. */
     void onBranch(const BranchRecord &record) override;
+
+    /** The interleave kernel: one window step per record. */
+    void onBlock(std::span<const BranchRecord> records) override;
 
     /**
      * Flush the counts gathered since the last flush into the

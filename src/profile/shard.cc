@@ -57,10 +57,17 @@ class ShardProgressSink : public TraceSink
   public:
     explicit ShardProgressSink(TraceSink &inner) : _inner(inner) {}
 
+    /** One-record block. */
     void
     onBranch(const BranchRecord &record) override
     {
-        _inner.onBranch(record);
+        ShardProgressSink::onBlock({&record, 1});
+    }
+
+    void
+    onBlock(std::span<const BranchRecord> records) override
+    {
+        _inner.onBlock(records);
     }
 
     void onEnd() override {}

@@ -1,5 +1,6 @@
 #include "sim/batched_replay.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.hh"
@@ -746,37 +747,61 @@ BatchedReplayer::growSlotTable()
 void
 BatchedReplayer::onBranch(const BranchRecord &record)
 {
+    BatchedReplayer::onBlock({&record, 1});
+}
+
+void
+BatchedReplayer::onBlock(std::span<const BranchRecord> records)
+{
     if (!_sealed)
         seal();
-    if (_attribute) {
-        const std::vector<obs::Phase> &phases = _timeline->phases;
-        while (_phase_index + 1 < phases.size() &&
-               record.timestamp >= phases[_phase_index + 1].start_ts) {
-            // The block ends at the boundary, so the probe counters
-            // advancePhase() reads cover exactly the closing phase.
-            replayBlock();
-            advancePhase();
-        }
-    }
-
-    const std::uint32_t slot = slotFor(record.pc);
-    if (_attribute) {
-        if (slot >= _slot_phase.size())
-            _slot_phase.resize(slot + 1, 0);
-        if (_slot_phase[slot] != _phase_index + 1) {
-            _slot_phase[slot] = _phase_index + 1;
-            _phase_pcs[_phase_index].insert(record.pc);
-        }
-    }
-
+    const std::vector<obs::Phase> *phases =
+        _attribute ? &_timeline->phases : nullptr;
     Block &block = *_block;
-    const std::size_t at = block.records.size;
-    block.records.pc[at] = record.pc;
-    block.records.slot[at] = slot;
-    block.records.taken[at] = record.taken;
-    block.timestamp[at] = record.timestamp;
-    if (++block.records.size == block_records)
-        replayBlock();
+    std::size_t i = 0;
+    while (i < records.size()) {
+        // Records from the next phase's start on belong to a later
+        // block: the block ends at the boundary, so the probe
+        // counters advancePhase() reads cover exactly the closing
+        // phase.
+        std::uint64_t phase_end = ~std::uint64_t(0);
+        if (phases) {
+            while (_phase_index + 1 < phases->size() &&
+                   records[i].timestamp >=
+                       (*phases)[_phase_index + 1].start_ts) {
+                replayBlock();
+                advancePhase();
+            }
+            if (_phase_index + 1 < phases->size())
+                phase_end = (*phases)[_phase_index + 1].start_ts;
+        }
+
+        // Fill the open block up to whichever comes first: its
+        // capacity, the phase boundary, or the end of the records.
+        const std::size_t stop = std::min(
+            records.size(), i + (block_records - block.records.size));
+        std::size_t at = block.records.size;
+        for (; i < stop && records[i].timestamp < phase_end; ++i) {
+            const BranchRecord &record = records[i];
+            const std::uint32_t slot = slotFor(record.pc);
+            if (phases) {
+                if (slot >= _slot_phase.size())
+                    _slot_phase.resize(slot + 1, 0);
+                if (_slot_phase[slot] != _phase_index + 1) {
+                    _slot_phase[slot] = _phase_index + 1;
+                    _phase_pcs[_phase_index].insert(record.pc);
+                }
+            }
+            block.records.pc[at] = record.pc;
+            block.records.slot[at] = slot;
+            block.records.taken[at] = record.taken;
+            block.timestamp[at] = record.timestamp;
+            ++at;
+        }
+        block.records.size = at;
+        if (at == block_records)
+            replayBlock();
+    }
 }
 
 void

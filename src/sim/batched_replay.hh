@@ -11,12 +11,13 @@
  * chooser table; a static-filtered PAg is a static-direction map in
  * front of a PAg sub-lane), so no step arithmetic is duplicated.
  *
- * The record loop is lane-major.  onBranch() interns the pc into a
+ * The record loop is lane-major.  onBlock() interns each pc into a
  * dense *slot* (one open-addressed lookup per record, slots in
- * first-occurrence order) and appends the record to a block of at most
- * block_records records.  When the block is full -- or ends early at
- * a phase boundary or at onEnd() -- each lane runs its kind's block
- * loop once over the whole block, writing one miss bit per record.
+ * first-occurrence order) and copies the records straight into a
+ * block of at most block_records records (onBranch() is a one-record
+ * block).  When the block is full -- or ends early at a phase
+ * boundary or at onEnd() -- each lane runs its kind's block loop once
+ * over the whole block, writing one miss bit per record.
  * Per-branch side tables (PAg BHT indices, agree bias bits, static
  * directions) are slot-indexed arrays that a lane fills the first time
  * it sees a slot, so the sparse maps behind them are read once per
@@ -161,7 +162,14 @@ class BatchedReplayer : public TraceSink
      */
     void replay(const TraceSource &source);
 
+    /** One-record block. */
     void onBranch(const BranchRecord &record) override;
+
+    /**
+     * Append @p records to the open block, replaying it whenever it
+     * fills and cutting it at each phase boundary of the timeline.
+     */
+    void onBlock(std::span<const BranchRecord> records) override;
 
     /**
      * Replay the open block, then flush whole-replay totals (delta)

@@ -239,9 +239,12 @@ BlockTraceReader::BlockTraceReader(const std::string &path,
         cur.getU64(info.last_timestamp);
         cur.getU32(info.crc);
         cur.getU32(reserved);
+        // A record takes at least two payload bytes, which also caps
+        // the decode buffer a block can ask for.
         if (info.offset != next_offset ||
             info.first_record != next_record ||
-            info.record_count == 0)
+            info.record_count == 0 ||
+            info.record_count > info.payload_bytes / 2)
             bwsa_fatal("corrupt trace footer index (block ", i,
                        " not contiguous) in ", path);
         next_offset += info.payload_bytes;
@@ -353,10 +356,13 @@ BlockTraceReader::replayRange(TraceSink &sink, std::uint64_t begin,
     std::size_t block = static_cast<std::size_t>(
         std::distance(_blocks.begin(), it)) - 1;
 
+    // One decode loop per block into a per-call buffer (concurrent
+    // segment replays share nothing mutable), one decode-count add
+    // and one onBlock() call per block, and done() between blocks.
+    std::vector<BranchRecord> records;
     std::string scratch;
     std::string error;
-    bool stopped = false;
-    for (; block < _blocks.size() && !stopped; ++block) {
+    for (; block < _blocks.size() && !sink.done(); ++block) {
         const TraceBlockInfo &info = _blocks[block];
         if (info.first_record >= end)
             break;
@@ -364,35 +370,21 @@ BlockTraceReader::replayRange(TraceSink &sink, std::uint64_t begin,
         if (!data)
             bwsa_fatal("corrupt trace block ", block, " in ", _path,
                        ": ", error);
+        // Records [lo, hi) of this block are in range; the in-block
+        // prefix [0, lo) is decoded only to reach lo.
+        const std::uint64_t lo =
+            begin > info.first_record ? begin - info.first_record : 0;
+        const std::uint64_t hi =
+            std::min(end - info.first_record, info.record_count);
+        if (records.size() < hi)
+            records.resize(hi);
         ByteCursor cur(data, info.payload_bytes);
-        std::uint64_t pc = 0;
-        std::uint64_t timestamp = 0;
-        for (std::uint64_t i = 0; i < info.record_count; ++i) {
-            std::uint64_t idx = info.first_record + i;
-            bool skipped = idx < begin;
-            if (!skipped && (idx >= end || sink.done())) {
-                stopped = true;
-                break;
-            }
-            std::uint64_t pc_raw = 0, ts_raw = 0;
-            if (!cur.getVarint(pc_raw) || !cur.getVarint(ts_raw))
-                bwsa_fatal("corrupt trace block ", block, " in ",
-                           _path, ": payload shorter than record "
-                           "count");
-            _decoded.fetch_add(1, std::memory_order_relaxed);
-            pc = static_cast<std::uint64_t>(
-                static_cast<std::int64_t>(pc) + zigzagDecode(pc_raw));
-            bool taken = (ts_raw & 1) != 0;
-            timestamp += ts_raw >> 1;
-            if (skipped)
-                continue;
-
-            BranchRecord record;
-            record.pc = pc;
-            record.timestamp = timestamp;
-            record.taken = taken;
-            sink.onBranch(record);
-        }
+        if (!decodeBlockRecords(cur, hi, records.data()))
+            bwsa_fatal("corrupt trace block ", block, " in ", _path,
+                       ": payload shorter than record count");
+        _decoded.fetch_add(hi, std::memory_order_relaxed);
+        sink.onBlock(std::span<const BranchRecord>(
+            records.data() + lo, static_cast<std::size_t>(hi - lo)));
     }
     sink.onEnd();
 }
@@ -424,12 +416,12 @@ BlockTraceReader::verifyBlocks() const
                 result.message = "payload ends mid-record";
                 break;
             }
-            _decoded.fetch_add(1, std::memory_order_relaxed);
             timestamp += ts_raw >> 1;
             if (decoded == 0)
                 first_ts = timestamp;
             ++decoded;
         }
+        _decoded.fetch_add(decoded, std::memory_order_relaxed);
         if (result.ok && decoded != info.record_count) {
             result.ok = false;
             result.message = "record count disagrees with footer";

@@ -162,9 +162,11 @@ class BlockTraceReader : public TraceSource
      * Range replay that seeks: binary-searches the footer index for
      * the block containing @p begin, decodes from that block's start
      * (skipping at most one block's worth of in-block prefix) and
-     * stops after @p end.  Decodes off the shared mapping (or the
-     * hoisted stream), so segments of one reader replay concurrently
-     * without reopening the file.
+     * stops after @p end.  Each covered block decodes in one loop
+     * into a per-call buffer and reaches the sink as one onBlock()
+     * call; done() is checked between blocks.  Decodes off the shared
+     * mapping (or the hoisted stream), so segments of one reader
+     * replay concurrently without reopening the file.
      */
     void replayRange(TraceSink &sink, std::uint64_t begin,
                      std::uint64_t end) const override;
@@ -189,7 +191,8 @@ class BlockTraceReader : public TraceSource
 
     /**
      * Records varint-decoded by this reader so far, including records
-     * skipped inside a partially-covered block.  The sharded-profiling
+     * skipped inside a partially-covered block; added once per block.
+     * The sharded-profiling
      * tests assert that shard k's decode cost is O(N/K + block), not
      * O(prefix); a serial replay counts every record once.
      */

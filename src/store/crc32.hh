@@ -1,9 +1,13 @@
 /**
  * @file
  * CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) used to
- * checksum trace blocks and cache payloads.  Table-driven software
- * implementation; the persistence layer's integrity checks are I/O
- * bound, so a few GB/s of software CRC is not the bottleneck.
+ * checksum trace blocks and cache payloads.  Software slicing-by-8:
+ * eight table lookups fold 8 bytes per step, with a byte-at-a-time
+ * tail.  Every trace replay re-checks each block it reads, so the
+ * CRC sits on the decode path.  On one core of a Xeon (GCC 12,
+ * RelWithDebInfo) the byte-at-a-time table loop ran at about
+ * 0.35 GB/s, over a third of a trace decode; slicing-by-8 runs at
+ * about 1.9 GB/s and gives the same checksums.
  */
 
 #ifndef BWSA_STORE_CRC32_HH

@@ -144,6 +144,31 @@ class BlockPayloadEncoder
 };
 
 /**
+ * Decode the first @p count records of a block payload at @p cur
+ * into @p out[0, count): the one record decoder of the container and
+ * the wire.  Returns false when the payload ends first.
+ */
+inline bool
+decodeBlockRecords(ByteCursor &cur, std::uint64_t count,
+                   BranchRecord *out)
+{
+    std::uint64_t pc = 0;
+    std::uint64_t timestamp = 0;
+    for (std::uint64_t i = 0; i < count; ++i) {
+        std::uint64_t pc_raw = 0, ts_raw = 0;
+        if (!cur.getVarint(pc_raw) || !cur.getVarint(ts_raw))
+            return false;
+        pc = static_cast<std::uint64_t>(static_cast<std::int64_t>(pc) +
+                                        zigzagDecode(pc_raw));
+        timestamp += ts_raw >> 1;
+        out[i].pc = pc;
+        out[i].timestamp = timestamp;
+        out[i].taken = (ts_raw & 1) != 0;
+    }
+    return true;
+}
+
+/**
  * Decode a whole block payload into @p out (appended).  Strict: the
  * payload must hold exactly @p expected_records records and no
  * trailing bytes.  Returns false with a reason in @p error instead of
@@ -154,23 +179,19 @@ decodeBlockPayload(const char *data, std::size_t size,
                    std::uint64_t expected_records,
                    std::vector<BranchRecord> &out, std::string &error)
 {
+    // Every record takes at least two bytes, so a count the payload
+    // cannot hold is rejected before anything is allocated for it.
+    if (expected_records > size / 2) {
+        error = "payload shorter than record count";
+        return false;
+    }
     ByteCursor cur(data, size);
-    std::uint64_t pc = 0;
-    std::uint64_t timestamp = 0;
-    for (std::uint64_t i = 0; i < expected_records; ++i) {
-        std::uint64_t pc_raw = 0, ts_raw = 0;
-        if (!cur.getVarint(pc_raw) || !cur.getVarint(ts_raw)) {
-            error = "payload shorter than record count";
-            return false;
-        }
-        pc = static_cast<std::uint64_t>(static_cast<std::int64_t>(pc) +
-                                        zigzagDecode(pc_raw));
-        timestamp += ts_raw >> 1;
-        BranchRecord record;
-        record.pc = pc;
-        record.timestamp = timestamp;
-        record.taken = (ts_raw & 1) != 0;
-        out.push_back(record);
+    const std::size_t at = out.size();
+    out.resize(at + expected_records);
+    if (!decodeBlockRecords(cur, expected_records, out.data() + at)) {
+        out.resize(at);
+        error = "payload shorter than record count";
+        return false;
     }
     if (!cur.atEnd()) {
         error = "payload longer than record count";

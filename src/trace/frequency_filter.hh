@@ -66,7 +66,8 @@ FrequencySelection selectByFrequency(const TraceStatsCollector &stats,
 /**
  * Pass-through sink forwarding only records whose branch survived a
  * FrequencySelection; everything else is dropped, exactly like the
- * paper's reduced-branch analysis runs.
+ * paper's reduced-branch analysis runs.  Each block is compacted into
+ * the sink's own buffer and forwarded as one block.
  */
 class FilteredSink : public TraceSink
 {
@@ -76,13 +77,25 @@ class FilteredSink : public TraceSink
         : _selection(selection), _inner(inner)
     {}
 
+    /** One-record block. */
     void
     onBranch(const BranchRecord &record) override
     {
-        if (_selection.contains(record.pc))
-            _inner.onBranch(record);
-        else
-            ++_dropped;
+        FilteredSink::onBlock({&record, 1});
+    }
+
+    void
+    onBlock(std::span<const BranchRecord> records) override
+    {
+        if (_kept.size() < records.size())
+            _kept.resize(records.size());
+        std::size_t kept = 0;
+        for (const BranchRecord &record : records)
+            if (_selection.contains(record.pc))
+                _kept[kept++] = record;
+        _dropped += records.size() - kept;
+        if (kept != 0)
+            _inner.onBlock({_kept.data(), kept});
     }
 
     void onEnd() override { _inner.onEnd(); }
@@ -90,12 +103,17 @@ class FilteredSink : public TraceSink
     /** Done when the downstream sink is done (early-stop protocol). */
     bool done() const override { return _inner.done(); }
 
-    /** Records dropped so far. */
+    /**
+     * Records dropped so far: every rejected record of the blocks
+     * delivered, including those after a record that made the inner
+     * sink done within a block.
+     */
     std::uint64_t dropped() const { return _dropped; }
 
   private:
     const FrequencySelection &_selection;
     TraceSink &_inner;
+    std::vector<BranchRecord> _kept; ///< holds the compacted block
     std::uint64_t _dropped = 0;
 };
 

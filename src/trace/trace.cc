@@ -1,5 +1,7 @@
 #include "trace/trace.hh"
 
+#include <algorithm>
+
 namespace bwsa
 {
 
@@ -67,25 +69,20 @@ TraceSource::segments(unsigned k) const
 void
 MemoryTrace::replay(TraceSink &sink) const
 {
-    for (const BranchRecord &r : _records) {
-        if (sink.done())
-            break;
-        sink.onBranch(r);
-    }
-    sink.onEnd();
+    replayRange(sink, 0, _records.size());
 }
 
 void
 MemoryTrace::replayRange(TraceSink &sink, std::uint64_t begin,
                          std::uint64_t end) const
 {
-    std::uint64_t hi = _records.size();
-    if (end < hi)
-        hi = end;
-    for (std::uint64_t i = begin; i < hi; ++i) {
-        if (sink.done())
-            break;
-        sink.onBranch(_records[static_cast<std::size_t>(i)]);
+    const std::uint64_t hi = std::min<std::uint64_t>(end, _records.size());
+    for (std::uint64_t at = begin; at < hi && !sink.done();) {
+        const std::uint64_t n =
+            std::min<std::uint64_t>(hi - at, replay_block_records);
+        sink.onBlock(std::span<const BranchRecord>(
+            _records.data() + at, static_cast<std::size_t>(n)));
+        at += n;
     }
     sink.onEnd();
 }

@@ -6,6 +6,11 @@
  * into a TraceSink; consumers that need to re-read a stream use a
  * TraceSource.  MemoryTrace implements both so small traces can be
  * captured once and replayed into several analyses.
+ *
+ * Buffered sources (trace files, MemoryTrace, streamed Appends)
+ * deliver a block of consecutive records per TraceSink::onBlock()
+ * call; the analysis sinks run one kernel over the block, and their
+ * onBranch() is a one-record block.
  */
 
 #ifndef BWSA_TRACE_TRACE_HH
@@ -13,6 +18,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "trace/branch_record.hh"
@@ -33,14 +39,33 @@ class TraceSink
     /** Deliver one dynamic branch instance; timestamps must ascend. */
     virtual void onBranch(const BranchRecord &record) = 0;
 
+    /**
+     * Deliver consecutive records in stream order.  Sources check
+     * done() before each call, not inside it.  The default hands the
+     * records to onBranch() one at a time and checks done() before
+     * each, so a sink that only overrides onBranch() sees exactly
+     * what per-record delivery would show it.  Sinks with a block
+     * kernel override this and make onBranch() a one-record block.
+     */
+    virtual void
+    onBlock(std::span<const BranchRecord> records)
+    {
+        for (const BranchRecord &record : records) {
+            if (done())
+                return;
+            onBranch(record);
+        }
+    }
+
     /** Signal end of the stream. Default: nothing to finalize. */
     virtual void onEnd() {}
 
     /**
      * True when further records are useless to this sink (e.g. an
-     * instruction budget was hit).  Sources check this between records
-     * and stop replaying early instead of draining the full stream;
-     * onEnd() is still delivered.  Default: never done.
+     * instruction budget was hit).  Sources check this between
+     * records (between blocks when they deliver blocks) and stop
+     * replaying early instead of draining the full stream; onEnd() is
+     * still delivered.  Default: never done.
      */
     virtual bool done() const { return false; }
 };
@@ -189,6 +214,9 @@ class RangeFilterSink : public TraceSink
 
 /**
  * In-memory trace buffer; both a sink and a replayable source.
+ * Replay hands the buffer out in onBlock() calls of at most
+ * replay_block_records records, straight from the buffer, and checks
+ * done() between calls.
  */
 class MemoryTrace : public TraceSink, public TraceSource
 {
@@ -197,6 +225,13 @@ class MemoryTrace : public TraceSink, public TraceSource
     onBranch(const BranchRecord &record) override
     {
         _records.push_back(record);
+    }
+
+    /** Capture a delivered block in one append. */
+    void
+    onBlock(std::span<const BranchRecord> records) override
+    {
+        _records.insert(_records.end(), records.begin(), records.end());
     }
 
     void replay(TraceSink &sink) const override;
@@ -229,6 +264,9 @@ class MemoryTrace : public TraceSink, public TraceSource
     void reserve(std::size_t n) { _records.reserve(n); }
 
   private:
+    /** Records per onBlock() call of a replay. */
+    static constexpr std::size_t replay_block_records = 4096;
+
     std::vector<BranchRecord> _records;
 };
 

@@ -8,14 +8,24 @@ namespace bwsa
 void
 TraceStatsCollector::onBranch(const BranchRecord &record)
 {
-    BranchCounts &c = _counts[record.pc];
-    ++c.executed;
-    if (record.taken)
-        ++c.taken;
-    ++_dynamic;
-    if (record.taken)
-        ++_taken;
-    _last_timestamp = record.timestamp;
+    TraceStatsCollector::onBlock({&record, 1});
+}
+
+void
+TraceStatsCollector::onBlock(std::span<const BranchRecord> records)
+{
+    if (records.empty())
+        return;
+    std::uint64_t taken = 0;
+    for (const BranchRecord &record : records) {
+        BranchCounts &c = _counts[record.pc];
+        ++c.executed;
+        c.taken += record.taken;
+        taken += record.taken;
+    }
+    _dynamic += records.size();
+    _taken += taken;
+    _last_timestamp = records.back().timestamp;
 }
 
 BranchCounts

@@ -42,7 +42,11 @@ struct BranchCounts
 class TraceStatsCollector : public TraceSink
 {
   public:
+    /** One-record block. */
     void onBranch(const BranchRecord &record) override;
+
+    /** The counting kernel: one table update per record. */
+    void onBlock(std::span<const BranchRecord> records) override;
 
     /** Total dynamic conditional branches seen. */
     std::uint64_t dynamicBranches() const { return _dynamic; }

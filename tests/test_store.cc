@@ -24,6 +24,11 @@
 #include <thread>
 
 #include "core/pipeline.hh"
+#include "obs/branch_telemetry.hh"
+#include "obs/phase_detect.hh"
+#include "predict/factory.hh"
+#include "profile/shard.hh"
+#include "sim/batched_replay.hh"
 #include "store/artifact_cache.hh"
 #include "store/block_trace.hh"
 #include "store/crc32.hh"
@@ -111,6 +116,23 @@ sameRecord(const BranchRecord &a, const BranchRecord &b)
 {
     return a.pc == b.pc && a.timestamp == b.timestamp &&
            a.taken == b.taken;
+}
+
+/**
+ * Bitwise CRC-32 (reflected polynomial 0xEDB88320, no tables): the
+ * oracle the table-driven crc32Of() is checked against.
+ */
+std::uint32_t
+bitwiseCrc32(const void *data, std::size_t size)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    std::uint32_t crc = 0xffffffffu;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= p[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc & 1) ? (crc >> 1) ^ 0xedb88320u : crc >> 1;
+    }
+    return crc ^ 0xffffffffu;
 }
 
 /** Write @p trace as v2 at a fresh temp path; returns the path. */
@@ -361,6 +383,53 @@ TEST(BlockTrace, DigestIdentifiesContent)
     std::filesystem::remove(a);
     std::filesystem::remove(b);
     std::filesystem::remove(c);
+}
+
+TEST(BlockTrace, WriterBytesMatchRecordedContainer)
+{
+    // 40 records in blocks of 16: header, three block payloads, the
+    // footer and the trailer, as written before the CRC went
+    // slicing-by-8.  Any change to the writer's bytes or to a block
+    // or footer CRC shows here.
+    const std::string recorded_hex =
+        "4257535402000000908080041e900312ef02253009d00213ff0222d0011d8001"
+        "211f0530178f010f1026c0010cbf0102c001209f0104c0818004e902e00119ef"
+        "0102b001287f0d3f1690020610142f1e3013ff020ba0021c7f044005bf011f30"
+        "1fc0838004a105ff0207e001155007ef011b900106b001209f031b0800000000"
+        "0000002e00000000000000000000000000000010000000000000000f00000000"
+        "000000a600000000000000379e60200000000036000000000000002b00000000"
+        "00000010000000000000001000000000000000b4000000000000004001000000"
+        "000000ed8c7a1a0000000061000000000000001a000000000000002000000000"
+        "000000080000000000000050010000000000008d01000000000000f5cab32700"
+        "0000007b000000000000000300000000000000280000000000000043c543d710"
+        "00000042575345";
+    std::string recorded;
+    for (std::size_t i = 0; i < recorded_hex.size(); i += 2)
+        recorded.push_back(static_cast<char>(
+            std::stoi(recorded_hex.substr(i, 2), nullptr, 16)));
+
+    MemoryTrace trace = makeRandomTrace(29, 40, 30);
+    std::string path = writeV2(trace, "recorded", 16);
+    std::ifstream in(path, std::ios::binary);
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    EXPECT_EQ(bytes, recorded);
+
+    BlockTraceReader reader(path);
+    ASSERT_EQ(reader.blockCount(), 3u);
+    for (std::size_t b = 0; b < reader.blockCount(); ++b) {
+        const TraceBlockInfo &info = reader.blocks()[b];
+        EXPECT_EQ(info.crc, bitwiseCrc32(bytes.data() + info.offset,
+                                         info.payload_bytes))
+            << "block " << b;
+    }
+    RecordingSink sink;
+    reader.replay(sink);
+    ASSERT_EQ(sink.records.size(), trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i)
+        EXPECT_TRUE(sameRecord(sink.records[i], trace[i])) << i;
+    EXPECT_EQ(reader.recordsDecoded(), 40u);
+    std::filesystem::remove(path);
 }
 
 TEST(BlockTrace, WriterRejectsNonAscendingTimestamps)
@@ -640,6 +709,40 @@ TEST(Crc32, MatchesKnownVectors)
     crc.update("1234");
     crc.update("56789");
     EXPECT_EQ(crc.value(), 0xcbf43926u);
+}
+
+TEST(Crc32, MatchesBitwiseOracleAtEveryLengthAndOffset)
+{
+    // Every length 0-130 (the 8-byte steps plus every tail length) at
+    // every alignment 0-7.
+    Pcg32 rng(101);
+    std::vector<unsigned char> buffer(8 + 130);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t length = 0; length <= 130; ++length) {
+            for (unsigned char &byte : buffer)
+                byte = static_cast<unsigned char>(rng.nextBounded(256));
+            const unsigned char *data = buffer.data() + offset;
+            ASSERT_EQ(crc32Of(data, length), bitwiseCrc32(data, length))
+                << "offset " << offset << " length " << length;
+        }
+    }
+}
+
+TEST(Crc32, SplitUpdatesMatchOneShot)
+{
+    Pcg32 rng(103);
+    std::vector<unsigned char> buffer(130);
+    for (unsigned char &byte : buffer)
+        byte = static_cast<unsigned char>(rng.nextBounded(256));
+    const std::uint32_t whole = crc32Of(buffer.data(), buffer.size());
+    EXPECT_EQ(whole, bitwiseCrc32(buffer.data(), buffer.size()));
+    for (std::size_t split = 0; split <= buffer.size(); ++split) {
+        Crc32 crc;
+        crc.update(buffer.data(), split);
+        EXPECT_EQ(crc.value(), bitwiseCrc32(buffer.data(), split));
+        crc.update(buffer.data() + split, buffer.size() - split);
+        EXPECT_EQ(crc.value(), whole) << "split at " << split;
+    }
 }
 
 // ------------------------------------------------------- cache keys
@@ -1021,4 +1124,372 @@ TEST(ProfileArtifactTest, ParsesUnsortedEdgesInOneSortedLoad)
     }
     EXPECT_EQ(parseProfileArtifact(overflow, parsed),
               ArtifactParseStatus::Corrupt);
+}
+
+// ------------------------------------------------------ block delivery
+
+namespace
+{
+
+/**
+ * Source handing a buffered trace out one onBranch() at a time, with
+ * done() checked before each record: the record path that block
+ * delivery must reproduce.  Range replay is TraceSource's default
+ * (a RangeFilterSink over replay()).
+ */
+class PerRecordSource : public TraceSource
+{
+  public:
+    explicit PerRecordSource(const MemoryTrace &trace) : _trace(trace) {}
+
+    void
+    replay(TraceSink &sink) const override
+    {
+        for (const BranchRecord &record : _trace.records()) {
+            if (sink.done())
+                break;
+            sink.onBranch(record);
+        }
+        sink.onEnd();
+    }
+
+    std::uint64_t recordCount() const override { return _trace.size(); }
+
+  private:
+    const MemoryTrace &_trace;
+};
+
+/** Everything the analysis sinks build from one delivery of a trace. */
+struct DeliveryOutputs
+{
+    TraceStatsCollector stats;
+    TraceStatsCollector kept;
+    std::uint64_t dropped = 0;
+
+    ConflictGraph serial;
+    std::uint64_t evicted = 0;
+    std::uint64_t increments = 0;
+    obs::BranchTelemetryMap serial_telemetry;
+    obs::PhaseAccumulator serial_phase{512};
+
+    ConflictGraph sharded;
+    obs::BranchTelemetryMap sharded_telemetry;
+    obs::PhaseAccumulator sharded_phase{512};
+
+    std::vector<PredictionStats> lanes;
+    std::vector<std::vector<LanePhaseBin>> bins;
+    std::vector<std::unordered_set<BranchPc>> phase_pcs;
+    std::vector<InterferenceCounters> probes;
+};
+
+constexpr std::size_t delivery_window = 48;
+
+/** Lanes of the delivery comparison: three PAg kinds and gshare. */
+std::vector<PredictorSpec>
+deliverySpecs()
+{
+    return {paperBaselineSpec(), parsePredictorSpec("gshare:hist=11"),
+            parsePredictorSpec("pag:bht=32"), interferenceFreeSpec()};
+}
+
+std::unique_ptr<DeliveryOutputs>
+runDelivery(const TraceSource &source,
+            const FrequencySelection &selection,
+            const obs::PhaseTimeline &timeline)
+{
+    auto out = std::make_unique<DeliveryOutputs>();
+    source.replay(out->stats);
+    {
+        FilteredSink filter(selection, out->kept);
+        source.replay(filter);
+        out->dropped = filter.dropped();
+    }
+
+    // Serial interleave pass behind the filter, with an evicting
+    // window and both hooks on.
+    InterleaveConfig config;
+    config.max_window = delivery_window;
+    config.telemetry = &out->serial_telemetry;
+    config.phase = &out->serial_phase;
+    {
+        InterleaveTracker tracker(out->serial, config);
+        FilteredSink filter(selection, tracker);
+        source.replay(filter);
+        out->evicted = tracker.evictedReentries();
+        out->increments = tracker.pairIncrements();
+    }
+    out->serial_phase.finish();
+
+    ShardConfig sharded;
+    sharded.shards = 4;
+    sharded.threads = 4;
+    sharded.selection = &selection;
+    sharded.interleave = config;
+    sharded.interleave.telemetry = &out->sharded_telemetry;
+    sharded.interleave.phase = &out->sharded_phase;
+    profileTraceSharded(source, out->sharded, sharded);
+    out->sharded_phase.finish();
+
+    BatchedReplayer replayer(true);
+    BatchedLaneOptions options;
+    options.probe = true; // honoured by the PAg lanes only
+    for (const PredictorSpec &spec : deliverySpecs())
+        replayer.addLane(spec, options);
+    replayer.setPhaseTimeline(&timeline);
+    replayer.replay(source);
+    out->lanes = replayer.allStats();
+    for (std::size_t lane = 0; lane < replayer.laneCount(); ++lane) {
+        out->bins.push_back(replayer.phaseBins(lane));
+        const BhtInterferenceProbe *probe = replayer.probe(lane);
+        out->probes.push_back(probe ? probe->counters()
+                                    : InterferenceCounters{});
+    }
+    out->phase_pcs = replayer.phasePcs();
+    return out;
+}
+
+::testing::AssertionResult
+sameStats(const TraceStatsCollector &a, const TraceStatsCollector &b)
+{
+    if (a.dynamicBranches() != b.dynamicBranches() ||
+        a.dynamicTaken() != b.dynamicTaken() ||
+        a.lastTimestamp() != b.lastTimestamp() ||
+        a.table().size() != b.table().size())
+        return ::testing::AssertionFailure() << "totals differ";
+    for (const auto &[pc, counts] : a.table()) {
+        BranchCounts other = b.counts(pc);
+        if (other.executed != counts.executed ||
+            other.taken != counts.taken)
+            return ::testing::AssertionFailure()
+                   << "counts of pc " << pc << " differ";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult
+sameGraph(const ConflictGraph &a, const ConflictGraph &b)
+{
+    if (a.nodeCount() != b.nodeCount())
+        return ::testing::AssertionFailure() << "node counts differ";
+    for (NodeId id = 0; id < a.nodeCount(); ++id) {
+        const ConflictNode &na = a.node(id);
+        const ConflictNode &nb = b.node(id);
+        if (na.pc != nb.pc || na.executed != nb.executed ||
+            na.taken != nb.taken)
+            return ::testing::AssertionFailure()
+                   << "node " << id << " differs";
+    }
+    if (a.edges() != b.edges())
+        return ::testing::AssertionFailure() << "edges differ";
+    return ::testing::AssertionSuccess();
+}
+
+void
+expectSameOutputs(const DeliveryOutputs &got, const DeliveryOutputs &want,
+                  const std::string &path)
+{
+    SCOPED_TRACE(path);
+    EXPECT_TRUE(sameStats(got.stats, want.stats));
+    EXPECT_TRUE(sameStats(got.kept, want.kept));
+    EXPECT_EQ(got.dropped, want.dropped);
+
+    EXPECT_TRUE(sameGraph(got.serial, want.serial));
+    EXPECT_EQ(got.evicted, want.evicted);
+    EXPECT_EQ(got.increments, want.increments);
+    EXPECT_TRUE(got.serial_telemetry == want.serial_telemetry);
+    EXPECT_TRUE(got.serial_phase == want.serial_phase);
+    EXPECT_TRUE(sameGraph(got.sharded, want.sharded));
+    EXPECT_TRUE(sameGraph(got.sharded, want.serial));
+    EXPECT_TRUE(got.sharded_telemetry == want.sharded_telemetry);
+    EXPECT_TRUE(got.sharded_phase == want.sharded_phase);
+
+    ASSERT_EQ(got.lanes.size(), want.lanes.size());
+    for (std::size_t lane = 0; lane < want.lanes.size(); ++lane) {
+        SCOPED_TRACE("lane " + std::to_string(lane));
+        const PredictionStats &g = got.lanes[lane];
+        const PredictionStats &w = want.lanes[lane];
+        EXPECT_EQ(g.mispredicts.events(), w.mispredicts.events());
+        EXPECT_EQ(g.mispredicts.total(), w.mispredicts.total());
+        ASSERT_EQ(g.per_branch.size(), w.per_branch.size());
+        for (const auto &[pc, ratio] : w.per_branch) {
+            auto it = g.per_branch.find(pc);
+            ASSERT_NE(it, g.per_branch.end()) << "pc " << pc;
+            EXPECT_EQ(it->second.events(), ratio.events());
+            EXPECT_EQ(it->second.total(), ratio.total());
+        }
+        ASSERT_EQ(got.bins[lane].size(), want.bins[lane].size());
+        for (std::size_t p = 0; p < want.bins[lane].size(); ++p) {
+            EXPECT_EQ(got.bins[lane][p].executed,
+                      want.bins[lane][p].executed);
+            EXPECT_EQ(got.bins[lane][p].mispredicted,
+                      want.bins[lane][p].mispredicted);
+            EXPECT_EQ(got.bins[lane][p].destructive,
+                      want.bins[lane][p].destructive);
+        }
+        EXPECT_EQ(got.probes[lane].predictions,
+                  want.probes[lane].predictions);
+        EXPECT_EQ(got.probes[lane].destructive,
+                  want.probes[lane].destructive);
+        EXPECT_EQ(got.probes[lane].constructive,
+                  want.probes[lane].constructive);
+    }
+    EXPECT_EQ(got.phase_pcs, want.phase_pcs);
+}
+
+} // namespace
+
+TEST(BlockDelivery, BlockPathEqualsRecordPath)
+{
+    MemoryTrace trace = makeRandomTrace(151, 9000, 260);
+    const std::vector<BranchRecord> &records = trace.records();
+
+    // Phase boundaries inside blocks of every container block size,
+    // of MemoryTrace's replay blocks and of the replayer's own
+    // 4096-record blocks.
+    obs::PhaseTimeline timeline;
+    timeline.phases.resize(3);
+    timeline.phases[0].start_ts = records[0].timestamp;
+    timeline.phases[1].start_ts = records[1234].timestamp;
+    timeline.phases[2].start_ts = records[4111].timestamp;
+
+    TraceStatsCollector profile;
+    trace.replay(profile);
+    const FrequencySelection selection = selectByFrequency(profile, 0.8);
+    ASSERT_GT(selection.total_dynamic, selection.analyzed_dynamic);
+
+    PerRecordSource per_record(trace);
+    std::unique_ptr<DeliveryOutputs> want =
+        runDelivery(per_record, selection, timeline);
+    ASSERT_GT(want->evicted, 0u); // the window really evicts
+    ASSERT_GT(want->dropped, 0u);
+    for (const std::vector<LanePhaseBin> &bins : want->bins)
+        for (const LanePhaseBin &bin : bins)
+            ASSERT_GT(bin.executed, 0u);
+
+    expectSameOutputs(*runDelivery(trace, selection, timeline), *want,
+                      "MemoryTrace");
+    for (std::uint64_t block_records : {1u, 7u, 100u, 65536u}) {
+        std::string path =
+            writeV2(trace, "delivery_" + std::to_string(block_records),
+                    block_records);
+        BlockTraceReader reader(path);
+        expectSameOutputs(*runDelivery(reader, selection, timeline),
+                          *want,
+                          "v2 blocks of " + std::to_string(block_records));
+        std::filesystem::remove(path);
+    }
+}
+
+TEST(BlockDelivery, FilteredEarlyStopsMatchRecordPath)
+{
+    MemoryTrace trace = makeRandomTrace(157, 3000, 120);
+    TraceStatsCollector profile;
+    trace.replay(profile);
+    const FrequencySelection selection = selectByFrequency(profile, 0.7);
+    const std::uint64_t limit = trace[1789].timestamp;
+
+    // TruncatingSink and RangeFilterSink behind a FilteredSink: the
+    // sink after them must see the same records whatever the source
+    // delivers per call.
+    struct Seen
+    {
+        std::vector<BranchRecord> truncated;
+        std::vector<BranchRecord> ranged;
+        std::uint64_t range_position = 0;
+    };
+    auto run = [&](const TraceSource &source) {
+        Seen seen;
+        RecordingSink truncated;
+        TruncatingSink truncate(truncated, limit);
+        FilteredSink filter_truncate(selection, truncate);
+        source.replay(filter_truncate);
+        EXPECT_TRUE(truncate.saturated());
+        seen.truncated = truncated.records;
+
+        RecordingSink ranged;
+        RangeFilterSink range(ranged, 500, 1100);
+        FilteredSink filter_range(selection, range);
+        source.replay(filter_range);
+        EXPECT_TRUE(range.done());
+        seen.ranged = ranged.records;
+        seen.range_position = range.position();
+        return seen;
+    };
+    auto expectSame = [](const Seen &got, const Seen &want) {
+        ASSERT_EQ(got.truncated.size(), want.truncated.size());
+        for (std::size_t i = 0; i < want.truncated.size(); ++i)
+            EXPECT_TRUE(sameRecord(got.truncated[i], want.truncated[i]));
+        ASSERT_EQ(got.ranged.size(), want.ranged.size());
+        for (std::size_t i = 0; i < want.ranged.size(); ++i)
+            EXPECT_TRUE(sameRecord(got.ranged[i], want.ranged[i]));
+        EXPECT_EQ(got.range_position, want.range_position);
+    };
+
+    // The record that saturates the truncation: the first kept one
+    // past the limit.
+    std::size_t saturating = 1790;
+    while (!selection.contains(trace[saturating].pc))
+        ++saturating;
+
+    PerRecordSource per_record(trace);
+    const Seen want = run(per_record);
+    ASSERT_FALSE(want.truncated.empty());
+    EXPECT_LE(want.truncated.back().timestamp, limit);
+    EXPECT_EQ(want.ranged.size(), 600u);
+    expectSame(run(trace), want);
+    for (std::uint64_t block_records : {7u, 256u}) {
+        SCOPED_TRACE(block_records);
+        std::string path =
+            writeV2(trace, "early_" + std::to_string(block_records),
+                    block_records);
+        BlockTraceReader reader(path);
+        expectSame(run(reader), want);
+        // done() is checked between blocks: the truncated replay
+        // reads no block past the one that saturates it.
+        BlockTraceReader fresh(path);
+        RecordingSink sink;
+        TruncatingSink truncate(sink, limit);
+        FilteredSink filter(selection, truncate);
+        fresh.replay(filter);
+        EXPECT_EQ(fresh.blocksRead(), saturating / block_records + 1);
+        std::filesystem::remove(path);
+    }
+}
+
+TEST(BlockDelivery, ConcurrentSegmentDecodeCountEqualsSerialSum)
+{
+    MemoryTrace trace = makeRandomTrace(163, 20000, 300);
+    std::string path = writeV2(trace, "decode_count", 1000);
+
+    BlockTraceReader serial(path);
+    std::vector<TraceSegment> serial_segments = serial.segments(4);
+    ASSERT_EQ(serial_segments.size(), 4u);
+    std::uint64_t serial_sum = 0;
+    std::uint64_t serial_records = 0;
+    for (const TraceSegment &segment : serial_segments) {
+        const std::uint64_t before = serial.recordsDecoded();
+        TraceStatsCollector stats;
+        segment.replay(stats);
+        serial_sum += serial.recordsDecoded() - before;
+        serial_records += stats.dynamicBranches();
+    }
+    EXPECT_EQ(serial_sum, serial.recordsDecoded());
+    EXPECT_EQ(serial_records, trace.size());
+
+    BlockTraceReader shared(path);
+    std::vector<TraceSegment> segments = shared.segments(4);
+    std::vector<TraceStatsCollector> stats(segments.size());
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < segments.size(); ++i)
+        threads.emplace_back(
+            [&, i] { segments[i].replay(stats[i]); });
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(shared.recordsDecoded(), serial_sum);
+    EXPECT_EQ(shared.blocksRead(), serial.blocksRead());
+    std::uint64_t records = 0;
+    for (const TraceStatsCollector &s : stats)
+        records += s.dynamicBranches();
+    EXPECT_EQ(records, trace.size());
+    std::filesystem::remove(path);
 }
