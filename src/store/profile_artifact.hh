@@ -32,7 +32,10 @@
  * entry -- bumping profile_artifact_schema is the invalidation knob
  * whenever profiling semantics change.  Structural damage that the
  * cache envelope's CRC cannot see (it protects bytes, not meaning)
- * parses as Corrupt.
+ * parses as Corrupt: a truncated or overlong payload, taken above
+ * executed, a count total past 2^64 (duplicate stats pcs and
+ * duplicate edge keys add up), analyzed above total dynamic, an edge
+ * with a zero count or an endpoint out of range.
  */
 
 #ifndef BWSA_STORE_PROFILE_ARTIFACT_HH
@@ -73,6 +76,12 @@ enum class ArtifactParseStatus
     Stale,   ///< recognizably ours, but a different schema version
     Corrupt  ///< structurally damaged; never partially restored
 };
+
+/**
+ * Exact byte size of serializeProfileArtifact(@p artifact), from the
+ * section counts alone; the serializer reserves it once.
+ */
+std::size_t serializedProfileArtifactSize(const ProfileArtifact &artifact);
 
 /** Serialize @p artifact to its canonical byte form. */
 std::string serializeProfileArtifact(const ProfileArtifact &artifact);

@@ -5,12 +5,16 @@
  * little-endian integer fields.  The block container (store/
  * block_trace) and the service's wire frames encode and decode whole
  * blocks through memory buffers, which is what these helpers serve.
+ * A fixed-width field is one store: one append (or one memcpy out)
+ * of the little-endian value, byte-swapped only on a big-endian host.
  */
 
 #ifndef BWSA_TRACE_VARINT_HH
 #define BWSA_TRACE_VARINT_HH
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 namespace bwsa
@@ -43,20 +47,35 @@ appendVarint(std::string &out, std::uint64_t v)
     out.push_back(static_cast<char>(v));
 }
 
-/** Append @p v as a fixed little-endian u32. */
+/** @p v in little-endian byte order: the identity on a little-endian host. */
+template <typename T>
+constexpr T
+littleEndian(T v)
+{
+    if constexpr (std::endian::native == std::endian::little) {
+        return v;
+    } else {
+        T swapped = 0;
+        for (std::size_t i = 0; i < sizeof(T); ++i, v >>= 8)
+            swapped = static_cast<T>((swapped << 8) | (v & 0xff));
+        return swapped;
+    }
+}
+
+/** Append @p v as a fixed little-endian u32: one 4-byte append. */
 inline void
 appendU32(std::string &out, std::uint32_t v)
 {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    v = littleEndian(v);
+    out.append(reinterpret_cast<const char *>(&v), 4);
 }
 
-/** Append @p v as a fixed little-endian u64. */
+/** Append @p v as a fixed little-endian u64: one 8-byte append. */
 inline void
 appendU64(std::string &out, std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    v = littleEndian(v);
+    out.append(reinterpret_cast<const char *>(&v), 8);
 }
 
 /**
@@ -106,32 +125,26 @@ class ByteCursor
     }
 
     /** Read a fixed little-endian u32; false on overrun. */
-    bool
-    getU32(std::uint32_t &out)
-    {
-        if (remaining() < 4)
-            return false;
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(*_p++) << (8 * i);
-        out = v;
-        return true;
-    }
+    bool getU32(std::uint32_t &out) { return getFixed(out); }
 
     /** Read a fixed little-endian u64; false on overrun. */
+    bool getU64(std::uint64_t &out) { return getFixed(out); }
+
+  private:
+    /** One load of a little-endian field; false (not advancing) on overrun. */
+    template <typename T>
     bool
-    getU64(std::uint64_t &out)
+    getFixed(T &out)
     {
-        if (remaining() < 8)
+        if (remaining() < sizeof(T))
             return false;
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(*_p++) << (8 * i);
-        out = v;
+        T v = 0;
+        std::memcpy(&v, _p, sizeof(T));
+        _p += sizeof(T);
+        out = littleEndian(v);
         return true;
     }
 
-  private:
     const unsigned char *_p;
     const unsigned char *_end;
 };

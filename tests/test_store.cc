@@ -1126,6 +1126,252 @@ TEST(ProfileArtifactTest, ParsesUnsortedEdgesInOneSortedLoad)
               ArtifactParseStatus::Corrupt);
 }
 
+namespace
+{
+
+std::string
+fromHex(std::string_view hex)
+{
+    std::string out;
+    for (std::size_t i = 0; i < hex.size(); i += 2)
+        out.push_back(static_cast<char>(
+            std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+    return out;
+}
+
+/**
+ * Stats with a count above 2^32 and a branch the selection leaves
+ * out, and an empty graph.
+ */
+ProfileArtifact
+fixedArtifact()
+{
+    ProfileArtifact a;
+    a.stats.restoreCounts(0x400010, {5000000000ull, 3000000001ull});
+    a.stats.restoreCounts(0x400000, {7, 0});
+    a.stats.restoreCounts(0x400020, {1, 1});
+    a.stats.restoreLastTimestamp(123456789012ull);
+    a.selection.selected = {0x400010, 0x400000};
+    a.selection.total_dynamic = 5000000008ull;
+    a.selection.analyzed_dynamic = 5000000007ull;
+    return a;
+}
+
+/** One stats record of a hand-built artifact. */
+struct StatsEntry
+{
+    BranchPc pc;
+    std::uint64_t executed;
+    std::uint64_t taken;
+};
+
+/**
+ * Artifact bytes built field by field: @p stats in the order given
+ * (duplicates allowed), a selection of @p analyzed of @p total with
+ * no pcs, @p nodes as graph nodes and no edges.
+ */
+std::string
+handBuiltArtifact(const std::vector<StatsEntry> &stats,
+                  std::uint64_t total, std::uint64_t analyzed,
+                  const std::vector<StatsEntry> &nodes = {})
+{
+    std::string out = "BWSP";
+    appendU32(out, profile_artifact_schema);
+    appendU64(out, 0);
+    appendU64(out, stats.size());
+    for (const StatsEntry &e : stats) {
+        appendU64(out, e.pc);
+        appendU64(out, e.executed);
+        appendU64(out, e.taken);
+    }
+    appendU64(out, total);
+    appendU64(out, analyzed);
+    appendU64(out, 0);
+    appendU64(out, nodes.size());
+    for (const StatsEntry &e : nodes) {
+        appendU64(out, e.pc);
+        appendU64(out, e.executed);
+        appendU64(out, e.taken);
+    }
+    appendU64(out, 0);
+    return out;
+}
+
+constexpr std::uint64_t all_ones = ~std::uint64_t(0);
+
+} // namespace
+
+TEST(ProfileArtifactTest, BytesMatchRecordedArtifact)
+{
+    // Both artifacts as the byte-at-a-time writer produced them.  Any
+    // change to a field's byte order, a section's order or the stats
+    // sort shows here.
+    const std::string empty_graph_hex =
+        "4257535001000000141a99be1c00000003000000000000000000400000000000"
+        "07000000000000000000000000000000100040000000000000f2052a01000000"
+        "015ed0b200000000200040000000000001000000000000000100000000000000"
+        "08f2052a0100000007f2052a0100000002000000000000000000400000000000"
+        "100040000000000000000000000000000000000000000000";
+    ProfileArtifact artifact = fixedArtifact();
+    EXPECT_EQ(serializeProfileArtifact(artifact),
+              fromHex(empty_graph_hex));
+
+    // Two nodes and one edge whose count is above 2^32.
+    NodeId x = artifact.graph.restoreNode(0x400010, 5000000000ull,
+                                          3000000001ull);
+    NodeId y = artifact.graph.restoreNode(0x400000, 7, 0);
+    artifact.graph.addInterleave(x, y, 4294967296ull + 5);
+    const std::string recorded = fromHex(
+        "4257535001000000141a99be1c00000003000000000000000000400000000000"
+        "07000000000000000000000000000000100040000000000000f2052a01000000"
+        "015ed0b200000000200040000000000001000000000000000100000000000000"
+        "08f2052a0100000007f2052a0100000002000000000000000000400000000000"
+        "10004000000000000200000000000000100040000000000000f2052a01000000"
+        "015ed0b200000000000040000000000007000000000000000000000000000000"
+        "010000000000000001000000000000000500000001000000");
+    EXPECT_EQ(serializeProfileArtifact(artifact), recorded);
+
+    ProfileArtifact parsed;
+    ASSERT_EQ(parseProfileArtifact(recorded, parsed),
+              ArtifactParseStatus::Ok);
+    EXPECT_EQ(parsed.stats.counts(0x400010).executed, 5000000000ull);
+    EXPECT_FALSE(parsed.selection.contains(0x400020));
+    EXPECT_EQ(parsed.graph.interleaveCount(0, 1), 4294967301ull);
+    EXPECT_EQ(serializeProfileArtifact(parsed), recorded);
+}
+
+TEST(ProfileArtifactTest, PrecomputedSizeIsExact)
+{
+    std::vector<ProfileArtifact> artifacts;
+    artifacts.emplace_back();
+    artifacts.push_back(fixedArtifact());
+    for (std::uint64_t seed : {3, 5, 8, 13, 21}) {
+        AllocationPipeline pipeline;
+        artifacts.push_back(makeArtifact(pipeline, seed));
+    }
+    for (const ProfileArtifact &artifact : artifacts) {
+        std::string bytes = serializeProfileArtifact(artifact);
+        EXPECT_EQ(serializedProfileArtifactSize(artifact), bytes.size());
+    }
+}
+
+TEST(ProfileArtifactTest, DuplicateStatsAddUpUnlessTheyWrap)
+{
+    // Duplicate pcs add up, as restoreCounts does.
+    ProfileArtifact out;
+    ASSERT_EQ(parseProfileArtifact(
+                  handBuiltArtifact({{0x40, 5, 2}, {0x40, 3, 3}}, 8, 8),
+                  out),
+              ArtifactParseStatus::Ok);
+    EXPECT_EQ(out.stats.counts(0x40).executed, 8u);
+    EXPECT_EQ(out.stats.counts(0x40).taken, 5u);
+    EXPECT_EQ(out.stats.dynamicBranches(), 8u);
+
+    // Sums that wrap to a consistent-looking (1, 1) are corrupt.
+    ProfileArtifact wrapped;
+    EXPECT_EQ(parseProfileArtifact(
+                  handBuiltArtifact(
+                      {{0x40, all_ones, all_ones}, {0x40, 2, 2}}, 1, 1),
+                  wrapped),
+              ArtifactParseStatus::Corrupt);
+    EXPECT_EQ(wrapped.stats.dynamicBranches(), 0u);
+}
+
+TEST(ProfileArtifactTest, SummedTakenAboveSummedExecutedIsCorrupt)
+{
+    // (2^64 - 1, 0) + (1, 1) would restore executed 0, taken 1 and
+    // dynamicBranches() 0.
+    ProfileArtifact out;
+    EXPECT_EQ(parseProfileArtifact(
+                  handBuiltArtifact({{0x40, all_ones, 0}, {0x40, 1, 1}},
+                                    0, 0),
+                  out),
+              ArtifactParseStatus::Corrupt);
+    EXPECT_EQ(out.stats.staticBranches(), 0u);
+}
+
+TEST(ProfileArtifactTest, StatsTotalOverflowIsCorrupt)
+{
+    // Two distinct branches, each valid, whose total passes 2^64.
+    ProfileArtifact out;
+    const std::uint64_t half = std::uint64_t(1) << 63;
+    EXPECT_EQ(parseProfileArtifact(
+                  handBuiltArtifact({{0x40, half, 0}, {0x48, half, 0}},
+                                    0, 0),
+                  out),
+              ArtifactParseStatus::Corrupt);
+    // One below the wrap still parses.
+    EXPECT_EQ(parseProfileArtifact(
+                  handBuiltArtifact(
+                      {{0x40, half, 0}, {0x48, half - 1, 0}}, 0, 0),
+                  out),
+              ArtifactParseStatus::Ok);
+    EXPECT_EQ(out.stats.dynamicBranches(), all_ones);
+}
+
+TEST(ProfileArtifactTest, NodeTotalOverflowIsCorrupt)
+{
+    ProfileArtifact out;
+    const std::uint64_t half = std::uint64_t(1) << 63;
+    EXPECT_EQ(parseProfileArtifact(
+                  handBuiltArtifact({}, 0, 0,
+                                    {{0x40, half, 1}, {0x48, half, 0}}),
+                  out),
+              ArtifactParseStatus::Corrupt);
+    EXPECT_EQ(parseProfileArtifact(
+                  handBuiltArtifact({}, 0, 0,
+                                    {{0x40, half, 1}, {0x48, half - 1, 0}}),
+                  out),
+              ArtifactParseStatus::Ok);
+    EXPECT_EQ(out.graph.totalExecutions(), all_ones);
+}
+
+TEST(ProfileArtifactTest, AnalyzedAboveTotalIsCorrupt)
+{
+    // Would read coverage() 1.80.
+    ProfileArtifact out;
+    EXPECT_EQ(parseProfileArtifact(handBuiltArtifact({}, 5, 9), out),
+              ArtifactParseStatus::Corrupt);
+    ASSERT_EQ(parseProfileArtifact(handBuiltArtifact({}, 5, 5), out),
+              ArtifactParseStatus::Ok);
+    EXPECT_EQ(out.selection.coverage(), 1.0);
+}
+
+TEST(ProfileArtifactTest, EqualAdjacentEdgeKeysAddUp)
+{
+    // Keys in non-descending order are not canonical: an equal pair
+    // (written as such, or equal once (b, a) is normalised) must add
+    // up, not load as two edges.
+    ProfileArtifact canonical;
+    for (BranchPc pc : {0x40, 0x48, 0x50})
+        canonical.graph.restoreNode(pc, 10, 3);
+    canonical.graph.addInterleave(0, 1, 5);
+    canonical.graph.addInterleave(0, 2, 7);
+    const std::string bytes = serializeProfileArtifact(canonical);
+    const std::string prefix = bytes.substr(0, bytes.size() - 8 - 32);
+
+    const std::uint64_t swapped01 = std::uint64_t(1) << 32;
+    for (std::uint64_t first_key : {ConflictGraph::packEdge(0, 1),
+                                    swapped01}) {
+        std::string equal_keys = prefix;
+        appendU64(equal_keys, 3);
+        for (auto [key, count] :
+             std::vector<ConflictGraph::Edge>{
+                 {first_key, 3},
+                 {ConflictGraph::packEdge(0, 1), 2},
+                 {ConflictGraph::packEdge(0, 2), 7}}) {
+            appendU64(equal_keys, key);
+            appendU64(equal_keys, count);
+        }
+        ProfileArtifact parsed;
+        ASSERT_EQ(parseProfileArtifact(equal_keys, parsed),
+                  ArtifactParseStatus::Ok);
+        EXPECT_EQ(parsed.graph.edgeCount(), 2u);
+        EXPECT_EQ(parsed.graph.interleaveCount(0, 1), 5u);
+        EXPECT_EQ(serializeProfileArtifact(parsed), bytes);
+    }
+}
+
 // ------------------------------------------------------ block delivery
 
 namespace

@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include "trace/frequency_filter.hh"
 #include "trace/trace.hh"
 #include "trace/trace_stats.hh"
+#include "trace/varint.hh"
 #include "util/random.hh"
 
 using namespace bwsa;
@@ -545,4 +548,103 @@ TEST(TraceIo, FileReaderRangeReplayMatchesMemory)
         segment.replay(joined);
     expectSameRecords(joined, trace);
     std::filesystem::remove(path);
+}
+
+// ------------------------------------------------- fixed-width fields
+
+namespace
+{
+
+/** The byte-at-a-time little-endian writer the one-store writers replace. */
+template <typename T>
+std::string
+byteLoopLittleEndian(T v)
+{
+    std::string out;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    return out;
+}
+
+/** 0, 1, 2^k - 1, 2^k and 2^k + 1 for every k, and all ones. */
+template <typename T>
+std::vector<T>
+edgeValues()
+{
+    std::vector<T> values = {0, 1, static_cast<T>(~T(0))};
+    for (unsigned k = 1; k < 8 * sizeof(T); ++k) {
+        T p = static_cast<T>(T(1) << k);
+        values.insert(values.end(), {static_cast<T>(p - 1), p,
+                                     static_cast<T>(p + 1)});
+    }
+    return values;
+}
+
+/**
+ * appendU32/appendU64 (@p append) against the byte loop, and
+ * getU32/getU64 (@p get) reading each value back from a buffer of
+ * every value in turn, then failing without advancing at every
+ * truncated length.
+ */
+template <typename T, typename Append, typename Get>
+void
+checkFixedWidth(Append append, Get get)
+{
+    std::string all;
+    for (T v : edgeValues<T>()) {
+        std::string one;
+        append(one, v);
+        EXPECT_EQ(one, byteLoopLittleEndian(v)) << "value " << v;
+        all += one;
+    }
+    ByteCursor cur(all);
+    for (T v : edgeValues<T>()) {
+        T read = 0;
+        ASSERT_TRUE(get(cur, read));
+        EXPECT_EQ(read, v);
+    }
+    EXPECT_TRUE(cur.atEnd());
+
+    std::string one;
+    append(one, static_cast<T>(0x0123456789abcdefULL));
+    for (std::size_t keep = 0; keep < sizeof(T); ++keep) {
+        ByteCursor truncated(one.data(), keep);
+        T read = 7;
+        EXPECT_FALSE(get(truncated, read)) << "kept " << keep;
+        EXPECT_EQ(read, 7u) << "kept " << keep;
+        EXPECT_EQ(truncated.remaining(), keep) << "kept " << keep;
+    }
+}
+
+} // namespace
+
+TEST(FixedWidthField, U32MatchesByteLoopAndReadsBack)
+{
+    checkFixedWidth<std::uint32_t>(
+        [](std::string &out, std::uint32_t v) { appendU32(out, v); },
+        [](ByteCursor &cur, std::uint32_t &v) { return cur.getU32(v); });
+}
+
+TEST(FixedWidthField, U64MatchesByteLoopAndReadsBack)
+{
+    checkFixedWidth<std::uint64_t>(
+        [](std::string &out, std::uint64_t v) { appendU64(out, v); },
+        [](ByteCursor &cur, std::uint64_t &v) { return cur.getU64(v); });
+}
+
+TEST(FixedWidthField, AppendsAfterExistingBytes)
+{
+    // A field lands at the end of whatever the buffer already holds,
+    // whatever its alignment.
+    std::string out = "abc";
+    appendU32(out, 0xdeadbeefu);
+    appendU64(out, 0x1122334455667788ULL);
+    EXPECT_EQ(out, "abc" + byteLoopLittleEndian(0xdeadbeefu) +
+                       byteLoopLittleEndian(0x1122334455667788ULL));
+    ByteCursor cur(out.data() + 3, out.size() - 3);
+    std::uint32_t a = 0;
+    std::uint64_t b = 0;
+    ASSERT_TRUE(cur.getU32(a) && cur.getU64(b));
+    EXPECT_EQ(a, 0xdeadbeefu);
+    EXPECT_EQ(b, 0x1122334455667788ULL);
 }
