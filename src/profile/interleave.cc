@@ -20,6 +20,12 @@ InterleaveTracker::InterleaveTracker(ConflictGraph &graph,
 {
 }
 
+bool
+InterleaveTracker::denseRow(std::size_t distinct, std::size_t live) const
+{
+    return underFloor(live) || distinct * 4 >= live;
+}
+
 InterleaveTracker::Slot
 InterleaveTracker::slotOf(BranchPc pc) const
 {
@@ -133,23 +139,33 @@ InterleaveTracker::onBlock(std::span<const BranchRecord> records)
         // Every branch after this one's position last ran after its
         // previous instance: record each interleaving while shifting
         // the suffix down over the vacated position.
+        const std::size_t end = _window.size();
+        const std::size_t passed = end - 1 - pos;
+        if (passed == 0)
+            continue; // it ran last: nothing interleaved
         Slot *window = _window.data();
         Slot *slot_pos = _pos.data();
-        const std::size_t end = _window.size();
         CounterRow &row = _rows[id];
         const std::size_t live = _pcs.size();
-        if (!row.dense.empty() && !row.dense.fits(live) &&
-            row.dense.nonzero() * 4 < live) {
-            // Density rule again before widening: a row that fell
-            // below it goes back to sparse, so no row ever costs
-            // more than its hash form would.
+        bool dense = !row.dense.empty();
+        if (!dense && row.sparse.empty() && denseRow(passed, live)) {
+            // First pass: the row will hold exactly the passed slots.
+            dense = true;
+            ++_forms.births_dense;
+        } else if (dense && !row.dense.fits(live) &&
+                   !denseRow(row.dense.nonzero(), live)) {
+            // Widening a row the rule no longer calls dense: back to
+            // sparse, so above the floor no row costs more than its
+            // hash form would.
             row.dense.forEach([&](std::uint32_t key, std::uint64_t n) {
                 row.sparse.increment(key, n);
             });
             row.dense = DenseCounterRow();
+            dense = false;
+            ++_forms.flips;
         }
-        if (!row.dense.empty()) {
-            std::uint32_t *cells = row.dense.beginPass(live);
+        if (dense) {
+            std::uint32_t *cells = row.dense.beginPass(live, room(live));
             for (std::size_t i = pos + 1; i < end; ++i) {
                 Slot cur = window[i];
                 ++cells[cur];
@@ -163,14 +179,13 @@ InterleaveTracker::onBlock(std::span<const BranchRecord> records)
                 window[i - 1] = cur;
                 slot_pos[cur] = static_cast<Slot>(i - 1);
             }
-            // Density rule: 4 B per live slot is no more than the
-            // hash row's >= 17 B per distinct entry.
-            if (row.sparse.size() * 4 >= live) {
+            if (denseRow(row.sparse.size(), live)) {
                 row.dense.adopt(row.sparse, live);
                 row.sparse = FlatCounterMap();
+                ++_forms.adoptions;
             }
         }
-        _pair_increments += end - 1 - pos;
+        _pair_increments += passed;
         window[end - 1] = id;
         slot_pos[id] = static_cast<Slot>(end - 1);
     }
@@ -192,15 +207,16 @@ InterleaveTracker::addInterleavings(Slot slot, Slot prefix,
 {
     CounterRow &row = _rows[slot];
     const std::size_t live = _pcs.size();
-    // Same density rule as onBlock(), applied to the row as it will
-    // be after this pass.
+    // The rule of onBlock(), applied to the row as it will be after
+    // this pass (at most this many distinct keys).
     if (row.dense.empty() &&
-        (row.sparse.size() + prefix + others.size()) * 4 >= live) {
+        denseRow(row.sparse.size() + prefix + others.size(), live)) {
+        ++(row.sparse.empty() ? _forms.births_dense : _forms.adoptions);
         row.dense.adopt(row.sparse, live);
         row.sparse = FlatCounterMap();
     }
     if (!row.dense.empty()) {
-        std::uint32_t *cells = row.dense.beginPass(live);
+        std::uint32_t *cells = row.dense.beginPass(live, room(live));
         for (Slot s = 0; s < prefix; ++s)
             ++cells[s];
         for (Slot s : others)
@@ -235,8 +251,15 @@ InterleaveTracker::flushNodes()
         .inc(_pair_increments - _flushed_pair_increments);
     registry.counter("profile.evicted_reentries")
         .inc(_evicted_reentries - _flushed_evictions);
+    registry.counter("profile.row_births_dense")
+        .inc(_forms.births_dense - _flushed_forms.births_dense);
+    registry.counter("profile.row_adoptions")
+        .inc(_forms.adoptions - _flushed_forms.adoptions);
+    registry.counter("profile.row_flips")
+        .inc(_forms.flips - _flushed_forms.flips);
     _flushed_pair_increments = _pair_increments;
     _flushed_evictions = _evicted_reentries;
+    _flushed_forms = _forms;
     return ids;
 }
 

@@ -29,13 +29,23 @@
  * first-occurrence order (an open-addressed pc -> slot table), so a
  * flush into an empty graph assigns node ids equal to the slots.
  * Each slot keeps its executed/taken counts and one directional
- * counter row.  A row starts as a FlatCounterMap and turns into a
- * DenseCounterRow (u32 cells indexed by slot) once its distinct
- * neighbours times 4 reach the live slot count: at that density the
- * 4 B per slot cost no more than the hash row's >= 17 B per entry,
- * and an indexed add replaces a hash probe on the hot path.  A dense
- * row that must widen while below that density turns sparse again
- * (util/flat_counter.hh, DESIGN.md Section 7).
+ * counter row, either a FlatCounterMap (hash) or a DenseCounterRow
+ * (u32 cells indexed by slot; util/flat_counter.hh).  One rule
+ * (denseRow) picks the form: a row is dense while the live slot count
+ * is at most max_window -- the floor -- or once its distinct
+ * neighbours times 4 reach the live count, where the 4 B per slot
+ * cost no more than the hash row's >= 17 B per entry.  Under the
+ * floor a row is dense from its first pass and never turns back, so
+ * it climbs no hash growth ladder and pays no probe: before the
+ * floor, one perfbench fig3 pass made 6,519 rows dense after they
+ * started as hash rows, turned 360 back, and sent 3.4 M of its
+ * 111 M increments through hash probes.  Only slots below max_window
+ * can own a floor row, and a floor row widens to at most max_window
+ * cells, so the floor costs at most 4 * max_window^2 B per tracker
+ * (64 MiB at the default 4096).  Above the floor, and always with
+ * max_window 0, the density rule alone decides, and a dense row that
+ * must widen below that density turns sparse again (DESIGN.md
+ * Section 7).
  *
  * The flush turns the directional rows into undirected edges
  * (row[a][b] + row[b][a]) already sorted by edge key -- a counting
@@ -68,7 +78,9 @@ struct InterleaveConfig
 {
     /**
      * Maximum distinct branches tracked at once; 0 means unbounded
-     * (the paper's exact semantics; fine for small traces).
+     * (the paper's exact semantics; fine for small traces).  Also the
+     * counter rows' floor: while at most this many branches have
+     * slots, every row is dense (see the file comment).
      */
     std::size_t max_window = 4096;
 
@@ -253,8 +265,39 @@ class InterleaveTracker : public TraceSink
         Slot slot = npos;
     };
 
+    /** Row-form changes; at most one per pass, none per increment. */
+    struct RowForms
+    {
+        std::uint64_t births_dense = 0; ///< rows dense from their first pass
+        std::uint64_t adoptions = 0;    ///< sparse rows turned dense
+        std::uint64_t flips = 0;        ///< dense rows turned sparse
+    };
+
     void growTable();
     void evictHead();
+
+    /** True while the live slots fit a bounded window (the floor). */
+    bool
+    underFloor(std::size_t live) const
+    {
+        return _config.max_window != 0 && live <= _config.max_window;
+    }
+
+    /**
+     * The one row-form rule: a row with @p distinct keys among
+     * @p live slots is dense under the floor or once distinct x 4
+     * reaches the live count.  Read at a row's first pass, before a
+     * dense row widens, after a sparse pass and by the stitch.
+     */
+    bool denseRow(std::size_t distinct, std::size_t live) const;
+
+    /** Most cells a dense row's widening reserves (see beginPass). */
+    std::size_t
+    room(std::size_t live) const
+    {
+        return underFloor(live) ? _config.max_window
+                                : DenseCounterRow::no_limit;
+    }
 
     /**
      * The row walk behind drainEdges() and pendingGraph(): @p rows as
@@ -287,10 +330,12 @@ class InterleaveTracker : public TraceSink
     bool _unflushed = false; ///< counts arrived since the last flush
     std::uint64_t _evicted_reentries = 0;
     std::uint64_t _pair_increments = 0;
+    RowForms _forms;
 
     /** Already flushed to the metrics registry (onEnd may repeat). */
     std::uint64_t _flushed_pair_increments = 0;
     std::uint64_t _flushed_evictions = 0;
+    RowForms _flushed_forms;
 };
 
 } // namespace bwsa

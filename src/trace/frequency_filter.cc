@@ -40,4 +40,25 @@ selectByFrequency(const TraceStatsCollector &stats,
     return sel;
 }
 
+FilteredSink::FilteredSink(const FrequencySelection &selection,
+                           TraceSink &inner)
+    : _inner(inner)
+{
+    std::size_t size = 16;
+    while (size < selection.selected.size() * 2)
+        size *= 2;
+    _table.assign(size, empty_pc);
+    _mask = size - 1;
+    for (BranchPc pc : selection.selected) {
+        if (pc == empty_pc) {
+            _empty_pc_selected = true;
+            continue;
+        }
+        std::size_t i = mix64(pc) & _mask;
+        while (_table[i] != empty_pc)
+            i = (i + 1) & _mask;
+        _table[i] = pc;
+    }
+}
+
 } // namespace bwsa

@@ -20,6 +20,7 @@
 
 #include "trace/trace.hh"
 #include "trace/trace_stats.hh"
+#include "util/bitfield.hh"
 
 namespace bwsa
 {
@@ -66,16 +67,20 @@ FrequencySelection selectByFrequency(const TraceStatsCollector &stats,
 /**
  * Pass-through sink forwarding only records whose branch survived a
  * FrequencySelection; everything else is dropped, exactly like the
- * paper's reduced-branch analysis runs.  Each block is compacted into
- * the sink's own buffer and forwarded as one block.
+ * paper's reduced-branch analysis runs.  The selected pcs are copied
+ * once, at construction, into an open-addressed table, so each record
+ * costs one probe of a flat array rather than a node-based set
+ * lookup.  Each block is compacted into the sink's own buffer and
+ * forwarded as one block.
  */
 class FilteredSink : public TraceSink
 {
   public:
-    /** Neither argument is owned; both must outlive the sink. */
-    FilteredSink(const FrequencySelection &selection, TraceSink &inner)
-        : _selection(selection), _inner(inner)
-    {}
+    /**
+     * @p selection is read here only; @p inner is not owned and must
+     * outlive the sink.
+     */
+    FilteredSink(const FrequencySelection &selection, TraceSink &inner);
 
     /** One-record block. */
     void
@@ -91,7 +96,7 @@ class FilteredSink : public TraceSink
             _kept.resize(records.size());
         std::size_t kept = 0;
         for (const BranchRecord &record : records)
-            if (_selection.contains(record.pc))
+            if (selected(record.pc))
                 _kept[kept++] = record;
         _dropped += records.size() - kept;
         if (kept != 0)
@@ -111,7 +116,27 @@ class FilteredSink : public TraceSink
     std::uint64_t dropped() const { return _dropped; }
 
   private:
-    const FrequencySelection &_selection;
+    /** Table entry marking an empty position. */
+    static constexpr BranchPc empty_pc = ~BranchPc(0);
+
+    /** True when @p pc survived the selection. */
+    bool
+    selected(BranchPc pc) const
+    {
+        if (pc == empty_pc)
+            return _empty_pc_selected;
+        for (std::size_t i = mix64(pc) & _mask;; i = (i + 1) & _mask) {
+            if (_table[i] == pc)
+                return true;
+            if (_table[i] == empty_pc)
+                return false;
+        }
+    }
+
+    /** Selected pcs, linear probing; at most half full. */
+    std::vector<BranchPc> _table;
+    std::size_t _mask = 0;
+    bool _empty_pc_selected = false;
     TraceSink &_inner;
     std::vector<BranchRecord> _kept; ///< holds the compacted block
     std::uint64_t _dropped = 0;

@@ -5,14 +5,20 @@
  * FlatCounterMap is an open-addressed map from 32-bit keys to 64-bit
  * counts: a linear-probing flat table with power-of-two capacity, far
  * faster than unordered_map.  It holds the tracker's *sparse* rows,
- * those touching few of the live branch slots.
+ * those touching few of the live branch slots once more slots are
+ * live than the tracker's window holds.
  *
- * DenseCounterRow is a u32 array indexed by key, for rows touching a
- * large share of the slots: one indexed add per increment instead of
- * a hash probe.  Its cells cannot wrap: the owner bounds how many
- * times any one cell can grow (one pass per re-execution, at most one
- * increment per cell per pass) and the row spills its cells into u64
- * storage before that bound could exceed a u32.
+ * DenseCounterRow is a u32 array indexed by key: one indexed add per
+ * increment instead of a hash probe.  It holds every row while the
+ * live slots fit the window (from the row's first pass, so no row
+ * climbs the hash table's growth ladder first) and, past that, the
+ * rows touching a large share of the slots.  A widening reserves a
+ * quarter of headroom up to a caller-given room, which keeps those
+ * floor rows within the window's width: at most 4 B per window slot.
+ * Its cells cannot wrap: the owner bounds how many times any one
+ * cell can grow (one pass per re-execution, at most one increment per
+ * cell per pass) and the row spills its cells into u64 storage before
+ * that bound could exceed a u32.
  */
 
 #ifndef BWSA_UTIL_FLAT_COUNTER_HH
@@ -172,6 +178,10 @@ class DenseCounterRow
     static constexpr std::uint32_t max_cell =
         std::numeric_limits<std::uint32_t>::max();
 
+    /** beginPass() room that leaves the growth headroom unbounded. */
+    static constexpr std::size_t no_limit =
+        std::numeric_limits<std::size_t>::max();
+
     DenseCounterRow() = default;
 
     explicit DenseCounterRow(std::uint32_t spill_at)
@@ -203,15 +213,17 @@ class DenseCounterRow
     /**
      * Open one pass over keys below @p keys and return the cells:
      * the caller adds at most 1 to any cell before the next pass.
+     * A widening reserves a quarter of headroom, but never more
+     * cells than max(@p keys, @p room).
      */
     std::uint32_t *
-    beginPass(std::size_t keys)
+    beginPass(std::size_t keys, std::size_t room = no_limit)
     {
         if (_passes >= _spill_at)
             spill();
         ++_passes;
         if (_cells.size() < keys)
-            resize(keys);
+            resize(keys, room);
         return _cells.data();
     }
 
@@ -262,13 +274,13 @@ class DenseCounterRow
 
   private:
     void
-    resize(std::size_t keys)
+    resize(std::size_t keys, std::size_t room = no_limit)
     {
         // Grow by at least a quarter so a row that follows a slowly
         // growing slot count is not copied once per new slot.
         if (keys > _cells.capacity())
-            _cells.reserve(std::max(keys, _cells.size() +
-                                              _cells.size() / 4));
+            _cells.reserve(std::max(
+                keys, std::min(room, _cells.size() + _cells.size() / 4)));
         _cells.resize(keys, 0);
         if (!_wide.empty())
             _wide.resize(keys, 0);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/pipeline.hh"
+#include "util/random.hh"
 
 namespace bwsa::testhelpers
 {
@@ -63,6 +64,33 @@ edgeInvariantHolds(const ConflictGraph &graph)
                    << "edge keys not strictly ascending at " << i;
     }
     return ::testing::AssertionSuccess();
+}
+
+/**
+ * Seeded records over a population that keeps growing, one new
+ * branch per 16 records up to @p population: slots keep arriving
+ * while rows are live, so dense rows must widen, and a bounded
+ * window below the population sees the live slot count cross its
+ * floor (InterleaveTracker's row-form rule).  Half the draws hit a
+ * three-branch hot loop, the rest the whole live population.
+ */
+inline std::vector<BranchRecord>
+oracleTrace(std::uint64_t seed, std::size_t records,
+            std::uint32_t population)
+{
+    Pcg32 rng(seed);
+    std::vector<BranchRecord> out;
+    std::uint64_t ts = 0;
+    for (std::size_t i = 0; i < records; ++i) {
+        std::uint32_t live = std::min<std::uint32_t>(
+            population, 8 + static_cast<std::uint32_t>(i / 16));
+        std::uint32_t index = rng.nextBool(0.5)
+                                  ? rng.nextBounded(3)
+                                  : rng.nextBounded(live);
+        ts += 1 + rng.nextBounded(4);
+        out.push_back({0x40000 + 8ull * index, ts, rng.nextBool(0.6)});
+    }
+    return out;
 }
 
 } // namespace bwsa::testhelpers

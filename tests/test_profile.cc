@@ -16,6 +16,7 @@
 
 #include "test_helpers.hh"
 
+#include "obs/metrics.hh"
 #include "profile/conflict_graph.hh"
 #include "profile/interleave.hh"
 #include "profile/shard.hh"
@@ -23,6 +24,7 @@
 #include "util/random.hh"
 
 using namespace bwsa;
+using testhelpers::oracleTrace;
 
 namespace
 {
@@ -421,30 +423,6 @@ expectMatchesOracle(const ConflictGraph &g, const OracleProfile &want)
                              want.edges.begin(), want.edges.end()));
 }
 
-/**
- * Seeded records over a population that keeps growing (so counter
- * rows turn dense early and must widen as slots arrive), mixing a
- * small hot loop -- whose rows stay sparse -- with uniform draws.
- */
-std::vector<BranchRecord>
-oracleTrace(std::uint64_t seed, std::size_t records,
-            std::uint32_t population)
-{
-    Pcg32 rng(seed);
-    std::vector<BranchRecord> out;
-    std::uint64_t ts = 0;
-    for (std::size_t i = 0; i < records; ++i) {
-        std::uint32_t live = std::min<std::uint32_t>(
-            population, 8 + static_cast<std::uint32_t>(i / 16));
-        std::uint32_t index = rng.nextBool(0.5)
-                                  ? rng.nextBounded(3)
-                                  : rng.nextBounded(live);
-        ts += 1 + rng.nextBounded(4);
-        out.push_back({0x40000 + 8ull * index, ts, rng.nextBool(0.6)});
-    }
-    return out;
-}
-
 MemoryTrace
 memoryTraceOf(const std::vector<BranchRecord> &records)
 {
@@ -519,9 +497,11 @@ TEST_P(TrackerOracle, PendingGraphDoesNotDrain)
     // Two identical trackers over one trace; only the first is read
     // with pendingGraph() along the way.  Each read must be what a
     // flush of the prefix would give, and the reads must leave the
-    // first tracker's final flush unchanged.  The trace's hot loop
-    // keeps some rows sparse while the uniform draws turn others
-    // dense; window 24 over 300 branches evicts.
+    // first tracker's final flush unchanged.  While the live slots
+    // fit a bounded window every row is dense; past it (and always
+    // with window 0) the trace's hot loop keeps some rows sparse
+    // while the uniform draws turn others dense.  Windows 24 and 64
+    // over 300 branches evict.
     auto [seed, window] = GetParam();
     std::vector<BranchRecord> records = oracleTrace(seed + 300, 5000, 300);
     InterleaveConfig config;
@@ -551,7 +531,7 @@ TEST_P(TrackerOracle, PendingGraphDoesNotDrain)
         expectSameGraph(read.pendingGraph(), prefix_graph);
         EXPECT_EQ(read_graph.nodeCount(), 0u);
     }
-    if (window != 0) {
+    if (window != 0 && window < 300) {
         EXPECT_GT(read.evictedReentries(), 0u);
     }
 
@@ -571,4 +551,106 @@ INSTANTIATE_TEST_SUITE_P(
     SeedsAndWindows, TrackerOracle,
     ::testing::Combine(::testing::Values(1u, 2u, 3u),
                        ::testing::Values(std::size_t(0),
-                                         std::size_t(24))));
+                                         std::size_t(24),
+                                         std::size_t(64),
+                                         std::size_t(4096))));
+
+// ------------------------------------------------- counter-row forms
+
+namespace
+{
+
+/** Row-form counts one flushed profile published. */
+struct RowFormCounts
+{
+    std::uint64_t births_dense = 0;
+    std::uint64_t adoptions = 0;
+    std::uint64_t flips = 0;
+};
+
+/** Profile @p records serially; the row-form counts it published. */
+RowFormCounts
+profileRowForms(const std::vector<BranchRecord> &records,
+                std::size_t max_window,
+                std::uint64_t *resident_peak = nullptr)
+{
+    auto read = [] {
+        obs::MetricsSnapshot snap =
+            obs::MetricsRegistry::global().snapshot();
+        return RowFormCounts{snap.counterValue("profile.row_births_dense"),
+                             snap.counterValue("profile.row_adoptions"),
+                             snap.counterValue("profile.row_flips")};
+    };
+    const RowFormCounts before = read();
+    InterleaveConfig config;
+    config.max_window = max_window;
+    ConflictGraph graph;
+    InterleaveTracker tracker(graph, config);
+    for (std::size_t off = 0; off < records.size(); off += 256) {
+        tracker.onBlock(std::span(records).subspan(
+            off, std::min<std::size_t>(256, records.size() - off)));
+        if (resident_peak)
+            *resident_peak =
+                std::max(*resident_peak, tracker.residentBytes());
+    }
+    tracker.onEnd();
+    const RowFormCounts after = read();
+    return {after.births_dense - before.births_dense,
+            after.adoptions - before.adoptions,
+            after.flips - before.flips};
+}
+
+} // namespace
+
+TEST(RowForms, DenseFromFirstPassUnderTheFloor)
+{
+    // 300 branches under the default window: every row is dense from
+    // its first pass, so none is ever adopted from the hash form and
+    // none widens back into it.
+    RowFormCounts forms = profileRowForms(oracleTrace(1, 6000, 300),
+                                          InterleaveConfig{}.max_window);
+    EXPECT_GT(forms.births_dense, 0u);
+    EXPECT_LE(forms.births_dense, 300u);
+    EXPECT_EQ(forms.adoptions, 0u);
+    EXPECT_EQ(forms.flips, 0u);
+}
+
+TEST(RowForms, UnboundedWindowKeepsTheDensityRule)
+{
+    // max_window 0 has no floor: rows go dense by density alone and
+    // turn sparse again when widening finds them below it.
+    RowFormCounts forms = profileRowForms(oracleTrace(1, 6000, 300), 0);
+    EXPECT_GT(forms.adoptions, 0u);
+    EXPECT_GT(forms.flips, 0u);
+}
+
+TEST(RowForms, HostileStreamStaysSparseAboveTheFloor)
+{
+    // 1,000 branches in neighbourhoods of four, each neighbourhood
+    // looped three times per visit and revisited only after all the
+    // others (so every revisit is an evicted re-entry at W = 64).
+    // Every pass counts three neighbours: a row born above the floor
+    // never reaches the density rule and stays a small hash row, and
+    // only the first W slots can be born dense.
+    constexpr std::size_t window = 64;
+    constexpr std::size_t branches = 1000;
+    std::vector<BranchRecord> records;
+    std::uint64_t ts = 0;
+    for (int round = 0; round < 3; ++round)
+        for (std::size_t group = 0; group < branches / 4; ++group)
+            for (int loop = 0; loop < 3; ++loop)
+                for (std::size_t k = 0; k < 4; ++k)
+                    records.push_back(
+                        {0x400000 + 8 * (4 * group + k), ts += 3,
+                         k % 2 == 0});
+
+    std::uint64_t peak = 0;
+    RowFormCounts forms = profileRowForms(records, window, &peak);
+    EXPECT_GT(forms.births_dense, 0u);
+    EXPECT_LE(forms.births_dense, window);
+    EXPECT_EQ(forms.adoptions, 0u);
+    // The bound: 1 KiB per branch for its hash row and per-slot state,
+    // plus 4 B x W cells for each of at most W floor rows.  Dense rows
+    // for all 1,000 branches would need about 4 MB.
+    EXPECT_LT(peak, branches * 1024 + 4 * window * window);
+}

@@ -44,6 +44,7 @@
 #include "store/artifact_cache.hh"
 #include "store/profile_artifact.hh"
 #include "store/wire.hh"
+#include "test_helpers.hh"
 #include "trace/varint.hh"
 #include "util/random.hh"
 
@@ -159,6 +160,28 @@ TEST(StreamingSession, ByteIdenticalWithBoundedWindow)
         config.max_window = window;
         EXPECT_EQ(streamedBytes(records, config, 123), expected)
             << "window " << window;
+    }
+}
+
+TEST(StreamingSession, ByteIdenticalAcrossTheRowFloor)
+{
+    // The growing 300-branch population of testhelpers::oracleTrace
+    // under windows below the row-form floor's reach (4096), across
+    // it (24, 64) and without one (0): blocks of 1, 7 and 4096
+    // records must give the batch bytes.
+    std::vector<BranchRecord> records =
+        testhelpers::oracleTrace(9, 6000, 300);
+    for (std::size_t window : {std::size_t(0), std::size_t(24),
+                               std::size_t(64), std::size_t(4096)}) {
+        PipelineConfig batch = streamingConfig();
+        batch.interleave.max_window = window;
+        std::string expected = batchBytes(records, batch);
+        StreamingSessionConfig config;
+        config.max_window = window;
+        for (std::size_t block : {std::size_t(1), std::size_t(7),
+                                  std::size_t(4096)})
+            EXPECT_EQ(streamedBytes(records, config, block), expected)
+                << "window " << window << " block " << block;
     }
 }
 

@@ -169,6 +169,32 @@ TEST(ShardedProfile, EqualsSerialWithUnboundedWindow)
     }
 }
 
+TEST(ShardedProfile, EqualsSerialAcrossTheRowFloor)
+{
+    // A growing population of 300 branches (testhelpers::oracleTrace)
+    // under windows that keep the live slots under the row-form floor
+    // (4096), cross it (24, 64) or have none (0): each shard's rows
+    // and the stitch's added slots change form at different records
+    // than the serial tracker's, and the graph must not change.
+    std::vector<BranchRecord> records =
+        testhelpers::oracleTrace(5, 6000, 300);
+    MemoryTrace trace;
+    for (const BranchRecord &r : records)
+        trace.onBranch(r);
+    for (std::size_t window : {std::size_t(0), std::size_t(24),
+                               std::size_t(64), std::size_t(4096)}) {
+        InterleaveConfig serial_config;
+        serial_config.max_window = window;
+        ConflictGraph serial = serialReference(trace, serial_config);
+        for (unsigned shards : {2u, 4u, 7u}) {
+            ConflictGraph sharded =
+                profileTrace(trace, shardConfig(shards, window));
+            EXPECT_TRUE(graphsIdentical(serial, sharded))
+                << "window=" << window << " shards=" << shards;
+        }
+    }
+}
+
 TEST(ShardedProfile, EqualsSerialUnderFrequencySelection)
 {
     MemoryTrace trace = makeRandomTrace(13, 5000, 400);

@@ -370,6 +370,50 @@ TEST(FrequencyFilter, FilteredSinkDropsUnselected)
         ASSERT_TRUE(sel.contains(kept[i].pc));
 }
 
+TEST(FrequencyFilter, FilteredSinkTableMatchesSetMembership)
+{
+    // The sink probes its own open-addressed copy of the selection:
+    // it must keep exactly the records the set contains, including
+    // pcs 0 and ~0 (the table's empty marker), for selections that
+    // leave the table nearly empty and ones that fill it to half.
+    Pcg32 rng(23);
+    std::vector<BranchPc> pcs = {0, ~BranchPc(0), 8, ~BranchPc(0) - 8};
+    for (int i = 0; i < 600; ++i)
+        pcs.push_back(0x400000 + 8ull * rng.nextBounded(4000));
+    MemoryTrace trace;
+    std::uint64_t ts = 0;
+    for (BranchPc pc : pcs)
+        trace.onBranch({pc, ++ts, rng.nextBool(0.5)});
+
+    for (std::size_t keep : {std::size_t(0), std::size_t(1),
+                             std::size_t(8), std::size_t(9),
+                             std::size_t(300)}) {
+        for (bool with_marker : {false, true}) {
+            FrequencySelection sel;
+            if (with_marker)
+                sel.selected.insert(~BranchPc(0));
+            for (std::size_t i = 0;
+                 i < pcs.size() && sel.selected.size() < keep; i += 2)
+                sel.selected.insert(pcs[i]);
+
+            MemoryTrace kept;
+            FilteredSink filter(sel, kept);
+            trace.replay(filter);
+
+            std::vector<BranchPc> want;
+            for (BranchPc pc : pcs)
+                if (sel.contains(pc))
+                    want.push_back(pc);
+            std::vector<BranchPc> got;
+            for (std::size_t i = 0; i < kept.size(); ++i)
+                got.push_back(kept[i].pc);
+            EXPECT_EQ(got, want)
+                << "keep " << keep << " marker " << with_marker;
+            EXPECT_EQ(filter.dropped(), pcs.size() - want.size());
+        }
+    }
+}
+
 // --------------------------------------------- range replay + segments
 
 namespace

@@ -663,6 +663,25 @@ TEST(DenseCounterRow, DefaultBoundSpillsAtTheU32Limit)
     EXPECT_EQ(row.count(1), 0u);
 }
 
+TEST(DenseCounterRow, WideningHeadroomStopsAtTheRoom)
+{
+    // A widening reserves a quarter of headroom, but never more cells
+    // than max(keys, room): the interleave tracker's floor rows stay
+    // within max_window cells while the live slots fit the window.
+    DenseCounterRow free_row, capped, tight;
+    for (DenseCounterRow *row : {&free_row, &capped, &tight})
+        row->beginPass(100);
+    free_row.beginPass(101);
+    capped.beginPass(101, 110);
+    tight.beginPass(101, 64);
+    EXPECT_GE(free_row.bytes(), 125 * sizeof(std::uint32_t));
+    EXPECT_GE(capped.bytes(), 101 * sizeof(std::uint32_t));
+    EXPECT_LE(capped.bytes(), 110 * sizeof(std::uint32_t));
+    EXPECT_LE(tight.bytes(), 101 * sizeof(std::uint32_t));
+    for (DenseCounterRow *row : {&free_row, &capped, &tight})
+        EXPECT_TRUE(row->fits(101));
+}
+
 // ------------------------------------------------------------------- cli
 
 TEST(Cli, ParsesKnownForms)
