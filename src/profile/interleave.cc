@@ -8,7 +8,6 @@
 #include "obs/metrics.hh"
 #include "obs/phase_detect.hh"
 #include "obs/phase_tracer.hh"
-#include "util/bitfield.hh"
 #include "util/logging.hh"
 
 namespace bwsa
@@ -27,55 +26,19 @@ InterleaveTracker::denseRow(std::size_t distinct, std::size_t live) const
 }
 
 InterleaveTracker::Slot
-InterleaveTracker::slotOf(BranchPc pc) const
-{
-    if (_table.empty())
-        return npos;
-    std::size_t mask = _table.size() - 1;
-    for (std::size_t i = mix64(pc) & mask;; i = (i + 1) & mask) {
-        const TableEntry &entry = _table[i];
-        if (entry.slot == npos || entry.pc == pc)
-            return entry.slot;
-    }
-}
-
-InterleaveTracker::Slot
 InterleaveTracker::slotFor(BranchPc pc)
 {
-    Slot known = slotOf(pc);
+    Slot known = _table.find(pc);
     if (known != npos)
         return known;
 
     // First occurrence: the next slot, in first-occurrence order.
-    Slot slot = static_cast<Slot>(_pcs.size());
-    if ((_pcs.size() + 1) * 2 > _table.size())
-        growTable();
-    std::size_t mask = _table.size() - 1;
-    std::size_t i = mix64(pc) & mask;
-    while (_table[i].slot != npos)
-        i = (i + 1) & mask;
-    _table[i] = {pc, slot};
+    Slot slot = _table.add(pc);
     _pcs.push_back(pc);
     _counts.emplace_back();
     _rows.emplace_back();
     _pos.push_back(npos);
     return slot;
-}
-
-void
-InterleaveTracker::growTable()
-{
-    std::vector<TableEntry> old = std::move(_table);
-    _table.assign(old.empty() ? 64 : old.size() * 2, TableEntry{});
-    std::size_t mask = _table.size() - 1;
-    for (const TableEntry &entry : old) {
-        if (entry.slot == npos)
-            continue;
-        std::size_t i = mix64(entry.pc) & mask;
-        while (_table[i].slot != npos)
-            i = (i + 1) & mask;
-        _table[i] = entry;
-    }
 }
 
 void
@@ -165,7 +128,7 @@ InterleaveTracker::onBlock(std::span<const BranchRecord> records)
             ++_forms.flips;
         }
         if (dense) {
-            std::uint32_t *cells = row.dense.beginPass(live, room(live));
+            std::uint32_t *cells = row.dense.beginPass(live);
             for (std::size_t i = pos + 1; i < end; ++i) {
                 Slot cur = window[i];
                 ++cells[cur];
@@ -216,7 +179,7 @@ InterleaveTracker::addInterleavings(Slot slot, Slot prefix,
         row.sparse = FlatCounterMap();
     }
     if (!row.dense.empty()) {
-        std::uint32_t *cells = row.dense.beginPass(live, room(live));
+        std::uint32_t *cells = row.dense.beginPass(live);
         for (Slot s = 0; s < prefix; ++s)
             ++cells[s];
         for (Slot s : others)
@@ -395,7 +358,7 @@ InterleaveTracker::pendingGraph() const
 std::uint64_t
 InterleaveTracker::residentBytes() const
 {
-    std::uint64_t bytes = _table.capacity() * sizeof(TableEntry) +
+    std::uint64_t bytes = _table.bytes() +
                           _pcs.capacity() * sizeof(BranchPc) +
                           _counts.capacity() * sizeof(SlotCounts) +
                           _rows.capacity() * sizeof(CounterRow) +

@@ -32,20 +32,25 @@
  * counter row, either a FlatCounterMap (hash) or a DenseCounterRow
  * (u32 cells indexed by slot; util/flat_counter.hh).  One rule
  * (denseRow) picks the form: a row is dense while the live slot count
- * is at most max_window -- the floor -- or once its distinct
- * neighbours times 4 reach the live count, where the 4 B per slot
- * cost no more than the hash row's >= 17 B per entry.  Under the
+ * is at most the floor, min(max_window, row_floor), or once its
+ * distinct neighbours times 4 reach the live count, where the 4 B per
+ * slot cost no more than the hash row's >= 17 B per entry.  Under the
  * floor a row is dense from its first pass and never turns back, so
  * it climbs no hash growth ladder and pays no probe: before the
  * floor, one perfbench fig3 pass made 6,519 rows dense after they
  * started as hash rows, turned 360 back, and sent 3.4 M of its
- * 111 M increments through hash probes.  Only slots below max_window
- * can own a floor row, and a floor row widens to at most max_window
- * cells, so the floor costs at most 4 * max_window^2 B per tracker
- * (64 MiB at the default 4096).  Above the floor, and always with
- * max_window 0, the density rule alone decides, and a dense row that
- * must widen below that density turns sparse again (DESIGN.md
- * Section 7).
+ * 111 M increments through hash probes.  row_floor is the default
+ * window and does not grow with a larger one, so whatever window a
+ * caller (or a serve client) asks for, only slots below row_floor
+ * can own a floor row, and a floor row widens to at most 1.25 *
+ * row_floor cells (a widening reserves a quarter of headroom): the
+ * floor costs at most 5 * row_floor^2 B per tracker, 80 MiB.  Above
+ * the floor, and always with max_window 0, the density rule alone
+ * decides, and a dense row that must widen below that density turns
+ * sparse again (DESIGN.md Section 7).  Under the floor a row with
+ * few neighbours still costs 4 B per live slot, and the flush walks
+ * every dense cell, so sparse traffic pays O(live^2) per flush or
+ * snapshot there rather than O(edges).
  *
  * The flush turns the directional rows into undirected edges
  * (row[a][b] + row[b][a]) already sorted by edge key -- a counting
@@ -63,6 +68,7 @@
 #include "profile/conflict_graph.hh"
 #include "trace/trace.hh"
 #include "util/flat_counter.hh"
+#include "util/slot_table.hh"
 
 namespace bwsa
 {
@@ -78,8 +84,9 @@ struct InterleaveConfig
 {
     /**
      * Maximum distinct branches tracked at once; 0 means unbounded
-     * (the paper's exact semantics; fine for small traces).  Also the
-     * counter rows' floor: while at most this many branches have
+     * (the paper's exact semantics; fine for small traces).  Also
+     * caps the counter rows' floor: while at most
+     * min(max_window, InterleaveTracker::row_floor) branches have
      * slots, every row is dense (see the file comment).
      */
     std::size_t max_window = 4096;
@@ -117,7 +124,15 @@ class InterleaveTracker : public TraceSink
     using Slot = std::uint32_t;
 
     /** Sentinel for "no slot". */
-    static constexpr Slot npos = ~Slot(0);
+    static constexpr Slot npos = SlotTable::npos;
+
+    /**
+     * Largest live slot count under which every counter row is dense
+     * (with a window at least this wide): the default window, fixed
+     * so that a wider window cannot raise the floor's memory bound
+     * of 5 * row_floor^2 B (see the file comment).
+     */
+    static constexpr std::size_t row_floor = InterleaveConfig{}.max_window;
 
     /**
      * @param graph  conflict graph to populate (not owned)
@@ -193,7 +208,7 @@ class InterleaveTracker : public TraceSink
     std::size_t slotCount() const { return _pcs.size(); }
 
     /** Slot of @p pc, or npos when the tracker never saw it. */
-    Slot slotOf(BranchPc pc) const;
+    Slot slotOf(BranchPc pc) const { return _table.find(pc); }
 
     /**
      * Slot of @p pc, adding one with zero counts outside the window
@@ -258,13 +273,6 @@ class InterleaveTracker : public TraceSink
         DenseCounterRow dense;
     };
 
-    /** pc -> slot table entry; slot == npos marks an empty entry. */
-    struct TableEntry
-    {
-        BranchPc pc = 0;
-        Slot slot = npos;
-    };
-
     /** Row-form changes; at most one per pass, none per increment. */
     struct RowForms
     {
@@ -273,14 +281,14 @@ class InterleaveTracker : public TraceSink
         std::uint64_t flips = 0;        ///< dense rows turned sparse
     };
 
-    void growTable();
     void evictHead();
 
-    /** True while the live slots fit a bounded window (the floor). */
+    /** True while the live slots fit a bounded window and row_floor. */
     bool
     underFloor(std::size_t live) const
     {
-        return _config.max_window != 0 && live <= _config.max_window;
+        return _config.max_window != 0 && live <= _config.max_window &&
+               live <= row_floor;
     }
 
     /**
@@ -290,14 +298,6 @@ class InterleaveTracker : public TraceSink
      * dense row widens, after a sparse pass and by the stitch.
      */
     bool denseRow(std::size_t distinct, std::size_t live) const;
-
-    /** Most cells a dense row's widening reserves (see beginPass). */
-    std::size_t
-    room(std::size_t live) const
-    {
-        return underFloor(live) ? _config.max_window
-                                : DenseCounterRow::no_limit;
-    }
 
     /**
      * The row walk behind drainEdges() and pendingGraph(): @p rows as
@@ -311,7 +311,7 @@ class InterleaveTracker : public TraceSink
 
     ConflictGraph &_graph;
     InterleaveConfig _config;
-    std::vector<TableEntry> _table;
+    SlotTable _table; ///< pc -> slot
 
     /** Per slot: pc, flush deltas, counter row, window position. */
     std::vector<BranchPc> _pcs;

@@ -694,7 +694,6 @@ BatchedReplayer::seal()
     // First record: lanes are final now.
     _sealed = true;
     _block = std::make_unique<Block>();
-    growSlotTable();
     _attribute = _timeline && !_timeline->phases.empty();
     if (_attribute) {
         _phase_pcs.resize(_timeline->phases.size());
@@ -706,42 +705,13 @@ BatchedReplayer::seal()
 std::uint32_t
 BatchedReplayer::slotFor(BranchPc pc)
 {
-    std::size_t mask = _slot_table.size() - 1;
-    for (std::size_t i = mix64(pc) & mask;; i = (i + 1) & mask) {
-        const SlotEntry &entry = _slot_table[i];
-        if (entry.slot == npos)
-            break;
-        if (entry.pc == pc)
-            return entry.slot;
-    }
+    std::uint32_t slot = _slot_table.find(pc);
+    if (slot != SlotTable::npos)
+        return slot;
 
     // First occurrence: the next slot, in first-occurrence order.
-    const auto slot = static_cast<std::uint32_t>(_slot_pcs.size());
-    if ((_slot_pcs.size() + 1) * 2 > _slot_table.size())
-        growSlotTable();
-    mask = _slot_table.size() - 1;
-    std::size_t i = mix64(pc) & mask;
-    while (_slot_table[i].slot != npos)
-        i = (i + 1) & mask;
-    _slot_table[i] = {pc, slot};
     _slot_pcs.push_back(pc);
-    return slot;
-}
-
-void
-BatchedReplayer::growSlotTable()
-{
-    std::vector<SlotEntry> old = std::move(_slot_table);
-    _slot_table.assign(old.empty() ? 64 : old.size() * 2, SlotEntry{});
-    const std::size_t mask = _slot_table.size() - 1;
-    for (const SlotEntry &entry : old) {
-        if (entry.slot == npos)
-            continue;
-        std::size_t i = mix64(entry.pc) & mask;
-        while (_slot_table[i].slot != npos)
-            i = (i + 1) & mask;
-        _slot_table[i] = entry;
-    }
+    return _slot_table.add(pc);
 }
 
 void

@@ -47,6 +47,7 @@
 #include "predict/factory.hh"
 #include "predict/interference.hh"
 #include "trace/trace.hh"
+#include "util/slot_table.hh"
 #include "util/stats.hh"
 
 namespace bwsa
@@ -228,18 +229,8 @@ class BatchedReplayer : public TraceSink
     struct Lane;
     struct Block;
 
-    static constexpr std::uint32_t npos = ~std::uint32_t(0);
-
-    /** pc -> slot table entry; slot == npos marks an empty entry. */
-    struct SlotEntry
-    {
-        BranchPc pc = 0;
-        std::uint32_t slot = npos;
-    };
-
     void seal();
     std::uint32_t slotFor(BranchPc pc);
-    void growSlotTable();
     void replayBlock();
     void advancePhase();
 
@@ -248,8 +239,8 @@ class BatchedReplayer : public TraceSink
     std::vector<std::unique_ptr<Lane>> _lanes;
 
     /** Dense branch slots, in first-occurrence order. */
-    std::vector<SlotEntry> _slot_table; ///< power-of-two capacity
-    std::vector<BranchPc> _slot_pcs;    ///< slot -> pc
+    SlotTable _slot_table;           ///< pc -> slot
+    std::vector<BranchPc> _slot_pcs; ///< slot -> pc
 
     std::unique_ptr<Block> _block; ///< the open block
 

@@ -44,21 +44,8 @@ FilteredSink::FilteredSink(const FrequencySelection &selection,
                            TraceSink &inner)
     : _inner(inner)
 {
-    std::size_t size = 16;
-    while (size < selection.selected.size() * 2)
-        size *= 2;
-    _table.assign(size, empty_pc);
-    _mask = size - 1;
-    for (BranchPc pc : selection.selected) {
-        if (pc == empty_pc) {
-            _empty_pc_selected = true;
-            continue;
-        }
-        std::size_t i = mix64(pc) & _mask;
-        while (_table[i] != empty_pc)
-            i = (i + 1) & _mask;
-        _table[i] = pc;
-    }
+    for (BranchPc pc : selection.selected)
+        _selected.add(pc);
 }
 
 } // namespace bwsa

@@ -20,7 +20,7 @@
 
 #include "trace/trace.hh"
 #include "trace/trace_stats.hh"
-#include "util/bitfield.hh"
+#include "util/slot_table.hh"
 
 namespace bwsa
 {
@@ -68,9 +68,9 @@ FrequencySelection selectByFrequency(const TraceStatsCollector &stats,
  * Pass-through sink forwarding only records whose branch survived a
  * FrequencySelection; everything else is dropped, exactly like the
  * paper's reduced-branch analysis runs.  The selected pcs are copied
- * once, at construction, into an open-addressed table, so each record
- * costs one probe of a flat array rather than a node-based set
- * lookup.  Each block is compacted into the sink's own buffer and
+ * once, at construction, into a SlotTable (util/slot_table.hh), so
+ * each record costs one probe of a flat array rather than a
+ * node-based set lookup.  Each block is compacted into the sink's own buffer and
  * forwarded as one block.
  */
 class FilteredSink : public TraceSink
@@ -116,27 +116,14 @@ class FilteredSink : public TraceSink
     std::uint64_t dropped() const { return _dropped; }
 
   private:
-    /** Table entry marking an empty position. */
-    static constexpr BranchPc empty_pc = ~BranchPc(0);
-
     /** True when @p pc survived the selection. */
     bool
     selected(BranchPc pc) const
     {
-        if (pc == empty_pc)
-            return _empty_pc_selected;
-        for (std::size_t i = mix64(pc) & _mask;; i = (i + 1) & _mask) {
-            if (_table[i] == pc)
-                return true;
-            if (_table[i] == empty_pc)
-                return false;
-        }
+        return _selected.find(pc) != SlotTable::npos;
     }
 
-    /** Selected pcs, linear probing; at most half full. */
-    std::vector<BranchPc> _table;
-    std::size_t _mask = 0;
-    bool _empty_pc_selected = false;
+    SlotTable _selected; ///< the selected pcs
     TraceSink &_inner;
     std::vector<BranchRecord> _kept; ///< holds the compacted block
     std::uint64_t _dropped = 0;

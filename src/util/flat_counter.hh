@@ -6,15 +6,15 @@
  * counts: a linear-probing flat table with power-of-two capacity, far
  * faster than unordered_map.  It holds the tracker's *sparse* rows,
  * those touching few of the live branch slots once more slots are
- * live than the tracker's window holds.
+ * live than the tracker's row floor.
  *
  * DenseCounterRow is a u32 array indexed by key: one indexed add per
  * increment instead of a hash probe.  It holds every row while the
- * live slots fit the window (from the row's first pass, so no row
+ * live slots fit the floor (from the row's first pass, so no row
  * climbs the hash table's growth ladder first) and, past that, the
  * rows touching a large share of the slots.  A widening reserves a
- * quarter of headroom up to a caller-given room, which keeps those
- * floor rows within the window's width: at most 4 B per window slot.
+ * quarter of headroom, so a floor row holds at most 1.25 cells per
+ * floor slot: 5 * floor^2 B for all of them (profile/interleave.hh).
  * Its cells cannot wrap: the owner bounds how many times any one
  * cell can grow (one pass per re-execution, at most one increment per
  * cell per pass) and the row spills its cells into u64 storage before
@@ -178,10 +178,6 @@ class DenseCounterRow
     static constexpr std::uint32_t max_cell =
         std::numeric_limits<std::uint32_t>::max();
 
-    /** beginPass() room that leaves the growth headroom unbounded. */
-    static constexpr std::size_t no_limit =
-        std::numeric_limits<std::size_t>::max();
-
     DenseCounterRow() = default;
 
     explicit DenseCounterRow(std::uint32_t spill_at)
@@ -213,17 +209,15 @@ class DenseCounterRow
     /**
      * Open one pass over keys below @p keys and return the cells:
      * the caller adds at most 1 to any cell before the next pass.
-     * A widening reserves a quarter of headroom, but never more
-     * cells than max(@p keys, @p room).
      */
     std::uint32_t *
-    beginPass(std::size_t keys, std::size_t room = no_limit)
+    beginPass(std::size_t keys)
     {
         if (_passes >= _spill_at)
             spill();
         ++_passes;
         if (_cells.size() < keys)
-            resize(keys, room);
+            resize(keys);
         return _cells.data();
     }
 
@@ -274,13 +268,13 @@ class DenseCounterRow
 
   private:
     void
-    resize(std::size_t keys, std::size_t room = no_limit)
+    resize(std::size_t keys)
     {
         // Grow by at least a quarter so a row that follows a slowly
         // growing slot count is not copied once per new slot.
         if (keys > _cells.capacity())
-            _cells.reserve(std::max(
-                keys, std::min(room, _cells.size() + _cells.size() / 4)));
+            _cells.reserve(std::max(keys, _cells.size() +
+                                              _cells.size() / 4));
         _cells.resize(keys, 0);
         if (!_wide.empty())
             _wide.resize(keys, 0);

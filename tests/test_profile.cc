@@ -650,7 +650,36 @@ TEST(RowForms, HostileStreamStaysSparseAboveTheFloor)
     EXPECT_LE(forms.births_dense, window);
     EXPECT_EQ(forms.adoptions, 0u);
     // The bound: 1 KiB per branch for its hash row and per-slot state,
-    // plus 4 B x W cells for each of at most W floor rows.  Dense rows
-    // for all 1,000 branches would need about 4 MB.
-    EXPECT_LT(peak, branches * 1024 + 4 * window * window);
+    // plus 5 B x W (W cells and a quarter of widening headroom) for
+    // each of at most W floor rows.  Dense rows for all 1,000
+    // branches would need about 4 MB.
+    EXPECT_LT(peak, branches * 1024 + 5 * window * window);
+}
+
+TEST(RowForms, WideWindowCannotRaiseTheFloor)
+{
+    // A window far wider than row_floor (a serve client may ask for
+    // one) over interleaved pairs x0 x1 x0 x1 x2 x3 x2 x3 ...: every
+    // row has one neighbour.  Only the rows born while the live slots
+    // fit row_floor are dense; the rest stay one-entry hash rows, so
+    // memory holds the floor's 5 * row_floor^2 B bound.  A floor that
+    // followed the window would make all 8,192 rows dense: about
+    // 134 MB of cells, above the bound.
+    constexpr std::size_t floor = InterleaveTracker::row_floor;
+    constexpr std::size_t branches = 2 * floor;
+    std::vector<BranchRecord> records;
+    std::uint64_t ts = 0;
+    for (std::size_t pair = 0; pair < branches / 2; ++pair)
+        for (int loop = 0; loop < 2; ++loop)
+            for (std::size_t k = 0; k < 2; ++k)
+                records.push_back(
+                    {0x400000 + 8 * (2 * pair + k), ts += 3, k == 0});
+
+    std::uint64_t peak = 0;
+    RowFormCounts forms =
+        profileRowForms(records, std::size_t(1) << 20, &peak);
+    EXPECT_EQ(forms.births_dense, floor);
+    EXPECT_EQ(forms.adoptions, 0u);
+    EXPECT_EQ(forms.flips, 0u);
+    EXPECT_LT(peak, branches * 1024 + 5 * floor * floor);
 }

@@ -372,10 +372,10 @@ TEST(FrequencyFilter, FilteredSinkDropsUnselected)
 
 TEST(FrequencyFilter, FilteredSinkTableMatchesSetMembership)
 {
-    // The sink probes its own open-addressed copy of the selection:
-    // it must keep exactly the records the set contains, including
-    // pcs 0 and ~0 (the table's empty marker), for selections that
-    // leave the table nearly empty and ones that fill it to half.
+    // The sink probes its own SlotTable copy of the selection: it
+    // must keep exactly the records the set contains, including pcs
+    // 0 and ~0, for selections that leave the table nearly empty and
+    // ones that make it grow.
     Pcg32 rng(23);
     std::vector<BranchPc> pcs = {0, ~BranchPc(0), 8, ~BranchPc(0) - 8};
     for (int i = 0; i < 600; ++i)

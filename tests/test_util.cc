@@ -19,6 +19,7 @@
 #include "util/logging.hh"
 #include "util/random.hh"
 #include "util/sat_counter.hh"
+#include "util/slot_table.hh"
 #include "util/stats.hh"
 #include "util/strutil.hh"
 
@@ -663,23 +664,28 @@ TEST(DenseCounterRow, DefaultBoundSpillsAtTheU32Limit)
     EXPECT_EQ(row.count(1), 0u);
 }
 
-TEST(DenseCounterRow, WideningHeadroomStopsAtTheRoom)
+TEST(SlotTable, NumbersKeysInInsertionOrderAcrossGrowth)
 {
-    // A widening reserves a quarter of headroom, but never more cells
-    // than max(keys, room): the interleave tracker's floor rows stay
-    // within max_window cells while the live slots fit the window.
-    DenseCounterRow free_row, capped, tight;
-    for (DenseCounterRow *row : {&free_row, &capped, &tight})
-        row->beginPass(100);
-    free_row.beginPass(101);
-    capped.beginPass(101, 110);
-    tight.beginPass(101, 64);
-    EXPECT_GE(free_row.bytes(), 125 * sizeof(std::uint32_t));
-    EXPECT_GE(capped.bytes(), 101 * sizeof(std::uint32_t));
-    EXPECT_LE(capped.bytes(), 110 * sizeof(std::uint32_t));
-    EXPECT_LE(tight.bytes(), 101 * sizeof(std::uint32_t));
-    for (DenseCounterRow *row : {&free_row, &capped, &tight})
-        EXPECT_TRUE(row->fits(101));
+    // Slots follow insertion order through every growth of the
+    // table; keys 0 and ~0 are ordinary keys (an empty entry is
+    // marked by its slot, not by a key value).
+    SlotTable table;
+    EXPECT_EQ(table.find(0), SlotTable::npos);
+    std::vector<std::uint64_t> keys = {0, ~std::uint64_t(0)};
+    for (std::uint64_t i = 1; i <= 1000; ++i)
+        keys.push_back(0x400000 + 8 * i * i);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        EXPECT_EQ(table.add(keys[i]), i);
+        EXPECT_EQ(table.size(), i + 1);
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        EXPECT_EQ(table.find(keys[i]), i);
+    EXPECT_EQ(table.find(4), SlotTable::npos);
+    EXPECT_EQ(table.find(0x400000 + 8), 2u);
+    // At most half full: two entries (key and slot) per key or more.
+    EXPECT_GE(table.bytes(), 2 * keys.size() *
+                                 (sizeof(std::uint64_t) +
+                                  sizeof(std::uint32_t)));
 }
 
 // ------------------------------------------------------------------- cli
